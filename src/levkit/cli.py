@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime/numerical error.
-All file outputs are written atomically (temp file + rename) and carry a
-provenance header with the code version and the full normalized config, so
-rerunning an identical config produces byte-identical files.
+All file outputs go through ``levkit.writer`` (temp file + rename) and carry
+the provenance of ``_provenance``: code version, command, thread budget and,
+for config-driven outputs, the normalized config.  Rerunning an identical
+config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 # Thread budget for the BLAS layer; read before the numerics import chain
@@ -45,7 +45,8 @@ from .limits import (
     millicharge_sensitivity,
     neutrality_sensitivity,
 )
-from .config import ConfigError, load_config, normalize_config
+from .config import ConfigError, load_config
+from .writer import json_text, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,27 +56,19 @@ _CONFIG_ERRORS = (ConfigError, DomainError, DimensionError, GeometryError)
 _RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError)
 
 
-def _atomic_write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _provenance(command: str, cfg=None) -> dict:
+    """Code version, command, thread budget and (given a config) its normalized echo."""
+    prov = {"levkit_version": __version__, "command": command,
+            "levkit_threads": LEVKIT_THREADS}
+    if cfg is not None:
+        prov["config"] = cfg.normalized()
+    return prov
 
 
-def _provenance_header(command: str, cfg_doc: dict) -> str:
-    echo = json.dumps(normalize_config(cfg_doc), sort_keys=True)
-    return (
-        f"# levkit_version = {__version__}\n"
-        f"# command = {command}\n"
-        f"# levkit_threads = {LEVKIT_THREADS}\n"
-        f"# config = {echo}\n"
-    )
+def _csv_header(prov: dict) -> dict:
+    """Provenance as '# key = value' text; the config echo as one line of JSON."""
+    return {key: val if isinstance(val, str) else json.dumps(val, sort_keys=True)
+            for key, val in prov.items()}
 
 
 def _out_dir(cfg, override=None) -> Path:
@@ -99,24 +92,19 @@ def _frequency_grid(cfg) -> np.ndarray:
 def cmd_noise_budget(args) -> int:
     cfg = load_config(args.config)
     cfg.require("sphere", "trap", "noise")
-    freqs = _frequency_grid(cfg)
+    freqs = _frequency_grid(cfg).tolist()
     labels = [label for label, _ in cfg.noise.contributions]
-
-    lines = [_provenance_header("noise-budget", cfg.raw)]
     cols = (["frequency_hz"] + [f"{lb}_force_asd_n_rthz" for lb in labels]
             + ["total_force_asd_n_rthz", "total_acceleration_ng_rthz"])
-    lines.append("# columns = " + ",".join(cols) + "\n")
-    for f in freqs:
-        per = cfg.noise.contribution_asds(float(f))
-        total = cfg.noise.total_asd(float(f))
-        accel_ng = acceleration_asd_ng(
-            Quantity(total, Dimension.FORCE_ASD), cfg.sphere)
-        row = [repr(float(f))] + [repr(per[lb]) for lb in labels]
-        row += [repr(total), repr(accel_ng)]
-        lines.append(",".join(row) + "\n")
+
+    per = [cfg.noise.contribution_asds(f) for f in freqs]
+    totals = [cfg.noise.total_asd(f) for f in freqs]
+    accel_ng = [acceleration_asd_ng(Quantity(total, Dimension.FORCE_ASD), cfg.sphere)
+                for total in totals]
+    data = [freqs, *([p[lb] for p in per] for lb in labels), totals, accel_ng]
 
     out = _out_dir(cfg, args.outdir) / "noise_budget.csv"
-    _atomic_write_text(out, "".join(lines))
+    write_csv(out, _csv_header(_provenance("noise-budget", cfg)).items(), cols, data)
 
     f0 = cfg.trap.resonant_frequency
     total0 = cfg.noise.total_asd(f0)
@@ -133,12 +121,10 @@ def cmd_simulate(args) -> int:
     series = simulate(cfg.sphere, cfg.trap, cfg.simulation, injected=cfg.impulses)
     out_dir = _out_dir(cfg, args.outdir)
 
-    header = _provenance_header("simulate", cfg.raw)
-    traj_lines = [header, "# columns = time_s,displacement_m\n"]
-    for t, x in zip(series.times, series.samples):
-        traj_lines.append(f"{float(t)!r},{float(x)!r}\n")
+    prov = _provenance("simulate", cfg)
+    header = _csv_header(prov)
     traj_path = out_dir / "trajectory.csv"
-    _atomic_write_text(traj_path, "".join(traj_lines))
+    series.to_csv(traj_path, header)
     print(f"wrote {traj_path}")
 
     mass = cfg.sphere.mass
@@ -155,11 +141,9 @@ def cmd_simulate(args) -> int:
 
     if cfg.psd_segment_length is not None:
         psd = estimate_psd(series, cfg.psd_segment_length)
-        psd_lines = [header, "# columns = frequency_hz,displacement_psd_m2_per_hz\n"]
-        for f, s in zip(psd.frequency, psd.psd):
-            psd_lines.append(f"{float(f)!r},{float(s)!r}\n")
         psd_path = out_dir / "psd.csv"
-        _atomic_write_text(psd_path, "".join(psd_lines))
+        write_csv(psd_path, header.items(), ("frequency_hz", "displacement_psd_m2_per_hz"),
+                  (psd.frequency, psd.psd))
         print(f"wrote {psd_path} ({psd.n_segments} segments)")
 
     if cfg.impulses and cfg.false_alarm_rate is not None:
@@ -179,36 +163,22 @@ def cmd_simulate(args) -> int:
                     "filter_amplitude_kg_m_s": amp,
                     "detected": bool(amp > q_min.value),
                 })
-        doc = {
-            "levkit_version": __version__,
-            "command": "simulate",
-            "levkit_threads": LEVKIT_THREADS,
-            "config": normalize_config(cfg.raw),
-            "threshold_kg_m_s": q_min.value,
-            "events": detections,
-        }
         det_path = out_dir / "detections.json"
-        _atomic_write_text(det_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(det_path, {**prov, "threshold_kg_m_s": q_min.value, "events": detections})
         n_hit = sum(1 for d in detections if d["detected"])
         print(f"wrote {det_path}: threshold {q_min.value!r} kg m/s, "
               f"{n_hit}/{len(detections)} injected impulses detected")
     return EXIT_OK
 
 
-def _write_curve(curve, out_dir: Path, stem: str, command: str, cfg_doc: dict):
+def _write_curve(curve, out_dir: Path, stem: str, command: str, cfg):
     csv_path = out_dir / f"{stem}.csv"
     json_path = out_dir / f"{stem}.json"
-    # Prepend the CLI provenance header to the curve's own CSV emission.
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f".{stem}.body"
-    curve.to_csv(tmp)
-    body = tmp.read_text(encoding="utf-8")
-    os.unlink(tmp)
-    _atomic_write_text(csv_path, _provenance_header(command, cfg_doc) + body)
-    doc = curve.to_json_dict()
-    doc["command"] = command
-    doc["levkit_threads"] = LEVKIT_THREADS
-    _atomic_write_text(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    prov = _provenance(command, cfg)
+    curve.to_csv(csv_path, _csv_header(prov))
+    # The curve JSON's own provenance carries the code version and the plan.
+    write_json(json_path, {**curve.to_json_dict(), "command": prov["command"],
+                           "levkit_threads": prov["levkit_threads"]})
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
 
@@ -231,30 +201,24 @@ def cmd_exclusion(args) -> int:
         if cfg.geometry is None:
             raise ConfigError("exclusion isl: config needs a geometry section")
         curve = isl_projection(plan, _lambda_grid(p))
-        _write_curve(curve, out_dir, "exclusion_isl", "exclusion isl", cfg.raw)
+        _write_curve(curve, out_dir, "exclusion_isl", "exclusion isl", cfg)
     elif case == "coulomb":
         if cfg.capacitor is None:
             raise ConfigError("exclusion coulomb: config needs a capacitor section")
         curve = coulomb_projection(
             plan, _lambda_grid(p), cfg.capacitor,
             polarizing_field=p.get("polarizing_field", 0.0))
-        _write_curve(curve, out_dir, "exclusion_coulomb", "exclusion coulomb", cfg.raw)
+        _write_curve(curve, out_dir, "exclusion_coulomb", "exclusion coulomb", cfg)
     elif case in ("millicharge", "neutrality"):
         if "drive_field" not in p:
             raise ConfigError(f"exclusion {case}: plan.drive_field is required")
         eps = millicharge_sensitivity(plan, p["drive_field"]).value
         bound = neutrality_sensitivity(plan, p["drive_field"]).value
-        doc = {
-            "levkit_version": __version__,
-            "command": f"exclusion {case}",
-            "levkit_threads": LEVKIT_THREADS,
-            "config": normalize_config(cfg.raw),
-            "millicharge_sensitivity_e": eps,
-            "neutrality_bound_per_nucleon_e": bound,
-            "nucleon_count": plan.sphere.nucleon_count,
-        }
         path = out_dir / f"exclusion_{case}.json"
-        _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(path, {**_provenance(f"exclusion {case}", cfg),
+                          "millicharge_sensitivity_e": eps,
+                          "neutrality_bound_per_nucleon_e": bound,
+                          "nucleon_count": plan.sphere.nucleon_count})
         print(f"millicharge_sensitivity_e = {eps!r}")
         print(f"neutrality_bound_per_nucleon_e = {bound!r}")
         print(f"wrote {path}")
@@ -268,7 +232,7 @@ def cmd_exclusion(args) -> int:
         curve = dm_projection(
             plan, masses, Quantity(p["q_min"], Dimension.MOMENTUM),
             mediator_mass_ev=p.get("mediator_mass", 0.0))
-        _write_curve(curve, out_dir, "exclusion_dm", "exclusion dm", cfg.raw)
+        _write_curve(curve, out_dir, "exclusion_dm", "exclusion dm", cfg)
     return EXIT_OK
 
 
@@ -281,31 +245,19 @@ def cmd_axion(args) -> int:
         rows.append((fa, m_a_ev, f_gw_hz))
         print(f"f_a = {fa!r} GeV: m_a = {m_a_ev!r} eV, f_gw = {f_gw_hz!r} Hz")
     if args.output is not None:
-        lines = [
-            f"# levkit_version = {__version__}\n",
-            "# command = axion\n",
-            f"# levkit_threads = {LEVKIT_THREADS}\n",
-            "# columns = f_a_gev,m_a_ev,f_gw_hz\n",
-        ]
-        for fa, m_a, f_gw in rows:
-            lines.append(f"{fa!r},{m_a!r},{f_gw!r}\n")
-        _atomic_write_text(Path(args.output), "".join(lines))
+        write_csv(args.output, _csv_header(_provenance("axion")).items(),
+                  ("f_a_gev", "m_a_ev", "f_gw_hz"), list(zip(*rows)))
         print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def cmd_normalize_config(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-    text = json.dumps(normalize_config(doc), indent=2, sort_keys=True) + "\n"
+    doc = load_config(args.config).normalized()
     if args.output is not None:
-        _atomic_write_text(Path(args.output), text)
+        write_json(args.output, doc)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(doc))
     return EXIT_OK
 
 

@@ -5,13 +5,18 @@ physical value is a string with an explicit unit suffix ("radius": "5 um");
 bare numbers are allowed only for dimensionless fields.  Unknown keys are
 rejected and missing required keys are reported with their full path, so a
 config never silently does something other than what it says.
+
+One table, ``_FIELDS``, describes every key once; it drives parsing,
+unknown-key rejection and the canonical re-emission of the parsed values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Any, Optional
 
 from .quantities import Dimension
@@ -27,75 +32,35 @@ class ConfigError(ValueError):
     """Config parse/validation failure; message carries the full key path."""
 
 
+# dimension -> {unit token: factor to SI}; the first unit of each dimension is
+# the canonical one that normalize-config emits
+_UNIT_FACTORS = {
+    Dimension.LENGTH: {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
+    Dimension.TIME: {"s": 1.0, "ms": 1e-3, "us": 1e-6, "day": 86400.0, "days": 86400.0,
+                     "yr": 365.0 * 86400.0},
+    Dimension.VELOCITY: {"km/s": 1e3},                       # halo speeds
+    Dimension.FREQUENCY: {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "1/s": 1.0},  # 1/s: rates
+    Dimension.TEMPERATURE: {"K": 1.0, "mK": 1e-3, "uK": 1e-6},
+    Dimension.MASS: {"kg": 1.0, "g": 1e-3, "ng": 1e-12},
+    Dimension.DENSITY: {"kg/m^3": 1.0, "g/cm^3": 1e3},
+    Dimension.VOLTAGE: {"V": 1.0, "kV": 1e3},
+    Dimension.ELECTRIC_FIELD: {"V/m": 1.0, "kV/m": 1e3, "kV/mm": 1e6, "V/mm": 1e3},
+    Dimension.FORCE: {"N": 1.0, "aN": 1e-18},
+    Dimension.FORCE_ASD: {"N/Hz^0.5": 1.0, "aN/Hz^0.5": 1e-18},
+    Dimension.ENERGY: {"eV": 1.0, "meV": 1e-3, "keV": 1e3, "MeV": 1e6, "GeV": 1e9,
+                       "TeV": 1e12},                         # particle physics stays in eV
+    Dimension.MOMENTUM: {"kg*m/s": 1.0},
+    Dimension.CHARGE: {"e": 1.0},                            # charges counted in units of e
+}
 # unit token -> (dimension, factor to SI)
-_UNITS = {
-    "m": (Dimension.LENGTH, 1.0),
-    "cm": (Dimension.LENGTH, 1e-2),
-    "mm": (Dimension.LENGTH, 1e-3),
-    "um": (Dimension.LENGTH, 1e-6),
-    "nm": (Dimension.LENGTH, 1e-9),
-    "s": (Dimension.TIME, 1.0),
-    "ms": (Dimension.TIME, 1e-3),
-    "us": (Dimension.TIME, 1e-6),
-    "day": (Dimension.TIME, 86400.0),
-    "days": (Dimension.TIME, 86400.0),
-    "yr": (Dimension.TIME, 365.0 * 86400.0),
-    "Hz": (Dimension.FREQUENCY, 1.0),
-    "kHz": (Dimension.FREQUENCY, 1e3),
-    "MHz": (Dimension.FREQUENCY, 1e6),
-    "1/s": (Dimension.FREQUENCY, 1.0),   # rates (damping, false-alarm)
-    "K": (Dimension.TEMPERATURE, 1.0),
-    "mK": (Dimension.TEMPERATURE, 1e-3),
-    "uK": (Dimension.TEMPERATURE, 1e-6),
-    "kg": (Dimension.MASS, 1.0),
-    "g": (Dimension.MASS, 1e-3),
-    "ng": (Dimension.MASS, 1e-12),
-    "kg/m^3": (Dimension.DENSITY, 1.0),
-    "g/cm^3": (Dimension.DENSITY, 1e3),
-    "V": (Dimension.VOLTAGE, 1.0),
-    "kV": (Dimension.VOLTAGE, 1e3),
-    "V/m": (Dimension.ELECTRIC_FIELD, 1.0),
-    "kV/m": (Dimension.ELECTRIC_FIELD, 1e3),
-    "kV/mm": (Dimension.ELECTRIC_FIELD, 1e6),
-    "V/mm": (Dimension.ELECTRIC_FIELD, 1e3),
-    "N": (Dimension.FORCE, 1.0),
-    "aN": (Dimension.FORCE, 1e-18),
-    "N/Hz^0.5": (Dimension.FORCE_ASD, 1.0),
-    "aN/Hz^0.5": (Dimension.FORCE_ASD, 1e-18),
-    "eV": (Dimension.ENERGY, 1.0),       # particle-physics energies stay in eV
-    "meV": (Dimension.ENERGY, 1e-3),
-    "keV": (Dimension.ENERGY, 1e3),
-    "MeV": (Dimension.ENERGY, 1e6),
-    "GeV": (Dimension.ENERGY, 1e9),
-    "TeV": (Dimension.ENERGY, 1e12),
-    "kg*m/s": (Dimension.MOMENTUM, 1.0),
-    "e": (Dimension.CHARGE, 1.0),        # charges counted in units of e
-}
-
-# canonical output unit per dimension, for normalize-config
-_CANONICAL = {
-    Dimension.LENGTH: "m",
-    Dimension.TIME: "s",
-    Dimension.FREQUENCY: "Hz",
-    Dimension.TEMPERATURE: "K",
-    Dimension.MASS: "kg",
-    Dimension.DENSITY: "kg/m^3",
-    Dimension.VOLTAGE: "V",
-    Dimension.ELECTRIC_FIELD: "V/m",
-    Dimension.FORCE: "N",
-    Dimension.FORCE_ASD: "N/Hz^0.5",
-    Dimension.ENERGY: "eV",
-    Dimension.MOMENTUM: "kg*m/s",
-    Dimension.CHARGE: "e",
-}
+_UNITS = {unit: (dim, factor) for dim, units in _UNIT_FACTORS.items()
+          for unit, factor in units.items()}
 
 
 def parse_unit_string(raw: Any, dimension: Dimension, path: str) -> float:
     """Parse '<number> <unit>' into an SI value of the expected dimension."""
     if not isinstance(raw, str):
-        raise ConfigError(
-            f"{path}: expected a unit-suffixed string like '5 um', got {raw!r}"
-        )
+        raise ConfigError(f"{path}: expected a unit-suffixed string like '5 um', got {raw!r}")
     parts = raw.split()
     if len(parts) != 2:
         raise ConfigError(f"{path}: expected '<value> <unit>', got {raw!r}")
@@ -110,45 +75,203 @@ def parse_unit_string(raw: Any, dimension: Dimension, path: str) -> float:
         raise ConfigError(f"{path}: unknown unit {unit!r}")
     dim, factor = _UNITS[unit]
     if dim is not dimension:
-        raise ConfigError(
-            f"{path}: unit {unit!r} has dimension {dim.value}, expected {dimension.value}"
-        )
+        raise ConfigError(f"{path}: unit {unit!r} has dimension {dim.value}, "
+                          f"expected {dimension.value}")
     return value * factor
 
 
 def format_unit_string(si_value: float, dimension: Dimension) -> str:
-    unit = _CANONICAL[dimension]
-    return f"{si_value!r} {unit}"
+    unit, factor = next(iter(_UNIT_FACTORS[dimension].items()))
+    return f"{si_value / factor!r} {unit}"
 
 
-def _get(section: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key: {path}.{key}")
-        return default
-    return section[key]
+_Records = namedtuple("_Records", "section")
+
+# Bare (dimensionless) kinds: (accepts the JSON value?, what was expected).
+_BARE = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v), "a finite bare number (dimensionless)"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+# (section, key, kind, required, default).  A kind is a Dimension, a type of
+# _BARE, a unit token (the value is held in that unit, not SI) or _Records.
+# Section "geometry/<type>" is the geometry of that type.  A field with a default
+# is always re-emitted, one without only when given.  Defaults name the
+# constructors' own: a dataclass field's default is its class attribute.
+_FIELDS = (
+    ("sphere", "radius", Dimension.LENGTH, True, None),
+    ("sphere", "density", Dimension.DENSITY, False, Sphere.density),
+    ("sphere", "relative_permittivity", float, False, Sphere.relative_permittivity),
+    ("sphere", "net_charge", int, False, Sphere.net_charge),
+    ("sphere", "material_label", str, False, Sphere.material_label),
+    ("trap", "resonant_frequency", Dimension.FREQUENCY, True, None),
+    ("trap", "damping_rate", Dimension.FREQUENCY, True, None),
+    ("trap", "temperature", Dimension.TEMPERATURE, True, None),
+    ("trap", "feedback_gain", Dimension.FREQUENCY, False, TrapState.feedback_gain),
+    ("noise", "include_thermal", bool, False, False),
+    ("noise", "include_sql", bool, False, False),
+    ("noise", "technical_force_asd", Dimension.FORCE_ASD, False, None),
+    ("simulation", "time_step", Dimension.TIME, True, None),
+    ("simulation", "duration", Dimension.TIME, True, None),
+    ("simulation", "rng_seed", int, True, None),
+    ("simulation", "bath_temperature", Dimension.TEMPERATURE, True, None),
+    ("simulation", "feedback_gain", Dimension.FREQUENCY, False, SimulationConfig.feedback_gain),
+    ("simulation", "record_decimation", int, False, SimulationConfig.record_decimation),
+    ("simulation", "allow_short_run", bool, False, SimulationConfig.allow_short_run),
+    ("simulation", "impulses", _Records("simulation.impulses"), False, None),
+    ("simulation", "psd_segment_length", int, False, None),
+    ("simulation", "false_alarm_rate", Dimension.FREQUENCY, False, None),
+    ("simulation.impulses", "time", Dimension.TIME, True, None),
+    ("simulation.impulses", "momentum_transfer", Dimension.MOMENTUM, True, None),
+    ("simulation.impulses", "direction", int, False, ImpulseEvent.direction),
+    ("geometry/plane_slab", "thickness", Dimension.LENGTH, True, None),
+    ("geometry/plane_slab", "density_contrast", Dimension.DENSITY, True, None),
+    ("geometry/plane_slab", "distance", Dimension.LENGTH, True, None),
+    ("geometry/finger_array", "finger_width", Dimension.LENGTH, True, None),
+    ("geometry/finger_array", "finger_depth", Dimension.LENGTH, True, None),
+    ("geometry/finger_array", "density_a", Dimension.DENSITY, True, None),
+    ("geometry/finger_array", "density_b", Dimension.DENSITY, True, None),
+    ("geometry/finger_array", "distance", Dimension.LENGTH, True, None),
+    ("geometry/finger_array", "drive_amplitude", Dimension.LENGTH, True, None),
+    ("geometry/finger_array", "drive_frequency", Dimension.FREQUENCY, True, None),
+    ("geometry/finger_array", "n_finger_pairs", int, False, FingerArray.n_finger_pairs),
+    ("geometry/fluid_capillary", "inner_diameter", Dimension.LENGTH, True, None),
+    ("geometry/fluid_capillary", "droplet_length", Dimension.LENGTH, True, None),
+    ("geometry/fluid_capillary", "density_a", Dimension.DENSITY, True, None),
+    ("geometry/fluid_capillary", "density_b", Dimension.DENSITY, True, None),
+    ("geometry/fluid_capillary", "distance", Dimension.LENGTH, True, None),
+    ("geometry/fluid_capillary", "modulation_frequency", Dimension.FREQUENCY, True, None),
+    ("geometry/fluid_capillary", "n_droplet_pairs", int, False, FluidCapillary.n_droplet_pairs),
+    ("capacitor", "voltage", Dimension.VOLTAGE, True, None),
+    ("capacitor", "plate_spacing", Dimension.LENGTH, True, None),
+    ("capacitor", "standoff", Dimension.LENGTH, True, None),
+    ("halo", "density_gev_cm3", float, False, HaloModel.density_gev_cm3),
+    ("halo", "v0", Dimension.VELOCITY, False, HaloModel.v0),
+    ("halo", "v_escape", Dimension.VELOCITY, False, HaloModel.v_escape),
+    ("halo", "v_earth", Dimension.VELOCITY, False, HaloModel.v_earth),
+    ("plan", "integration_time", Dimension.TIME, True, None),
+    ("plan", "significance", float, False, SearchPlan.significance),
+    ("plan", "array_size", int, False, SearchPlan.array_size),
+    ("plan", "exposure_sphere_days", "days", False, SearchPlan.exposure_sphere_days),
+    ("plan", "measurement_frequency", Dimension.FREQUENCY, False, None),
+    ("plan", "drive_field", Dimension.ELECTRIC_FIELD, False, None),
+    ("plan", "polarizing_field", Dimension.ELECTRIC_FIELD, False, None),
+    ("plan", "lambda_min", Dimension.LENGTH, False, None),
+    ("plan", "lambda_max", Dimension.LENGTH, False, None),
+    ("plan", "points_per_decade", int, False, None),
+    ("plan", "q_min", Dimension.MOMENTUM, False, None),
+    ("plan", "dm_mass_min", Dimension.ENERGY, False, None),
+    ("plan", "dm_mass_max", Dimension.ENERGY, False, None),
+    ("plan", "mediator_mass", Dimension.ENERGY, False, None),
+    ("output", "directory", str, True, None),
+    ("output", "frequency_min", Dimension.FREQUENCY, False, None),
+    ("output", "frequency_max", Dimension.FREQUENCY, False, None),
+    ("output", "frequency_points", int, False, None),
+)
+
+_TABLE: dict = {}
+for _row in _FIELDS:
+    _TABLE.setdefault(_row[0], {})[_row[1]] = _row[2:]
+
+# Top-level sections, in table order; record section "a.b" is a list inside "a".
+_SECTIONS = tuple(dict.fromkeys(name.split("/")[0] for name in _TABLE if "." not in name))
+
+# table section -> the object built from the values that name its fields
+_OBJECTS = {"sphere": Sphere, "trap": TrapState, "simulation": SimulationConfig,
+            "capacitor": Capacitor, "halo": HaloModel, "geometry/plane_slab": PlaneSlab,
+            "geometry/finger_array": FingerArray, "geometry/fluid_capillary": FluidCapillary}
 
 
-def _check_keys(section: dict, allowed: set, path: str):
-    if not isinstance(section, dict):
+def _section_of(name: str, sec: dict, path: str) -> str:
+    """The table section of config section ``name``; geometry is keyed by its type."""
+    if not isinstance(sec, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = set(section) - allowed
+    if name in _TABLE:
+        return name
+    if "type" not in sec:
+        raise ConfigError(f"missing required key: {path}.type")
+    variant = f"{name}/{sec['type']}"
+    if variant not in _TABLE:
+        raise ConfigError(f"{path}.type: unknown {name} {sec['type']!r}")
+    return variant
+
+
+def _check_keys(sec: Any, allowed, path: str):
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(sec) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
 
-def _number(raw: Any, path: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}: expected a bare number (dimensionless), got {raw!r}")
-    if not math.isfinite(float(raw)):
-        raise ConfigError(f"{path}: non-finite number")
-    return float(raw)
+def _parse_value(kind, raw: Any, path: str):
+    if isinstance(kind, Dimension):
+        return parse_unit_string(raw, kind, path)
+    if isinstance(kind, str):
+        return parse_unit_string(raw, _UNITS[kind][0], path) / _UNITS[kind][1]
+    if isinstance(kind, _Records):
+        if not isinstance(raw, list):
+            raise ConfigError(f"{path}: expected a list of objects, got {raw!r}")
+        return tuple(_parse_section(kind.section, item, f"{path}[{i}]")
+                     for i, item in enumerate(raw))
+    accepts, expected = _BARE[kind]
+    if not accepts(raw):
+        raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
+    return kind(raw)
 
 
-def _integer(raw: Any, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
-    return raw
+def _parse_section(name: str, sec: Any, path: str) -> dict:
+    """SI values of one section: the keys given, plus the defaults of the rest."""
+    section = _section_of(name, sec, path)
+    values = {} if section == name else {"type": sec["type"]}
+    _check_keys(sec, [*values, *_TABLE[section]], path)
+    for key, (kind, required, default) in _TABLE[section].items():
+        if key in sec:
+            values[key] = _parse_value(kind, sec[key], f"{path}.{key}")
+        elif required:
+            raise ConfigError(f"missing required key: {path}.{key}")
+        elif default is not None:
+            values[key] = default
+    return values
+
+
+def _emit_value(kind, value):
+    if isinstance(kind, Dimension):
+        return format_unit_string(value, kind)
+    if isinstance(kind, str):
+        return format_unit_string(value * _UNITS[kind][1], _UNITS[kind][0])
+    if isinstance(kind, _Records):
+        return [_emit_section(kind.section, item) for item in value]
+    return value
+
+
+def _emit_section(name: str, values: dict) -> dict:
+    table = _TABLE[_section_of(name, values, name)]   # an empty record list is dropped
+    return {key: value if key not in table else _emit_value(table[key][0], value)
+            for key, value in values.items() if value != ()}
+
+
+def _build(cls, values: dict):
+    """``cls`` constructed from the values that name its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+
+
+def _noise_model(sec: dict, sphere: Optional[Sphere], trap: Optional[TrapState]):
+    if sphere is None or trap is None:
+        raise ConfigError("noise: requires sphere and trap sections")
+    levels = []
+    if sec["include_thermal"]:
+        levels.append(("thermal", thermal_force_asd(sphere, trap).value))
+    if sec["include_sql"]:
+        levels.append(("sql", sql_force_asd(sphere, trap).value))
+    if "technical_force_asd" in sec:
+        levels.append(("technical", sec["technical_force_asd"]))
+    if not levels:
+        raise ConfigError("noise: at least one contribution must be enabled")
+    return NoiseModel([(label, lambda f, _l=level: _l) for label, level in levels])
 
 
 @dataclass
@@ -168,6 +291,7 @@ class RunConfig:
     halo: Optional[HaloModel] = None
     plan_section: Optional[dict] = None
     output_section: Optional[dict] = None
+    values: dict = field(default_factory=dict)   # section -> parsed SI values
 
     def require(self, *names: str):
         for name in names:
@@ -176,307 +300,45 @@ class RunConfig:
 
     def build_plan(self) -> SearchPlan:
         self.require("sphere", "trap", "noise", "plan_section")
-        p = self.plan_section
-        return SearchPlan(
-            sphere=self.sphere,
-            trap=self.trap,
-            noise=self.noise,
-            integration_time=p["integration_time"],
-            geometry=self.geometry,
-            significance=p["significance"],
-            array_size=p["array_size"],
-            exposure_sphere_days=p["exposure_sphere_days"],
-            measurement_frequency=p.get("measurement_frequency"),
-            halo=self.halo if self.halo is not None else HaloModel(),
-        )
+        parts = {"sphere": self.sphere, "trap": self.trap, "noise": self.noise,
+                 "geometry": self.geometry, "halo": self.halo or HaloModel()}
+        return _build(SearchPlan, {**self.plan_section, **parts})
 
-
-_TOP_KEYS = {"schema", "sphere", "trap", "noise", "simulation", "geometry",
-             "capacitor", "plan", "halo", "output"}
+    def normalized(self) -> dict:
+        """The config re-emitted with canonical SI unit strings."""
+        return {"schema": CONFIG_SCHEMA,
+                **{name: _emit_section(name, sec) for name, sec in self.values.items()}}
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _check_keys(doc, _TOP_KEYS, "config")
+    _check_keys(doc, ["schema", *_SECTIONS], "config")
     if doc.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(
-            f"config.schema: expected {CONFIG_SCHEMA!r}, got {doc.get('schema')!r}"
-        )
-    cfg = RunConfig(raw=doc)
-
-    if "sphere" in doc:
-        sec = doc["sphere"]
-        _check_keys(sec, {"radius", "density", "relative_permittivity",
-                          "net_charge", "material_label"}, "sphere")
-        kwargs = {"radius": parse_unit_string(_get(sec, "radius", "sphere"),
-                                              Dimension.LENGTH, "sphere.radius")}
-        if "density" in sec:
-            kwargs["density"] = parse_unit_string(sec["density"], Dimension.DENSITY,
-                                                  "sphere.density")
-        if "relative_permittivity" in sec:
-            kwargs["relative_permittivity"] = _number(sec["relative_permittivity"],
-                                                      "sphere.relative_permittivity")
-        if "net_charge" in sec:
-            kwargs["net_charge"] = _integer(sec["net_charge"], "sphere.net_charge")
-        if "material_label" in sec:
-            if not isinstance(sec["material_label"], str):
-                raise ConfigError("sphere.material_label: expected a string")
-            kwargs["material_label"] = sec["material_label"]
-        cfg.sphere = Sphere(**kwargs)
-
-    if "trap" in doc:
-        sec = doc["trap"]
-        _check_keys(sec, {"resonant_frequency", "damping_rate", "temperature",
-                          "feedback_gain"}, "trap")
-        cfg.trap = TrapState(
-            resonant_frequency=parse_unit_string(
-                _get(sec, "resonant_frequency", "trap"), Dimension.FREQUENCY,
-                "trap.resonant_frequency"),
-            damping_rate=parse_unit_string(
-                _get(sec, "damping_rate", "trap"), Dimension.FREQUENCY,
-                "trap.damping_rate"),
-            temperature=parse_unit_string(
-                _get(sec, "temperature", "trap"), Dimension.TEMPERATURE,
-                "trap.temperature"),
-            feedback_gain=(
-                parse_unit_string(sec["feedback_gain"], Dimension.FREQUENCY,
-                                  "trap.feedback_gain")
-                if "feedback_gain" in sec else 0.0),
-        )
-
-    if "noise" in doc:
-        sec = doc["noise"]
-        _check_keys(sec, {"technical_force_asd", "include_thermal", "include_sql"},
-                    "noise")
-        if cfg.sphere is None or cfg.trap is None:
-            raise ConfigError("noise: requires sphere and trap sections")
-        model = NoiseModel()
-        if sec.get("include_thermal", False):
-            level = thermal_force_asd(cfg.sphere, cfg.trap).value
-            model = model.with_contribution("thermal", lambda f, _l=level: _l)
-        if sec.get("include_sql", False):
-            level = sql_force_asd(cfg.sphere, cfg.trap).value
-            model = model.with_contribution("sql", lambda f, _l=level: _l)
-        if "technical_force_asd" in sec:
-            level = parse_unit_string(sec["technical_force_asd"], Dimension.FORCE_ASD,
-                                      "noise.technical_force_asd")
-            model = model.with_contribution("technical", lambda f, _l=level: _l)
-        if not model.contributions:
-            raise ConfigError("noise: at least one contribution must be enabled")
-        cfg.noise = model
-
-    if "simulation" in doc:
-        sec = doc["simulation"]
-        _check_keys(sec, {"time_step", "duration", "rng_seed", "bath_temperature",
-                          "feedback_gain", "record_decimation", "allow_short_run",
-                          "impulses", "psd_segment_length", "false_alarm_rate"},
-                    "simulation")
-        cfg.simulation = SimulationConfig(
-            time_step=parse_unit_string(_get(sec, "time_step", "simulation"),
-                                        Dimension.TIME, "simulation.time_step"),
-            duration=parse_unit_string(_get(sec, "duration", "simulation"),
-                                       Dimension.TIME, "simulation.duration"),
-            rng_seed=_integer(_get(sec, "rng_seed", "simulation"),
-                              "simulation.rng_seed"),
-            bath_temperature=parse_unit_string(
-                _get(sec, "bath_temperature", "simulation"), Dimension.TEMPERATURE,
-                "simulation.bath_temperature"),
-            feedback_gain=(
-                parse_unit_string(sec["feedback_gain"], Dimension.FREQUENCY,
-                                  "simulation.feedback_gain")
-                if "feedback_gain" in sec else 0.0),
-            record_decimation=(
-                _integer(sec["record_decimation"], "simulation.record_decimation")
-                if "record_decimation" in sec else 1),
-            allow_short_run=bool(sec.get("allow_short_run", False)),
-        )
-        impulses = []
-        for i, item in enumerate(sec.get("impulses", [])):
-            path = f"simulation.impulses[{i}]"
-            _check_keys(item, {"time", "momentum_transfer", "direction"}, path)
-            impulses.append(ImpulseEvent(
-                time=parse_unit_string(_get(item, "time", path), Dimension.TIME,
-                                       f"{path}.time"),
-                momentum_transfer=parse_unit_string(
-                    _get(item, "momentum_transfer", path), Dimension.MOMENTUM,
-                    f"{path}.momentum_transfer"),
-                direction=_integer(item.get("direction", 1), f"{path}.direction"),
-            ))
-        cfg.impulses = tuple(impulses)
-        if "psd_segment_length" in sec:
-            cfg.psd_segment_length = _integer(sec["psd_segment_length"],
-                                              "simulation.psd_segment_length")
-        if "false_alarm_rate" in sec:
-            cfg.false_alarm_rate = parse_unit_string(
-                sec["false_alarm_rate"], Dimension.FREQUENCY,
-                "simulation.false_alarm_rate")
-
-    if "geometry" in doc:
-        sec = doc["geometry"]
-        kind = _get(sec, "type", "geometry")
-        if kind == "plane_slab":
-            _check_keys(sec, {"type", "thickness", "density_contrast", "distance"},
-                        "geometry")
-            cfg.geometry = PlaneSlab(
-                thickness=parse_unit_string(_get(sec, "thickness", "geometry"),
-                                            Dimension.LENGTH, "geometry.thickness"),
-                density_contrast=parse_unit_string(
-                    _get(sec, "density_contrast", "geometry"), Dimension.DENSITY,
-                    "geometry.density_contrast"),
-                distance=parse_unit_string(_get(sec, "distance", "geometry"),
-                                           Dimension.LENGTH, "geometry.distance"),
-            )
-        elif kind == "finger_array":
-            _check_keys(sec, {"type", "finger_width", "finger_depth", "density_a",
-                              "density_b", "distance", "drive_amplitude",
-                              "drive_frequency", "n_finger_pairs"}, "geometry")
-            cfg.geometry = FingerArray(
-                finger_width=parse_unit_string(_get(sec, "finger_width", "geometry"),
-                                               Dimension.LENGTH, "geometry.finger_width"),
-                finger_depth=parse_unit_string(_get(sec, "finger_depth", "geometry"),
-                                               Dimension.LENGTH, "geometry.finger_depth"),
-                density_a=parse_unit_string(_get(sec, "density_a", "geometry"),
-                                            Dimension.DENSITY, "geometry.density_a"),
-                density_b=parse_unit_string(_get(sec, "density_b", "geometry"),
-                                            Dimension.DENSITY, "geometry.density_b"),
-                distance=parse_unit_string(_get(sec, "distance", "geometry"),
-                                           Dimension.LENGTH, "geometry.distance"),
-                drive_amplitude=parse_unit_string(
-                    _get(sec, "drive_amplitude", "geometry"), Dimension.LENGTH,
-                    "geometry.drive_amplitude"),
-                drive_frequency=parse_unit_string(
-                    _get(sec, "drive_frequency", "geometry"), Dimension.FREQUENCY,
-                    "geometry.drive_frequency"),
-                n_finger_pairs=_integer(sec.get("n_finger_pairs", 40),
-                                        "geometry.n_finger_pairs"),
-            )
-        elif kind == "fluid_capillary":
-            _check_keys(sec, {"type", "inner_diameter", "droplet_length", "density_a",
-                              "density_b", "distance", "modulation_frequency",
-                              "n_droplet_pairs"}, "geometry")
-            cfg.geometry = FluidCapillary(
-                inner_diameter=parse_unit_string(
-                    _get(sec, "inner_diameter", "geometry"), Dimension.LENGTH,
-                    "geometry.inner_diameter"),
-                droplet_length=parse_unit_string(
-                    _get(sec, "droplet_length", "geometry"), Dimension.LENGTH,
-                    "geometry.droplet_length"),
-                density_a=parse_unit_string(_get(sec, "density_a", "geometry"),
-                                            Dimension.DENSITY, "geometry.density_a"),
-                density_b=parse_unit_string(_get(sec, "density_b", "geometry"),
-                                            Dimension.DENSITY, "geometry.density_b"),
-                distance=parse_unit_string(_get(sec, "distance", "geometry"),
-                                           Dimension.LENGTH, "geometry.distance"),
-                modulation_frequency=parse_unit_string(
-                    _get(sec, "modulation_frequency", "geometry"), Dimension.FREQUENCY,
-                    "geometry.modulation_frequency"),
-                n_droplet_pairs=_integer(sec.get("n_droplet_pairs", 40),
-                                         "geometry.n_droplet_pairs"),
-            )
-        else:
-            raise ConfigError(f"geometry.type: unknown geometry {kind!r}")
-
-    if "capacitor" in doc:
-        sec = doc["capacitor"]
-        _check_keys(sec, {"voltage", "plate_spacing", "standoff"}, "capacitor")
-        cfg.capacitor = Capacitor(
-            voltage=parse_unit_string(_get(sec, "voltage", "capacitor"),
-                                      Dimension.VOLTAGE, "capacitor.voltage"),
-            plate_spacing=parse_unit_string(_get(sec, "plate_spacing", "capacitor"),
-                                            Dimension.LENGTH, "capacitor.plate_spacing"),
-            standoff=parse_unit_string(_get(sec, "standoff", "capacitor"),
-                                       Dimension.LENGTH, "capacitor.standoff"),
-        )
-
-    if "halo" in doc:
-        sec = doc["halo"]
-        _check_keys(sec, {"density_gev_cm3", "v0", "v_escape", "v_earth"}, "halo")
-        defaults = HaloModel()
-        cfg.halo = HaloModel(
-            density_gev_cm3=(_number(sec["density_gev_cm3"], "halo.density_gev_cm3")
-                             if "density_gev_cm3" in sec else defaults.density_gev_cm3),
-            v0=_speed(sec, "v0", defaults.v0),
-            v_escape=_speed(sec, "v_escape", defaults.v_escape),
-            v_earth=_speed(sec, "v_earth", defaults.v_earth),
-        )
-
-    if "plan" in doc:
-        sec = doc["plan"]
-        _check_keys(sec, {"integration_time", "significance", "array_size",
-                          "exposure_sphere_days", "measurement_frequency",
-                          "drive_field", "polarizing_field",
-                          "lambda_min", "lambda_max", "points_per_decade",
-                          "q_min", "dm_mass_min", "dm_mass_max", "mediator_mass"},
-                    "plan")
-        plan = {
-            "integration_time": parse_unit_string(
-                _get(sec, "integration_time", "plan"), Dimension.TIME,
-                "plan.integration_time"),
-            "significance": (_number(sec["significance"], "plan.significance")
-                             if "significance" in sec else 1.0),
-            "array_size": (_integer(sec["array_size"], "plan.array_size")
-                           if "array_size" in sec else 1),
-            "exposure_sphere_days": (
-                parse_unit_string(sec["exposure_sphere_days"], Dimension.TIME,
-                                  "plan.exposure_sphere_days") / 86400.0
-                if "exposure_sphere_days" in sec else 0.0),
-        }
-        if "measurement_frequency" in sec:
-            plan["measurement_frequency"] = parse_unit_string(
-                sec["measurement_frequency"], Dimension.FREQUENCY,
-                "plan.measurement_frequency")
-        for key, dim in [("drive_field", Dimension.ELECTRIC_FIELD),
-                         ("polarizing_field", Dimension.ELECTRIC_FIELD),
-                         ("lambda_min", Dimension.LENGTH),
-                         ("lambda_max", Dimension.LENGTH),
-                         ("q_min", Dimension.MOMENTUM),
-                         ("dm_mass_min", Dimension.ENERGY),
-                         ("dm_mass_max", Dimension.ENERGY),
-                         ("mediator_mass", Dimension.ENERGY)]:
-            if key in sec:
-                plan[key] = parse_unit_string(sec[key], dim, f"plan.{key}")
-        if "points_per_decade" in sec:
-            plan["points_per_decade"] = _integer(sec["points_per_decade"],
-                                                 "plan.points_per_decade")
-        cfg.plan_section = plan
-
-    if "output" in doc:
-        sec = doc["output"]
-        _check_keys(sec, {"directory", "frequency_min", "frequency_max",
-                          "frequency_points"}, "output")
-        out = {"directory": _get(sec, "directory", "output")}
-        if not isinstance(out["directory"], str):
-            raise ConfigError("output.directory: expected a string")
-        for key in ("frequency_min", "frequency_max"):
-            if key in sec:
-                out[key] = parse_unit_string(sec[key], Dimension.FREQUENCY,
-                                             f"output.{key}")
-        if "frequency_points" in sec:
-            out["frequency_points"] = _integer(sec["frequency_points"],
-                                               "output.frequency_points")
-        cfg.output_section = out
-
+        raise ConfigError(f"config.schema: expected {CONFIG_SCHEMA!r}, "
+                          f"got {doc.get('schema')!r}")
+    values = {name: _parse_section(name, doc[name], name)
+              for name in _SECTIONS if name in doc}
+    cfg = RunConfig(raw=doc, values=values)
+    for name, sec in values.items():
+        cls = _OBJECTS.get(_section_of(name, sec, name))
+        if cls is not None:
+            setattr(cfg, name, _build(cls, sec))
+    if "noise" in values:
+        cfg.noise = _noise_model(values["noise"], cfg.sphere, cfg.trap)
+    run = values.get("simulation", {})
+    cfg.impulses = tuple(_build(ImpulseEvent, ev) for ev in run.get("impulses", ()))
+    cfg.psd_segment_length = run.get("psd_segment_length")
+    cfg.false_alarm_rate = run.get("false_alarm_rate")
+    cfg.plan_section = values.get("plan")
+    cfg.output_section = values.get("output")
     return cfg
 
 
-def _speed(sec: dict, key: str, default: float) -> float:
-    """Halo speeds are given as 'x km/s' strings."""
-    if key not in sec:
-        return default
-    raw = sec[key]
-    if not isinstance(raw, str) or not raw.endswith("km/s"):
-        raise ConfigError(f"halo.{key}: expected a string like '220 km/s'")
-    try:
-        return float(raw[:-4].strip()) * 1e3
-    except ValueError:
-        raise ConfigError(f"halo.{key}: bad number in {raw!r}") from None
-
-
 def load_config(path) -> RunConfig:
+    """Read and parse a config file; undecodable or malformed text is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     return parse_config(doc)
 
 
@@ -485,143 +347,4 @@ def normalize_config(doc: dict) -> dict:
 
     Normalizing twice is a fixed point: parse(normalize(x)) == parse(x).
     """
-    cfg = parse_config(doc)
-    out: dict = {"schema": CONFIG_SCHEMA}
-
-    def put(section, key, value, dim=None):
-        out.setdefault(section, {})
-        if dim is None:
-            out[section][key] = value
-        else:
-            out[section][key] = format_unit_string(value, dim)
-
-    if cfg.sphere is not None:
-        s = cfg.sphere
-        put("sphere", "radius", s.radius, Dimension.LENGTH)
-        put("sphere", "density", s.density, Dimension.DENSITY)
-        put("sphere", "relative_permittivity", s.relative_permittivity)
-        put("sphere", "net_charge", s.net_charge)
-        put("sphere", "material_label", s.material_label)
-    if cfg.trap is not None:
-        t = cfg.trap
-        put("trap", "resonant_frequency", t.resonant_frequency, Dimension.FREQUENCY)
-        put("trap", "damping_rate", t.damping_rate, Dimension.FREQUENCY)
-        put("trap", "temperature", t.temperature, Dimension.TEMPERATURE)
-        put("trap", "feedback_gain", t.feedback_gain, Dimension.FREQUENCY)
-    if "noise" in cfg.raw:
-        sec = cfg.raw["noise"]
-        out["noise"] = {
-            "include_thermal": bool(sec.get("include_thermal", False)),
-            "include_sql": bool(sec.get("include_sql", False)),
-        }
-        if "technical_force_asd" in sec:
-            level = parse_unit_string(sec["technical_force_asd"], Dimension.FORCE_ASD,
-                                      "noise.technical_force_asd")
-            out["noise"]["technical_force_asd"] = format_unit_string(
-                level, Dimension.FORCE_ASD)
-    if cfg.simulation is not None:
-        c = cfg.simulation
-        put("simulation", "time_step", c.time_step, Dimension.TIME)
-        put("simulation", "duration", c.duration, Dimension.TIME)
-        put("simulation", "rng_seed", c.rng_seed)
-        put("simulation", "bath_temperature", c.bath_temperature, Dimension.TEMPERATURE)
-        put("simulation", "feedback_gain", c.feedback_gain, Dimension.FREQUENCY)
-        put("simulation", "record_decimation", c.record_decimation)
-        put("simulation", "allow_short_run", c.allow_short_run)
-        if cfg.impulses:
-            out["simulation"]["impulses"] = [
-                {
-                    "time": format_unit_string(ev.time, Dimension.TIME),
-                    "momentum_transfer": format_unit_string(
-                        ev.momentum_transfer, Dimension.MOMENTUM),
-                    "direction": ev.direction,
-                }
-                for ev in cfg.impulses
-            ]
-        if cfg.psd_segment_length is not None:
-            put("simulation", "psd_segment_length", cfg.psd_segment_length)
-        if cfg.false_alarm_rate is not None:
-            put("simulation", "false_alarm_rate", cfg.false_alarm_rate,
-                Dimension.FREQUENCY)
-    if cfg.geometry is not None:
-        g = cfg.geometry
-        if isinstance(g, PlaneSlab):
-            out["geometry"] = {
-                "type": "plane_slab",
-                "thickness": format_unit_string(g.thickness, Dimension.LENGTH),
-                "density_contrast": format_unit_string(g.density_contrast,
-                                                       Dimension.DENSITY),
-                "distance": format_unit_string(g.distance, Dimension.LENGTH),
-            }
-        elif isinstance(g, FingerArray):
-            out["geometry"] = {
-                "type": "finger_array",
-                "finger_width": format_unit_string(g.finger_width, Dimension.LENGTH),
-                "finger_depth": format_unit_string(g.finger_depth, Dimension.LENGTH),
-                "density_a": format_unit_string(g.density_a, Dimension.DENSITY),
-                "density_b": format_unit_string(g.density_b, Dimension.DENSITY),
-                "distance": format_unit_string(g.distance, Dimension.LENGTH),
-                "drive_amplitude": format_unit_string(g.drive_amplitude,
-                                                      Dimension.LENGTH),
-                "drive_frequency": format_unit_string(g.drive_frequency,
-                                                      Dimension.FREQUENCY),
-                "n_finger_pairs": g.n_finger_pairs,
-            }
-        else:
-            out["geometry"] = {
-                "type": "fluid_capillary",
-                "inner_diameter": format_unit_string(g.inner_diameter, Dimension.LENGTH),
-                "droplet_length": format_unit_string(g.droplet_length, Dimension.LENGTH),
-                "density_a": format_unit_string(g.density_a, Dimension.DENSITY),
-                "density_b": format_unit_string(g.density_b, Dimension.DENSITY),
-                "distance": format_unit_string(g.distance, Dimension.LENGTH),
-                "modulation_frequency": format_unit_string(g.modulation_frequency,
-                                                           Dimension.FREQUENCY),
-                "n_droplet_pairs": g.n_droplet_pairs,
-            }
-    if cfg.capacitor is not None:
-        c = cfg.capacitor
-        out["capacitor"] = {
-            "voltage": format_unit_string(c.voltage, Dimension.VOLTAGE),
-            "plate_spacing": format_unit_string(c.plate_spacing, Dimension.LENGTH),
-            "standoff": format_unit_string(c.standoff, Dimension.LENGTH),
-        }
-    if cfg.halo is not None:
-        h = cfg.halo
-        out["halo"] = {
-            "density_gev_cm3": h.density_gev_cm3,
-            "v0": f"{h.v0 / 1e3!r} km/s",
-            "v_escape": f"{h.v_escape / 1e3!r} km/s",
-            "v_earth": f"{h.v_earth / 1e3!r} km/s",
-        }
-    if cfg.plan_section is not None:
-        p = cfg.plan_section
-        sec = {"integration_time": format_unit_string(p["integration_time"],
-                                                      Dimension.TIME),
-               "significance": p["significance"],
-               "array_size": p["array_size"],
-               "exposure_sphere_days": format_unit_string(
-                   p["exposure_sphere_days"] * 86400.0, Dimension.TIME)}
-        for key, dim in [("measurement_frequency", Dimension.FREQUENCY),
-                         ("drive_field", Dimension.ELECTRIC_FIELD),
-                         ("polarizing_field", Dimension.ELECTRIC_FIELD),
-                         ("lambda_min", Dimension.LENGTH),
-                         ("lambda_max", Dimension.LENGTH),
-                         ("q_min", Dimension.MOMENTUM),
-                         ("dm_mass_min", Dimension.ENERGY),
-                         ("dm_mass_max", Dimension.ENERGY),
-                         ("mediator_mass", Dimension.ENERGY)]:
-            if key in p:
-                sec[key] = format_unit_string(p[key], dim)
-        if "points_per_decade" in p:
-            sec["points_per_decade"] = p["points_per_decade"]
-        out["plan"] = sec
-    if cfg.output_section is not None:
-        o = cfg.output_section
-        out["output"] = {"directory": o["directory"]}
-        for key in ("frequency_min", "frequency_max"):
-            if key in o:
-                out["output"][key] = format_unit_string(o[key], Dimension.FREQUENCY)
-        if "frequency_points" in o:
-            out["output"]["frequency_points"] = o["frequency_points"]
-    return out
+    return parse_config(doc).normalized()

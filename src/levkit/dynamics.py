@@ -27,6 +27,7 @@ from scipy import optimize, signal
 
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
+from .writer import write_csv
 
 
 class IntegrationError(RuntimeError):
@@ -85,12 +86,8 @@ class TimeSeries:
 
     def to_csv(self, path, provenance: Optional[dict] = None):
         """Two-column CSV (time_s, displacement_m) with '#' provenance header."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, val in (provenance or {}).items():
-                fh.write(f"# {key} = {val}\n")
-            fh.write("# columns = time_s,displacement_m\n")
-            for t, x in zip(self.times, self.samples):
-                fh.write(f"{float(t)!r},{float(x)!r}\n")
+        write_csv(path, (provenance or {}).items(), ("time_s", "displacement_m"),
+                  (self.times, self.samples))
 
 
 @dataclass(frozen=True)

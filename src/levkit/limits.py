@@ -50,6 +50,7 @@ from .newforces import (
     yukawa_force_modulated,
     yukawa_force_plane,
 )
+from .writer import write_csv
 
 CURVE_SCHEMA = "levkit-curve/1"
 POISSON_LIMIT_COUNTS = 3.0   # expected events for a zero-background ~95% CL
@@ -82,6 +83,11 @@ class HaloModel:
     v0: float = 220e3       # m/s
     v_escape: float = 550e3  # m/s
     v_earth: float = 230e3  # m/s
+
+    def __post_init__(self):
+        if not all(x > 0.0 for x in (self.density_gev_cm3, self.v0, self.v_escape,
+                                     self.v_earth)):
+            raise DomainError("halo density and speeds must be positive")
 
     def speed_pdf(self, v: np.ndarray) -> np.ndarray:
         """Earth-frame speed distribution, normalized to unit integral. v in m/s."""
@@ -227,23 +233,18 @@ class ExclusionCurve:
             warnings=tuple(doc.get("warnings", ())),
         )
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# schema = {CURVE_SCHEMA}\n")
-            for key, val in sorted(self.provenance.items()):
-                fh.write(f"# {key} = {json.dumps(val, sort_keys=True)}\n")
-            for warning in self.warnings:
-                fh.write(f"# warning = {warning}\n")
-            cols = [self.abscissa_kind, self.coupling_label]
-            if self.secondary_abscissa is not None:
-                cols.insert(1, self.secondary_abscissa_kind)
-            fh.write("# columns = " + ",".join(cols) + "\n")
-            for i in range(self.abscissa.size):
-                row = [repr(float(self.abscissa[i]))]
-                if self.secondary_abscissa is not None:
-                    row.append(repr(float(self.secondary_abscissa[i])))
-                row.append(repr(float(self.coupling[i])))
-                fh.write(",".join(row) + "\n")
+    def to_csv(self, path, header: Optional[dict] = None):
+        """'#'-headed CSV: ``header`` lines first, then the schema and provenance."""
+        lines = [*(header or {}).items(), ("schema", CURVE_SCHEMA)]
+        lines += [(key, json.dumps(val, sort_keys=True))
+                  for key, val in sorted(self.provenance.items())]
+        lines += [("warning", warning) for warning in self.warnings]
+        columns = [self.abscissa_kind, self.coupling_label]
+        arrays = [self.abscissa, self.coupling]
+        if self.secondary_abscissa is not None:
+            columns.insert(1, self.secondary_abscissa_kind)
+            arrays.insert(1, self.secondary_abscissa)
+        write_csv(path, lines, columns, arrays)
 
 
 def log_grid(start: float, stop: float, points_per_decade: int = 60) -> np.ndarray:

@@ -339,30 +339,3 @@ def geometry_regression_grid():
         modulated_cases.append((sphere, coupling, geom))
 
     return slab_cases, modulated_cases
-
-
-def write_regression_table(path):
-    """Emit the oracle-vs-closed-form comparison table as CSV."""
-    from .newforces import yukawa_force_modulated, yukawa_force_plane
-
-    slab_cases, modulated_cases = geometry_regression_grid()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# columns = case,radius_m,lambda_m,distance_m,closed_form_N,"
-                 "oracle_N,relative_difference\n")
-        for sphere, coupling, slab in slab_cases:
-            closed = yukawa_force_plane(sphere, coupling, slab).value
-            oracle = slab_force_oracle(sphere, coupling, slab)
-            rel = abs(closed - oracle) / abs(oracle)
-            fh.write(
-                f"slab,{sphere.radius!r},{coupling.range_m!r},{slab.distance!r},"
-                f"{closed!r},{oracle!r},{rel!r}\n"
-            )
-        for sphere, coupling, geom in modulated_cases:
-            closed = yukawa_force_modulated(sphere, coupling, geom, harmonic=1).value
-            oracle = modulated_force_oracle(sphere, coupling, geom, harmonic=1)
-            rel = abs(closed - oracle) / abs(oracle)
-            kind = type(geom).__name__
-            fh.write(
-                f"{kind},{sphere.radius!r},{coupling.range_m!r},{geom.distance!r},"
-                f"{closed!r},{oracle!r},{rel!r}\n"
-            )

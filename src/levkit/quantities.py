@@ -25,6 +25,7 @@ class Dimension(enum.Enum):
     MASS = "mass"
     LENGTH = "length"
     TIME = "time"
+    VELOCITY = "velocity"
     FREQUENCY = "frequency"
     FORCE = "force"
     ACCELERATION = "acceleration"

@@ -180,3 +180,58 @@ def test_shipped_configs_exist():
     names = {p.name for p in _config_dir().glob("*.json")}
     assert "millicharge_10um.json" in names
     assert "dm_recoil_10um.json" in names
+
+
+def test_non_list_impulses_is_config_error(tmp_path, capsys):
+    doc = simulate_doc(tmp_path / "out")
+    doc["simulation"]["impulses"] = 5
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "simulation.impulses" in capsys.readouterr().err
+
+
+def test_string_boolean_is_config_error(tmp_path, capsys):
+    doc = simulate_doc(tmp_path / "out")
+    doc["simulation"]["allow_short_run"] = "false"
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "simulation.allow_short_run" in capsys.readouterr().err
+
+
+def test_negative_halo_speed_is_config_error(tmp_path):
+    doc = base_doc(tmp_path / "out")
+    doc["plan"] = {"integration_time": "1e5 s", "exposure_sphere_days": "1 days",
+                   "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV"}
+    doc["halo"] = {"v_escape": "-550 km/s"}
+    assert main(["exclusion", "dm", write_config(tmp_path, doc)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["noise-budget", "normalize-config"])
+def test_invalid_utf8_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"schema": "levkit-config/1", "sphere": {"radius": "5 \xff"}}')
+    assert main([command, str(path)]) == EXIT_CONFIG
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_outputs_leave_no_temp_files(tmp_path):
+    doc = base_doc(tmp_path / "out")
+    doc["geometry"] = {"type": "plane_slab", "thickness": "20 um",
+                       "density_contrast": "19300 kg/m^3", "distance": "6 um"}
+    doc["plan"] = {"integration_time": "1e6 s", "lambda_min": "1 um",
+                   "lambda_max": "100 um", "points_per_decade": 5}
+    cfg = write_config(tmp_path, doc)
+    assert main(["exclusion", "isl", cfg]) == EXIT_OK
+    assert main(["noise-budget", cfg]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == ["exclusion_isl.csv", "exclusion_isl.json", "noise_budget.csv"]
+
+
+def test_curve_csv_starts_with_cli_provenance(tmp_path):
+    doc = base_doc(tmp_path / "out")
+    doc["plan"] = {"integration_time": "1e5 s", "exposure_sphere_days": "1 days",
+                   "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV",
+                   "points_per_decade": 5}
+    assert main(["exclusion", "dm", write_config(tmp_path, doc)]) == EXIT_OK
+    lines = (tmp_path / "out" / "exclusion_dm.csv").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines[:5]] == [
+        "# levkit_version", "# command", "# levkit_threads", "# config", "# schema"]
+    assert json.loads(lines[3].split(" = ", 1)[1])["plan"]["exposure_sphere_days"] == "86400.0 s"

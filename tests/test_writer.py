@@ -1,0 +1,45 @@
+import json
+
+import numpy as np
+import pytest
+
+from levkit.writer import write_csv, write_json
+
+
+def test_csv_layout(tmp_path):
+    path = tmp_path / "sub" / "t.csv"
+    write_csv(path, [("run", "demo"), ("warning", "w")], ["a", "b"],
+              (np.array([0.1, 2.0]), [3e-7, -4.5]))
+    assert path.read_text() == ("# run = demo\n# warning = w\n# columns = a,b\n"
+                                "0.1,3e-07\n2.0,-4.5\n")
+
+
+def test_csv_rows_are_float_reprs_across_chunks(tmp_path):
+    n = 70_000  # more than one formatting chunk
+    a = np.random.default_rng(3).standard_normal(n) * 10.0 ** np.arange(-300, 300, 600 / n)
+    b = np.concatenate([[0.0, -0.0, 5e-324, 1.7976931348623157e308], np.arange(n - 4)])
+    path = tmp_path / "t.csv"
+    write_csv(path, [], ["a", "b"], (a, b))
+    expected = "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(a, b))
+    assert path.read_text() == "# columns = a,b\n" + expected
+
+
+def test_csv_without_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [("k", 1)], ["a"], (np.array([]),))
+    assert path.read_text() == "# k = 1\n# columns = a\n"
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        write_csv(path, [], ["x"], (["not a number"],))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_json_layout(tmp_path):
+    path = tmp_path / "d.json"
+    write_json(path, {"b": [1, 2], "a": 0.5})
+    assert path.read_text() == json.dumps({"a": 0.5, "b": [1, 2]}, indent=2) + "\n"
