@@ -34,6 +34,7 @@ from .dynamics import (
     matched_filter_threshold,
     impulse_response_template,
     simulate,
+    total_damping,
 )
 from .newforces import GeometryError, QuadratureError
 from .limits import (
@@ -130,7 +131,7 @@ def cmd_simulate(args) -> int:
     mass = cfg.sphere.mass
     omega0 = cfg.trap.omega0
     # Drop the first 5 relaxation times before measuring the variance.
-    gamma_tot = cfg.trap.damping_rate + cfg.simulation.feedback_gain
+    gamma_tot = total_damping(cfg.trap, cfg.simulation)
     skip = min(series.samples.size // 2,
                int(5.0 / (gamma_tot * series.sample_interval)))
     var = float(np.var(series.samples[skip:]))

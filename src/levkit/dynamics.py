@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize, signal
+# scipy.signal and scipy.optimize are imported inside the functions that use
+# them: at module level they are most of the import time of every command.
 
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
@@ -103,6 +104,15 @@ class ImpulseEvent:
             raise DomainError("impulse direction must be +1 or -1")
 
 
+def total_damping(trap: TrapState, config: SimulationConfig) -> float:
+    """Total velocity damping gamma + g_fb, 1/s.
+
+    Cold damping adds up from both places it can be set: the trap's own
+    ``feedback_gain`` and the simulation's.
+    """
+    return trap.effective_damping + config.feedback_gain
+
+
 def _baoab_maps(omega0: float, gamma_total: float, dt: float):
     """One-step state map M, noise injection column, impulse injection column.
 
@@ -131,12 +141,14 @@ def simulate(
     Deterministic for a given (rng_seed, config).  Injected impulses add
     q/m to the velocity at the nearest time step.
     """
+    from scipy import signal
+
     f0 = trap.resonant_frequency
     if config.time_step >= 1.0 / (20.0 * f0):
         raise DomainError(
             f"time step {config.time_step} s too coarse; need < 1/(20 f0) = {1.0/(20*f0)} s"
         )
-    gamma_total = trap.damping_rate + config.feedback_gain
+    gamma_total = total_damping(trap, config)
     if config.duration < 100.0 / gamma_total and not config.allow_short_run:
         raise DomainError(
             "duration shorter than 100 relaxation times; set allow_short_run to override"
@@ -259,6 +271,8 @@ class LorentzianFit:
 def fit_lorentzian(psd_est: PsdEstimate, mass: float,
                    f_range: Optional[tuple] = None) -> LorentzianFit:
     """Fit S_x(f) = S_F / (m^2 ((w0^2-w^2)^2 + w^2 g^2)) to a displacement PSD."""
+    from scipy import optimize
+
     f = psd_est.frequency
     s = psd_est.psd
     keep = f > 0
@@ -298,7 +312,7 @@ def impulse_response_template(
     Generated with the production integrator at zero temperature so the
     template matches the discrete closed-loop dynamics exactly.
     """
-    gamma_total = trap.damping_rate + config.feedback_gain
+    gamma_total = total_damping(trap, config)
     length = 10.0 / gamma_total
     tpl_config = replace(
         config,
@@ -317,6 +331,8 @@ def matched_filter_outputs(series: TimeSeries, template: np.ndarray) -> np.ndarr
     Output is calibrated in momentum units: a clean impulse q produces a
     peak of q at the sample where it occurred.
     """
+    from scipy import signal
+
     norm = float(np.dot(template, template))
     if norm <= 0.0:
         raise DomainError("degenerate matched-filter template")
@@ -338,7 +354,7 @@ def matched_filter_threshold(
     """
     if false_alarm_rate <= 0.0:
         raise DomainError("false alarm rate must be positive")
-    gamma_total = trap.damping_rate + config.feedback_gain
+    gamma_total = total_damping(trap, config)
     n_correlation_times = config.duration * gamma_total
     if n_correlation_times < 1.0e4:
         raise ThresholdEstimateError(

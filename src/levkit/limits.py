@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.special import erf
 
 from . import __version__ as _code_version
@@ -394,6 +393,10 @@ def dm_rate_above_threshold(
 
     and is averaged over the halo speed distribution numerically.
     """
+    # Imported here: scipy.integrate pulls in scipy.optimize, which would
+    # otherwise be most of the import time of every levkit command.
+    from scipy.integrate import trapezoid
+
     if q_min_si <= 0.0:
         raise DomainError("impulse threshold must be positive")
     if dm_mass_ev <= 0.0:

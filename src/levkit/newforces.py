@@ -13,12 +13,13 @@ Sign convention: all forces are returned as magnitudes of the new-force
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import k1
+from scipy.special import k0
 
 from .quantities import (
     Dimension,
@@ -178,9 +179,18 @@ def sphere_form_factor(x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+@functools.cache
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gauss_nodes(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -222,46 +232,54 @@ def _panel_nodes(a: float, b: float, lam: float, n_per_panel: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
-                        n_per_panel: int) -> np.ndarray:
-    """Normal force per (G alpha drho m) on a point at the sphere center.
+def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
+                 shifts: np.ndarray, n_per_panel: int):
+    """Lateral quadrature nodes and weights over the dense strips.
 
-    Fingers are infinite along y, so each area element acts as a line mass
-    with Yukawa line kernel 2 K1(b/lambda) / (lambda b) resolved along z.
-    Returns one value per lateral pattern shift.  Quadrature panels scale
-    with lambda and fingers beyond the e^-45 suppression radius are skipped.
+    The dense strips are [2 k w, (2 k + 1) w] for -n_pairs <= k < n_pairs.
+    Each is cut to the lateral reach at which the distance from a point
+    ``distance`` away exceeds the e^-45 suppression radius, widened by the
+    largest pattern shift, and split into panels no wider than 5 lambda.
     """
-    w = geom.finger_width
-    d = geom.distance
     cut = _RANGE_CUTOFF * lam
     s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    # Lateral reach at which b - d exceeds the cutoff, plus the drive span.
-    x_cut = math.sqrt((d + cut) ** 2 - d**2) + s_max
-
+    x_cut = math.sqrt((distance + cut) ** 2 - distance**2) + s_max
     xs_list = []
     ws_list = []
-    for k in range(-geom.n_finger_pairs, geom.n_finger_pairs):
-        x0 = 2.0 * k * w
+    for k in range(-n_pairs, n_pairs):
+        x0 = 2.0 * k * width
         lo = max(x0, -x_cut)
-        hi = min(x0 + w, x_cut)
+        hi = min(x0 + width, x_cut)
         if lo >= hi:
             continue
         xn, xw = _panel_nodes(lo, hi, lam, n_per_panel)
         xs_list.append(xn)
         ws_list.append(xw)
-    if not xs_list:
-        return np.zeros(shifts.size)
-    x_nodes = np.concatenate(xs_list)
-    x_weights = np.concatenate(ws_list)
-    z_top = d + min(geom.finger_depth, cut)
-    z_nodes, z_weights = _panel_nodes(d, z_top, lam, n_per_panel)
+    return np.concatenate(xs_list), np.concatenate(ws_list)
 
-    # b: (n_shifts, n_x_total, n_z)
-    dx = x_nodes[None, :, None] + shifts[:, None, None]
-    zz = z_nodes[None, None, :]
-    b = np.sqrt(dx**2 + zz**2)
-    kern = 2.0 * zz / (lam * b) * k1(b / lam)
-    return np.einsum("sxz,x,z->s", kern, x_weights, z_weights)
+
+def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
+                        n_per_panel: int) -> np.ndarray:
+    """Normal force per (G alpha drho m) on a point at the sphere center.
+
+    Fingers are infinite along y, so each area element acts as a line mass
+    with Yukawa line kernel 2 K1(b/lambda) / (lambda b), b = sqrt(dx^2 + z^2),
+    whose normal component is 2 z K1(b/lambda) / (lambda b) = -2 d/dz K0(b/lambda)
+    because K0' = -K1 (DLMF 10.29.3).  The depth integral from the near face
+    z = d to z_top = d + min(depth, 45 lambda) is therefore exact:
+
+        2 [K0(sqrt(dx^2 + d^2)/lambda) - K0(sqrt(dx^2 + z_top^2)/lambda)]
+
+    and only the lateral (x) integral is done by quadrature.  Returns one
+    value per lateral pattern shift.
+    """
+    d = geom.distance
+    x_nodes, x_weights = _strip_nodes(geom.finger_width, geom.n_finger_pairs, d, lam,
+                                      shifts, n_per_panel)
+    z_top = d + min(geom.finger_depth, _RANGE_CUTOFF * lam)
+    dx2 = (x_nodes[None, :] + shifts[:, None]) ** 2
+    kern = 2.0 * (k0(np.sqrt(dx2 + d**2) / lam) - k0(np.sqrt(dx2 + z_top**2) / lam))
+    return kern @ x_weights
 
 
 def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray,
@@ -272,30 +290,35 @@ def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray,
     drho * cross_section; only the dense-fluid droplets carry the contrast.
     """
     d = geom.distance
-    length = geom.droplet_length
-    cut = _RANGE_CUTOFF * lam
-    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    x_cut = math.sqrt((d + cut) ** 2 - d**2) + s_max
-    xs_list = []
-    ws_list = []
-    for k in range(-geom.n_droplet_pairs, geom.n_droplet_pairs):
-        x0 = 2.0 * k * length
-        lo = max(x0, -x_cut)
-        hi = min(x0 + length, x_cut)
-        if lo >= hi:
-            continue
-        xn, xw = _panel_nodes(lo, hi, lam, n_per_panel)
-        xs_list.append(xn)
-        ws_list.append(xw)
-    if not xs_list:
-        return np.zeros(shifts.size)
-    x_nodes = np.concatenate(xs_list)
-    x_weights = np.concatenate(ws_list)
-
+    x_nodes, x_weights = _strip_nodes(geom.droplet_length, geom.n_droplet_pairs, d, lam,
+                                      shifts, n_per_panel)
     dx = x_nodes[None, :] + shifts[:, None]
     r = np.sqrt(dx**2 + d**2)
     kern = geom.cross_section * (d / r) * (1.0 / r**2 + 1.0 / (lam * r)) * np.exp(-r / lam)
     return kern @ x_weights
+
+
+def _point_kernel(sphere: Sphere, geom, phases: np.ndarray):
+    """The point-force kernel of a modulated geometry and its pattern shifts.
+
+    Raises GeometryError if the sphere reaches the attractor and DomainError
+    for a geometry that is not modulated.
+    """
+    if geom.distance <= sphere.radius:
+        raise GeometryError("sphere overlaps the attractor")
+    if isinstance(geom, FingerArray):
+        return _finger_point_force, geom.drive_amplitude * np.sin(2.0 * math.pi * phases)
+    if isinstance(geom, FluidCapillary):
+        return _capillary_point_force, 2.0 * geom.droplet_length * phases
+    raise DomainError(f"unsupported modulated geometry: {type(geom).__name__}")
+
+
+def _prefactor(sphere: Sphere, coupling: YukawaCoupling, geom: ModulatedGeometry) -> float:
+    """G alpha drho m Phi(R/lambda): scales a point force to the sphere's force."""
+    return (
+        G_NEWTON * coupling.strength * geom.density_contrast * sphere.mass
+        * sphere_form_factor(sphere.radius / coupling.range_m)
+    )
 
 
 def _harmonic_amplitude(samples: np.ndarray, harmonic: int) -> float:
@@ -324,25 +347,11 @@ def yukawa_force_modulated(
     if n_phase < 64:
         raise DomainError("need at least 64 phase samples")
     lam = coupling.range_m
-    if geom.distance <= sphere.radius:
-        raise GeometryError("sphere overlaps the attractor")
+    kernel, shifts = _point_kernel(sphere, geom, np.arange(n_phase) / n_phase)
+    coarse = kernel(geom, lam, shifts, n_per_panel=8)
+    fine = kernel(geom, lam, shifts, n_per_panel=16)
 
-    phases = np.arange(n_phase) / n_phase
-    if isinstance(geom, FingerArray):
-        shifts = geom.drive_amplitude * np.sin(2.0 * math.pi * phases)
-        coarse = _finger_point_force(geom, lam, shifts, n_per_panel=8)
-        fine = _finger_point_force(geom, lam, shifts, n_per_panel=16)
-    elif isinstance(geom, FluidCapillary):
-        shifts = 2.0 * geom.droplet_length * phases
-        coarse = _capillary_point_force(geom, lam, shifts, n_per_panel=8)
-        fine = _capillary_point_force(geom, lam, shifts, n_per_panel=16)
-    else:
-        raise DomainError(f"unsupported modulated geometry: {type(geom).__name__}")
-
-    prefactor = (
-        G_NEWTON * coupling.strength * geom.density_contrast * sphere.mass
-        * sphere_form_factor(sphere.radius / lam)
-    )
+    prefactor = _prefactor(sphere, coupling, geom)
     amp_fine = prefactor * _harmonic_amplitude(fine, harmonic)
     amp_coarse = prefactor * _harmonic_amplitude(coarse, harmonic)
     scale = max(abs(amp_fine), abs(prefactor) * float(np.max(np.abs(fine)) + 1e-300))
@@ -359,19 +368,9 @@ def force_waveform(sphere: Sphere, coupling: YukawaCoupling, geom: ModulatedGeom
                    n_phase: int = 256) -> np.ndarray:
     """Time-domain Yukawa force over one drive period (for Parseval checks)."""
     _require_kind(coupling, CouplingKind.ISL_ALPHA)
-    lam = coupling.range_m
-    phases = np.arange(n_phase) / n_phase
-    if isinstance(geom, FingerArray):
-        shifts = geom.drive_amplitude * np.sin(2.0 * math.pi * phases)
-        point = _finger_point_force(geom, lam, shifts, n_per_panel=16)
-    else:
-        shifts = 2.0 * geom.droplet_length * phases
-        point = _capillary_point_force(geom, lam, shifts, n_per_panel=16)
-    prefactor = (
-        G_NEWTON * coupling.strength * geom.density_contrast * sphere.mass
-        * sphere_form_factor(sphere.radius / lam)
-    )
-    return prefactor * point
+    kernel, shifts = _point_kernel(sphere, geom, np.arange(n_phase) / n_phase)
+    point = kernel(geom, coupling.range_m, shifts, n_per_panel=16)
+    return _prefactor(sphere, coupling, geom) * point
 
 
 def capacitor_leakage_field(

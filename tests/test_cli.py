@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import levkit
 from levkit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _config_dir, main
 
 
@@ -99,6 +104,20 @@ def test_simulate_deterministic_across_reruns(tmp_path):
     # identical apart from the provenance header naming the output directory
     assert [x for x in a if not x.startswith("#")] == [
         x for x in b if not x.startswith("#")]
+
+
+def test_simulate_reads_cold_damping_from_trap_and_simulation(tmp_path, capsys):
+    """A trap's feedback_gain damps the run as the simulation's does."""
+    in_trap = simulate_doc(tmp_path / "a")
+    in_trap["trap"]["feedback_gain"] = "180 1/s"
+    in_sim = simulate_doc(tmp_path / "b")
+    in_sim["simulation"]["feedback_gain"] = "180 1/s"
+    variance_lines = []
+    for name, doc in (("a.json", in_trap), ("b.json", in_sim)):
+        assert main(["simulate", write_config(tmp_path, doc, name)]) == EXIT_OK
+        variance_lines += [line for line in capsys.readouterr().out.splitlines()
+                           if line.startswith("measured displacement variance")]
+    assert len(variance_lines) == 2 and variance_lines[0] == variance_lines[1]
 
 
 def test_simulate_guard_is_config_error(tmp_path, capsys):
@@ -235,3 +254,15 @@ def test_curve_csv_starts_with_cli_provenance(tmp_path):
     assert [line.split(" = ")[0] for line in lines[:5]] == [
         "# levkit_version", "# command", "# levkit_threads", "# config", "# schema"]
     assert json.loads(lines[3].split(" = ", 1)[1])["plan"]["exposure_sphere_days"] == "86400.0 s"
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    """Commands that never simulate or fit must not pay their import time."""
+    env = dict(os.environ)
+    src = str(Path(levkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, levkit.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -17,6 +17,7 @@ from levkit.dynamics import (
     matched_filter_outputs,
     matched_filter_threshold,
     simulate,
+    total_damping,
 )
 
 SPHERE = Sphere(radius=5e-6)
@@ -181,3 +182,20 @@ def test_timeseries_csv_round_trip(tmp_path):
     assert lines[0] == "# run = demo"
     data = [line.split(",") for line in lines if not line.startswith("#")]
     assert [float(row[1]) for row in data] == [1.0, -2.25, 3.5e-7]
+
+
+def test_trap_and_simulation_cold_damping_add():
+    """trap.feedback_gain damps the simulated motion like simulation.feedback_gain."""
+    trap_fb = TrapState(resonant_frequency=1000.0, damping_rate=5.0, temperature=300.0,
+                        feedback_gain=995.0)
+    assert total_damping(trap_fb, imp_config(0.0)) == 1000.0
+    assert total_damping(IMP_TRAP, imp_config(995.0)) == 1000.0
+    assert total_damping(trap_fb, imp_config(1000.0)) == 2000.0
+    np.testing.assert_array_equal(
+        simulate(IMP_SPHERE, trap_fb, imp_config(0.0)).samples,
+        simulate(IMP_SPHERE, IMP_TRAP, imp_config(995.0)).samples)
+    np.testing.assert_array_equal(
+        impulse_response_template(IMP_SPHERE, trap_fb, imp_config(0.0)),
+        impulse_response_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0)))
+    assert (matched_filter_threshold(IMP_SPHERE, trap_fb, imp_config(0.0), 1.0).value
+            == matched_filter_threshold(IMP_SPHERE, IMP_TRAP, imp_config(995.0), 1.0).value)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k1
 
+from levkit import newforces
+from levkit.cli import EXIT_RUNTIME, main
 from levkit.quantities import DomainError, HBAR_C
 from levkit.sensor import Sphere
 from levkit.newforces import (
@@ -13,6 +16,7 @@ from levkit.newforces import (
     FluidCapillary,
     GeometryError,
     PlaneSlab,
+    QuadratureError,
     YukawaCoupling,
     capacitor_leakage_field,
     casimir_background_sphere_plane,
@@ -169,10 +173,88 @@ def test_modulated_waveform_parseval():
     assert total == pytest.approx(ac_power, rel=0.02)
 
 
+@pytest.mark.parametrize("lam", [0.2e-6, 10e-6, 1e-3])
+def test_finger_depth_integral_matches_quadrature(lam):
+    """The K0 closed form of the depth integral against a 64-node Gauss rule
+    of the strip kernel 2 z K1(b/lam)/(lam b) on panels no wider than 5 lam,
+    at lam << d, lam ~ depth and lam >> depth."""
+    shifts = FINGERS.drive_amplitude * np.sin(2.0 * math.pi * np.arange(8) / 8)
+    closed = newforces._finger_point_force(FINGERS, lam, shifts, n_per_panel=16)
+
+    x_nodes, x_weights = newforces._strip_nodes(
+        FINGERS.finger_width, FINGERS.n_finger_pairs, FINGERS.distance, lam, shifts, 16)
+    d = FINGERS.distance
+    z_top = d + min(FINGERS.finger_depth, 45.0 * lam)
+    edges = np.linspace(d, z_top, max(1, math.ceil((z_top - d) / (5.0 * lam))) + 1)
+    t, wt = np.polynomial.legendre.leggauss(64)
+    half = 0.5 * np.diff(edges)
+    z = (edges[:-1, None] + half[:, None] * (t + 1.0)).ravel()
+    wz = (half[:, None] * wt).ravel()
+    dx = x_nodes[None, :, None] + shifts[:, None, None]
+    b = np.hypot(dx, z)
+    depth_integral = (2.0 * z / (lam * b) * k1(b / lam)) @ wz
+    quadrature = depth_integral @ x_weights
+    np.testing.assert_allclose(closed, quadrature, rtol=1e-10, atol=0.0)
+
+
+def _skew_coarse_rule(monkeypatch):
+    """Make the 8-node finger rule disagree with the 16-node one by 10 %."""
+    exact = newforces._finger_point_force
+
+    def skewed(geom, lam, shifts, n_per_panel):
+        out = exact(geom, lam, shifts, n_per_panel)
+        return out * 1.1 if n_per_panel == 8 else out
+
+    monkeypatch.setattr(newforces, "_finger_point_force", skewed)
+
+
+def test_unconverged_quadrature_raises_with_estimate(monkeypatch):
+    _skew_coarse_rule(monkeypatch)
+    with pytest.raises(QuadratureError) as info:
+        yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), FINGERS)
+    err = info.value.error_estimate
+    assert err > 1e-3
+    assert f"relative error estimate {err:.2e}" in str(info.value)
+
+
+def test_unconverged_quadrature_is_runtime_exit(monkeypatch, tmp_path, capsys):
+    _skew_coarse_rule(monkeypatch)
+    doc = {
+        "schema": "levkit-config/1",
+        "sphere": {"radius": "2.5 um"},
+        "trap": {"resonant_frequency": "100 Hz", "damping_rate": "20 1/s",
+                 "temperature": "300 K"},
+        "noise": {"include_thermal": True},
+        "geometry": {"type": "finger_array", "finger_width": "25 um",
+                     "finger_depth": "10 um", "density_a": "19300 kg/m^3",
+                     "density_b": "2330 kg/m^3", "distance": "5 um",
+                     "drive_amplitude": "25 um", "drive_frequency": "10 Hz",
+                     "n_finger_pairs": 12},
+        "plan": {"integration_time": "1e6 s", "lambda_min": "10 um",
+                 "lambda_max": "100 um", "points_per_decade": 1},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["exclusion", "isl", str(path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime error: modulated-force quadrature not converged" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("evaluate", [yukawa_force_modulated, force_waveform])
+def test_modulated_rejects_unsupported_geometry(evaluate):
+    slab = PlaneSlab(thickness=20e-6, density_contrast=19300.0, distance=6e-6)
+    with pytest.raises(DomainError, match="unsupported modulated geometry: PlaneSlab"):
+        evaluate(Sphere(radius=2.5e-6), isl(10e-6), slab)
+
+
 def test_modulated_overlap_rejected():
     sphere = Sphere(radius=6e-6)
     with pytest.raises(GeometryError):
         yukawa_force_modulated(sphere, isl(10e-6), FINGERS)
+    with pytest.raises(GeometryError):
+        force_waveform(sphere, isl(10e-6), FINGERS)
 
 
 def test_modulated_requires_enough_phases():
