@@ -1,6 +1,15 @@
 """levkit: levitated-sphere force sensing and new-physics sensitivity projections."""
 
+import os
+
 __version__ = "0.1.0"
+
+# Thread budget of the BLAS and OpenMP pools, recorded in every output's
+# provenance.  It must reach the environment before numpy is first imported;
+# every levkit module, the console script's included, runs this file first.
+LEVKIT_THREADS = os.environ.get("LEVKIT_THREADS", "1")
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, LEVKIT_THREADS)
 
 from .quantities import (  # noqa: F401
     CONSTANTS,
@@ -25,6 +34,7 @@ from .sensor import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     ImpulseEvent,
+    ImpulseSearch,
     IntegrationError,
     SimulationConfig,
     ThresholdEstimateError,
@@ -32,7 +42,7 @@ from .dynamics import (  # noqa: F401
     estimate_psd,
     fit_lorentzian,
     matched_filter_outputs,
-    matched_filter_threshold,
+    search_impulses,
     simulate,
 )
 from .newforces import (  # noqa: F401

@@ -11,28 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-# Thread budget for the BLAS layer; read before the numerics import chain
-# wherever possible and recorded in every output's provenance either way.
-LEVKIT_THREADS = os.environ.get("LEVKIT_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, LEVKIT_THREADS)
-
 import numpy as np
 
-from . import __version__
+from . import LEVKIT_THREADS, __version__
 from .quantities import DomainError, DimensionError, Quantity, Dimension
 from .sensor import acceleration_asd_ng
 from .dynamics import (
     IntegrationError,
     ThresholdEstimateError,
     estimate_psd,
-    matched_filter_outputs,
-    matched_filter_threshold,
-    impulse_response_template,
+    search_impulses,
     simulate,
     total_damping,
 )
@@ -119,7 +110,14 @@ def cmd_noise_budget(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     cfg.require("sphere", "trap", "simulation")
-    series = simulate(cfg.sphere, cfg.trap, cfg.simulation, injected=cfg.impulses)
+    # The search runs before anything is written, so a failed one leaves no output.
+    search = None
+    if cfg.impulses and cfg.false_alarm_rate is not None:
+        search = search_impulses(cfg.sphere, cfg.trap, cfg.simulation, cfg.impulses,
+                                 cfg.false_alarm_rate)
+        series = search.series
+    else:
+        series = simulate(cfg.sphere, cfg.trap, cfg.simulation, injected=cfg.impulses)
     out_dir = _out_dir(cfg, args.outdir)
 
     prov = _provenance("simulate", cfg)
@@ -147,27 +145,18 @@ def cmd_simulate(args) -> int:
                   (psd.frequency, psd.psd))
         print(f"wrote {psd_path} ({psd.n_segments} segments)")
 
-    if cfg.impulses and cfg.false_alarm_rate is not None:
-        q_min = matched_filter_threshold(
-            cfg.sphere, cfg.trap, cfg.simulation, cfg.false_alarm_rate)
-        template = impulse_response_template(cfg.sphere, cfg.trap, cfg.simulation)
-        outputs = matched_filter_outputs(series, template)
-        detections = []
-        for ev in cfg.impulses:
-            idx = int(round(ev.time / series.sample_interval))
-            if 0 <= idx < outputs.size:
-                lo = max(0, idx - 2)
-                amp = float(np.max(np.abs(outputs[lo: idx + 3])))
-                detections.append({
-                    "time_s": ev.time,
-                    "injected_momentum_kg_m_s": ev.momentum_transfer * ev.direction,
-                    "filter_amplitude_kg_m_s": amp,
-                    "detected": bool(amp > q_min.value),
-                })
+    if search is not None:
+        threshold = search.threshold.value
+        detections = [{
+            "time_s": ev.time,
+            "injected_momentum_kg_m_s": ev.momentum_transfer * ev.direction,
+            "filter_amplitude_kg_m_s": amp,
+            "detected": bool(amp > threshold),
+        } for ev, amp in zip(cfg.impulses, search.amplitudes)]
         det_path = out_dir / "detections.json"
-        write_json(det_path, {**prov, "threshold_kg_m_s": q_min.value, "events": detections})
+        write_json(det_path, {**prov, "threshold_kg_m_s": threshold, "events": detections})
         n_hit = sum(1 for d in detections if d["detected"])
-        print(f"wrote {det_path}: threshold {q_min.value!r} kg m/s, "
+        print(f"wrote {det_path}: threshold {threshold!r} kg m/s, "
               f"{n_hit}/{len(detections)} injected impulses detected")
     return EXIT_OK
 

@@ -14,12 +14,18 @@ bit-reproducible for a given (seed, config).
 PSD convention: ``estimate_psd`` returns a one-sided density, so a
 thermally limited oscillator shows a Lorentzian with plateau force PSD
 4 kB T m gamma, i.e. twice the square of ``sensor.thermal_force_asd``.
+
+Impulse search: ``search_impulses`` simulates one run.  Its thermal noise is
+drawn once, at full rate; the matched-filter threshold comes from that noise
+record and the impulse amplitudes from the same record with the impulses
+added, both at full rate.  ``record_decimation`` thins only the trajectory
+that is returned for writing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,7 +162,7 @@ def simulate(
 
     dt = config.time_step
     n = int(round(config.duration / dt))
-    m_step, j_noise, j_impulse = _baoab_maps(trap.omega0, gamma_total, dt)
+    m_step, j_noise, _ = _baoab_maps(trap.omega0, gamma_total, dt)
     if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
         raise IntegrationError("unstable step: one-step map has spectral radius > 1")
 
@@ -178,20 +184,48 @@ def simulate(
         x = signal.lfilter(num[0], den, xi)
 
     if injected:
-        kicks = np.zeros(n)
-        for ev in injected:
-            idx = int(round((ev.time - 0.0) / dt))
-            if not (0 <= idx < n):
-                raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
-            kicks[idx] += ev.direction * ev.momentum_transfer / mass
-        num, den = signal.ss2tf(m_step, j_impulse[:, None], out_row, [[0.0]])
-        x = x + signal.lfilter(num[0], den, kicks)
-
-    if temp > 0.0 and not injected:
+        x = x + _impulse_motion(sphere, trap, config, injected)
+    elif temp > 0.0:
         _check_energy_growth(x, gamma_total, dt)
 
+    return _record(x, config)
+
+
+def _impulse_motion(
+    sphere: Sphere,
+    trap: TrapState,
+    config: SimulationConfig,
+    injected: Sequence[ImpulseEvent],
+) -> np.ndarray:
+    """Full-rate displacement response to the injected impulses alone, from rest.
+
+    Each impulse adds q/m to the velocity at the nearest time step.  The
+    caller has validated the step with ``simulate``.
+    """
+    from scipy import signal
+
+    dt = config.time_step
+    n = int(round(config.duration / dt))
+    m_step, _, j_impulse = _baoab_maps(trap.omega0, total_damping(trap, config), dt)
+    kicks = np.zeros(n)
+    for ev in injected:
+        idx = int(round((ev.time - 0.0) / dt))
+        if not (0 <= idx < n):
+            raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
+        kicks[idx] += ev.direction * ev.momentum_transfer / sphere.mass
+    num, den = signal.ss2tf(m_step, j_impulse[:, None], [[1.0, 0.0]], [[0.0]])
+    return signal.lfilter(num[0], den, kicks)
+
+
+def _record(x: np.ndarray, config: SimulationConfig) -> TimeSeries:
+    """The recorded series: every ``record_decimation``-th full-rate sample.
+
+    At a decimation above one the record is a compact copy, so it does not
+    keep the full-rate array alive; at one it is the array itself.
+    """
     k = config.record_decimation
-    return TimeSeries(sample_interval=dt * k, samples=x[::k])
+    return TimeSeries(sample_interval=config.time_step * k,
+                      samples=np.ascontiguousarray(x[::k]))
 
 
 def _check_energy_growth(x: np.ndarray, gamma_total: float, dt: float):
@@ -340,17 +374,31 @@ def matched_filter_outputs(series: TimeSeries, template: np.ndarray) -> np.ndarr
     return full[template.size - 1:] / norm
 
 
-def matched_filter_threshold(
+@dataclass(frozen=True)
+class ImpulseSearch:
+    """What ``search_impulses`` found in one simulated run."""
+
+    series: TimeSeries       # the recorded trajectory, impulses included
+    threshold: Quantity      # momentum whose filter response clears the false-alarm rate
+    amplitudes: tuple        # filter amplitude of each injected impulse, kg m/s
+
+
+def search_impulses(
     sphere: Sphere,
     trap: TrapState,
     config: SimulationConfig,
+    injected: Sequence[ImpulseEvent],
     false_alarm_rate: float,
-) -> Quantity:
-    """Smallest impulse whose filter response clears the false-alarm threshold.
+) -> ImpulseSearch:
+    """Simulate one run and pick the injected impulses out of its thermal noise.
 
-    The threshold is the empirical (1 - FAR * dt) quantile of |filter output|
-    on a noise-only simulation; no Gaussian assumption.  Requires at least
-    1e4 filter correlation times (~1/gamma_eff) of simulated noise.
+    The thermal motion is simulated once, at full rate.  The threshold is the
+    empirical (1 - FAR * dt) quantile of |filter output| on that noise alone;
+    no Gaussian assumption.  It requires at least 1e4 filter correlation times
+    (~1/gamma_eff) of simulated noise.  The impulses' response is then added,
+    and each amplitude is the largest |filter output| at the five full-rate
+    lags around its impulse, whatever ``record_decimation`` is.  Only the
+    returned series is decimated.
     """
     if false_alarm_rate <= 0.0:
         raise DomainError("false alarm rate must be positive")
@@ -362,16 +410,31 @@ def matched_filter_threshold(
             "correlation times simulated, need >= 1e4"
         )
 
-    noise_cfg = replace(config, record_decimation=1)
-    noise_series = simulate(sphere, trap, noise_cfg, injected=())
+    noise = simulate(sphere, trap, replace(config, record_decimation=1))
     template = impulse_response_template(sphere, trap, config)
-    outputs = matched_filter_outputs(noise_series, template)
+    threshold = _noise_threshold(noise, template, false_alarm_rate)
+
+    x = noise.samples
+    if injected:
+        x = x + _impulse_motion(sphere, trap, config, injected)
+    norm = float(np.dot(template, template))
+    amplitudes = tuple(
+        _peak_correlation(x, template, int(round(ev.time / config.time_step))) / norm
+        for ev in injected)
+    return ImpulseSearch(series=_record(x, config),
+                         threshold=Quantity(threshold, Dimension.MOMENTUM),
+                         amplitudes=amplitudes)
+
+
+def _noise_threshold(noise: TimeSeries, template: np.ndarray, false_alarm_rate: float) -> float:
+    """The (1 - FAR * dt) quantile of |filter output| on a noise-only record."""
+    outputs = matched_filter_outputs(noise, template)
     # Drop trailing lags where the template overruns the end of the series.
     if outputs.size <= template.size:
         raise ThresholdEstimateError("series shorter than the filter template")
     outputs = outputs[: -template.size]
 
-    p_exceed = false_alarm_rate * noise_series.sample_interval
+    p_exceed = false_alarm_rate * noise.sample_interval
     if p_exceed >= 1.0:
         raise DomainError("false alarm rate above one per sample")
     tail_count = outputs.size * p_exceed
@@ -380,5 +443,15 @@ def matched_filter_threshold(
             f"only {tail_count:.1f} expected tail samples at this false-alarm rate; "
             "simulate longer or relax the rate"
         )
-    threshold = float(np.quantile(np.abs(outputs), 1.0 - p_exceed))
-    return Quantity(threshold, Dimension.MOMENTUM)
+    return float(np.quantile(np.abs(outputs), 1.0 - p_exceed))
+
+
+def _peak_correlation(x: np.ndarray, template: np.ndarray, idx: int) -> float:
+    """Largest |sum_k x[j+k] template[k]| over the lags j = idx-2 .. idx+2 in the record.
+
+    The same sums as ``matched_filter_outputs`` before its normalization,
+    taken directly at five lags instead of by a full-length FFT.
+    """
+    lags = range(max(0, idx - 2), min(idx + 3, x.size))
+    return max(abs(float(np.dot(x[j: j + template.size], template[: x.size - j])))
+               for j in lags)

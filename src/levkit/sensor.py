@@ -9,10 +9,8 @@ estimator in :mod:`levkit.dynamics` is twice the square of these values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
-
-import numpy as np
 
 from .quantities import (
     AMU,

@@ -266,3 +266,77 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def impulse_doc(outdir, decimation=1, duration="20 s"):
+    """A fast impulse search: gamma_eff = 1000 1/s, so 20 s is 2e4 correlation
+    times; the impulses are three times the threshold."""
+    doc = base_doc(outdir)
+    doc["sphere"] = {"radius": "0.15 um"}
+    doc["trap"] = {"resonant_frequency": "1000 Hz", "damping_rate": "5 1/s",
+                   "temperature": "300 K"}
+    doc["simulation"] = {
+        "time_step": "2e-05 s", "duration": duration, "rng_seed": 777,
+        "bath_temperature": "300 K", "feedback_gain": "995 1/s",
+        "record_decimation": decimation, "false_alarm_rate": "1 1/s",
+        "impulses": [
+            {"time": "5 s", "momentum_transfer": "4.2e-19 kg*m/s"},
+            {"time": "12.5 s", "momentum_transfer": "4.2e-19 kg*m/s", "direction": -1},
+        ],
+    }
+    return doc
+
+
+def run_search(tmp_path, decimation):
+    out = tmp_path / f"dec{decimation}"
+    cfg = write_config(tmp_path, impulse_doc(out, decimation), f"dec{decimation}.json")
+    assert main(["simulate", cfg]) == EXIT_OK
+    return json.loads((out / "detections.json").read_text())
+
+
+def amplitudes(detections):
+    return [ev["filter_amplitude_kg_m_s"] for ev in detections["events"]]
+
+
+def test_search_matches_fft_filter_golden(tmp_path):
+    """Threshold and amplitudes as the full-record FFT filter gave them."""
+    found = run_search(tmp_path, 1)
+    assert found["threshold_kg_m_s"] == 1.396742048371855e-19
+    assert amplitudes(found) == pytest.approx([4.3436610214159e-19, 4.390235937278543e-19],
+                                              rel=1e-12, abs=0.0)
+
+
+def test_decimated_search_reads_full_rate_amplitudes(tmp_path):
+    full, thinned = run_search(tmp_path, 1), run_search(tmp_path, 10)
+    assert thinned["threshold_kg_m_s"] == full["threshold_kg_m_s"]
+    assert amplitudes(thinned) == amplitudes(full)
+    assert [ev["detected"] for ev in thinned["events"]] == [True, True]
+    rows = (tmp_path / "dec10" / "trajectory.csv").read_text().splitlines()
+    assert len([row for row in rows if not row.startswith("#")]) == 100_000
+
+
+def test_unconverged_threshold_is_runtime_exit(tmp_path, capsys):
+    """Too few correlation times: exit 3 before any output is written."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, impulse_doc(out, duration="5 s"))
+    assert main(["simulate", cfg]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: noise distribution not converged")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_levkit_threads_caps_the_thread_pool():
+    """LEVKIT_THREADS alone reaches the BLAS pools before numpy starts them."""
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["LEVKIT_THREADS"] = "1"
+    src = str(Path(levkit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import levkit.cli\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('Threads:')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "1"

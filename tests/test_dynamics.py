@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from levkit import dynamics
 from levkit.quantities import K_B, DomainError
 from levkit.sensor import Sphere, TrapState, thermal_force_asd
 from levkit.dynamics import (
@@ -15,7 +17,7 @@ from levkit.dynamics import (
     fit_lorentzian,
     impulse_response_template,
     matched_filter_outputs,
-    matched_filter_threshold,
+    search_impulses,
     simulate,
     total_damping,
 )
@@ -34,6 +36,11 @@ IMP_TRAP = TrapState(resonant_frequency=1000.0, damping_rate=5.0, temperature=30
 def imp_config(g_fb, seed=777):
     return SimulationConfig(time_step=2e-5, duration=20.0, rng_seed=seed,
                             bath_temperature=300.0, feedback_gain=g_fb)
+
+
+def threshold(trap, config, false_alarm_rate=1.0):
+    """The impulse threshold of a noise-only search, kg m/s."""
+    return search_impulses(IMP_SPHERE, trap, config, (), false_alarm_rate).threshold.value
 
 
 def test_simulation_deterministic():
@@ -137,35 +144,62 @@ def test_matched_filter_calibration():
 def test_threshold_scales_with_cold_damping():
     """Doubling gamma_eff leaves the thermal force drive fixed but halves the
     filter correlation time, so the impulse threshold improves by ~sqrt(2)."""
-    q1 = matched_filter_threshold(IMP_SPHERE, IMP_TRAP, imp_config(995.0), 1.0)
-    q2 = matched_filter_threshold(IMP_SPHERE, IMP_TRAP, imp_config(1995.0), 1.0)
-    assert q1.value / q2.value == pytest.approx(math.sqrt(2.0), rel=0.10)
+    q1 = threshold(IMP_TRAP, imp_config(995.0))
+    q2 = threshold(IMP_TRAP, imp_config(1995.0))
+    assert q1 / q2 == pytest.approx(math.sqrt(2.0), rel=0.10)
 
 
 def test_detection_efficiency_above_threshold():
     cfg = imp_config(995.0)
-    q_min = matched_filter_threshold(IMP_SPHERE, IMP_TRAP, cfg, 1.0).value
-    tpl = impulse_response_template(IMP_SPHERE, IMP_TRAP, cfg)
+    q_min = threshold(IMP_TRAP, cfg)
     events = [ImpulseEvent(time=t, momentum_transfer=2.0 * q_min, direction=1)
               for t in np.arange(1.0, 19.0, 1.0)]
     noisy = SimulationConfig(time_step=cfg.time_step, duration=cfg.duration,
                              rng_seed=4242, bath_temperature=300.0,
                              feedback_gain=995.0)
-    series = simulate(IMP_SPHERE, IMP_TRAP, noisy, injected=events)
-    out = matched_filter_outputs(series, tpl)
-    hits = 0
-    for ev in events:
-        idx = int(round(ev.time / series.sample_interval))
-        if np.max(np.abs(out[idx - 2: idx + 3])) > q_min:
-            hits += 1
+    found = search_impulses(IMP_SPHERE, IMP_TRAP, noisy, events, 1.0)
+    hits = sum(1 for amp in found.amplitudes if amp > q_min)
     assert hits / len(events) > 0.95
+
+
+def test_threshold_golden():
+    """The full-rate threshold as the FFT filter of the noise record gave it."""
+    assert threshold(IMP_TRAP, imp_config(995.0)) == 1.396742048371855e-19
+
+
+def test_search_draws_noise_and_template_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(sphere, trap, config, *args, **kwargs):
+            calls.append((name, config.bath_temperature))
+            return fn(sphere, trap, config, *args, **kwargs)
+        monkeypatch.setattr(dynamics, name, wrapper)
+
+    counted("simulate")
+    counted("impulse_response_template")
+    kick = ImpulseEvent(time=10.0, momentum_transfer=1e-18, direction=1)
+    search_impulses(IMP_SPHERE, IMP_TRAP, imp_config(995.0), [kick], 1.0)
+    # The template's own zero-temperature run is the only other simulation.
+    assert sorted(calls) == [("impulse_response_template", 300.0),
+                             ("simulate", 0.0), ("simulate", 300.0)]
+
+
+def test_decimated_record_is_a_compact_copy():
+    thinned = simulate(SPHERE, TRAP, replace(CONFIG, record_decimation=10))
+    full = simulate(SPHERE, TRAP, CONFIG)
+    assert thinned.samples.flags.owndata and thinned.samples.flags.c_contiguous
+    np.testing.assert_array_equal(thinned.samples, full.samples[::10])
+    assert thinned.sample_interval == 10 * CONFIG.time_step
 
 
 def test_threshold_requires_convergence():
     short = SimulationConfig(time_step=2e-5, duration=1.0, rng_seed=1,
                              bath_temperature=300.0, feedback_gain=995.0)
     with pytest.raises(ThresholdEstimateError):
-        matched_filter_threshold(IMP_SPHERE, IMP_TRAP, short, 1.0)
+        threshold(IMP_TRAP, short)
 
 
 def test_impulse_outside_span_rejected():
@@ -197,5 +231,4 @@ def test_trap_and_simulation_cold_damping_add():
     np.testing.assert_array_equal(
         impulse_response_template(IMP_SPHERE, trap_fb, imp_config(0.0)),
         impulse_response_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0)))
-    assert (matched_filter_threshold(IMP_SPHERE, trap_fb, imp_config(0.0), 1.0).value
-            == matched_filter_threshold(IMP_SPHERE, IMP_TRAP, imp_config(995.0), 1.0).value)
+    assert threshold(trap_fb, imp_config(0.0)) == threshold(IMP_TRAP, imp_config(995.0))

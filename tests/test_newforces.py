@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k1
 
-from levkit import newforces
+from levkit import newforces, oracles
 from levkit.cli import EXIT_RUNTIME, main
 from levkit.quantities import DomainError, HBAR_C
 from levkit.sensor import Sphere
@@ -35,6 +35,15 @@ from levkit.oracles import (
 
 def isl(lam):
     return YukawaCoupling(CouplingKind.ISL_ALPHA, 1.0, lam)
+
+
+def test_oracles_share_no_private_helper_with_production():
+    """A fault in a production helper must not move both sides of a check."""
+    private = [value for name, value in vars(newforces).items()
+               if name.startswith("_") and callable(value)]
+    shared = [name for name, value in vars(oracles).items()
+              if any(value is helper for helper in private)]
+    assert shared == []
 
 
 # ---------------------------------------------------------------- form factor
