@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime/numerical error.
+Exit codes: 0 success, 2 configuration error or missing file, 3 runtime,
+numerical, other I/O or out-of-memory error.
 All file outputs go through ``levkit.writer`` (temp file + rename) and carry
 the provenance of ``_provenance``: code version, command, thread budget and,
 for config-driven outputs, the normalized config.  Rerunning an identical
@@ -45,7 +46,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 _CONFIG_ERRORS = (ConfigError, DomainError, DimensionError, GeometryError)
-_RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError)
+_RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError,
+                   OSError, MemoryError)
 
 
 def _provenance(command: str, cfg=None) -> dict:
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _RUNTIME_ERRORS as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -15,6 +15,10 @@ PSD convention: ``estimate_psd`` returns a one-sided density, so a
 thermally limited oscillator shows a Lorentzian with plateau force PSD
 4 kB T m gamma, i.e. twice the square of ``sensor.thermal_force_asd``.
 
+The discretisation lives in ``_LinearTrap`` alone, built once per call of
+``simulate``, ``impulse_response_template`` or ``search_impulses``: the template
+is the impulse response of the filter that makes the record.
+
 Impulse search: ``search_impulses`` simulates one run.  Its thermal noise is
 drawn once, at full rate; the matched-filter threshold comes from that noise
 record and the impulse amplitudes from the same record with the impulses
@@ -25,7 +29,8 @@ that is returned for writing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,11 +48,6 @@ class IntegrationError(RuntimeError):
 
 class ThresholdEstimateError(RuntimeError):
     """Matched-filter noise distribution is not converged."""
-
-
-def child_seed(seed: int, task_index: int) -> np.random.SeedSequence:
-    """Fixed seed-splitting rule for parallel parameter sweeps."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(task_index,))
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,79 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
     return trap.effective_damping + config.feedback_gain
 
 
-def _baoab_maps(omega0: float, gamma_total: float, dt: float):
-    """One-step state map M, noise injection column, impulse injection column.
+class _LinearTrap:
+    """The BAOAB discretisation of one trap, checked and built once.
 
-    State is (x, v).  The noise column propagates a unit velocity kick applied
-    at the O substep through the remaining half drift and half kick; the
-    impulse column propagates a kick applied at the start of the step.
+    Two displacement filters of the one-step map on (x, v): noise enters as a
+    velocity kick at the O substep, an impulse as one at the start of a step.
     """
-    h = dt
-    kick = np.array([[1.0, 0.0], [-(omega0**2) * h / 2.0, 1.0]])
-    drift = np.array([[1.0, h / 2.0], [0.0, 1.0]])
-    decay = np.array([[1.0, 0.0], [0.0, math.exp(-gamma_total * h)]])
-    m_step = kick @ drift @ decay @ drift @ kick
-    j_noise = kick @ drift @ np.array([0.0, 1.0])
-    j_impulse = m_step @ np.array([0.0, 1.0])
-    return m_step, j_noise, j_impulse
+
+    def __init__(self, sphere: Sphere, trap: TrapState, config: SimulationConfig):
+        from scipy import signal
+
+        f0 = trap.resonant_frequency
+        if config.time_step >= 1.0 / (20.0 * f0):
+            raise DomainError(f"time step {config.time_step} s too coarse; "
+                              f"need < 1/(20 f0) = {1.0/(20*f0)} s")
+        self.config = config
+        self.mass = mass = sphere.mass
+        self.gamma_total = gamma_total = total_damping(trap, config)
+        self.dt = h = config.time_step
+        self.n = int(round(config.duration / h))
+        # Exact OU kick: stationary velocity variance kB T_eff / m with
+        # T_eff = T gamma / (gamma + g_fb); fluctuations enter via gamma only.
+        self._kick_std = math.sqrt(
+            K_B * config.bath_temperature * trap.damping_rate / (mass * gamma_total)
+            * (1.0 - math.exp(-2.0 * gamma_total * h)))
+
+        kick = np.array([[1.0, 0.0], [-(trap.omega0**2) * h / 2.0, 1.0]])
+        drift = np.array([[1.0, h / 2.0], [0.0, 1.0]])
+        decay = np.array([[1.0, 0.0], [0.0, math.exp(-gamma_total * h)]])
+        m_step = kick @ drift @ decay @ drift @ kick
+        if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
+            raise IntegrationError("unstable step: one-step map has spectral radius > 1")
+
+        def displacement_filter(column):
+            num, den = signal.ss2tf(m_step, column[:, None], [[1.0, 0.0]], [[0.0]])
+            return partial(signal.lfilter, num[0], den)
+
+        unit_velocity = np.array([0.0, 1.0])
+        self._noise_filter = displacement_filter(kick @ drift @ unit_velocity)
+        self._impulse_filter = displacement_filter(m_step @ unit_velocity)
+
+    def noise(self) -> np.ndarray:
+        """Full-rate thermal displacement from x = v = 0; zeros at zero temperature."""
+        if self.config.bath_temperature == 0.0:
+            return np.zeros(self.n)
+        rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
+        x = self._noise_filter(rng.standard_normal(self.n) * self._kick_std)
+        _check_energy_growth(x, self.gamma_total, self.dt)
+        return x
+
+    def response(self, kicks: np.ndarray) -> np.ndarray:
+        """Displacement from rest driven by velocity kicks, one per step (m/s)."""
+        return self._impulse_filter(kicks)
+
+    def kick_steps(self, injected: Sequence[ImpulseEvent]) -> list:
+        """The step nearest each impulse's time; outside the simulated span is an error."""
+        steps = [int(round(ev.time / self.dt)) for ev in injected]
+        for ev, idx in zip(injected, steps):
+            if not (0 <= idx < self.n):
+                raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
+        return steps
+
+    def kick_train(self, injected: Sequence[ImpulseEvent]) -> np.ndarray:
+        """Full-rate velocity kicks: each impulse adds q/m at its nearest step."""
+        kicks = np.zeros(self.n)
+        for ev, idx in zip(injected, self.kick_steps(injected)):
+            kicks[idx] += ev.direction * ev.momentum_transfer / self.mass
+        return kicks
+
+    def template(self) -> np.ndarray:
+        """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
+        kicks = np.zeros(int(round(10.0 / self.gamma_total / self.dt)))
+        kicks[0] = 1.0 / self.mass
+        return self.response(kicks)
 
 
 def simulate(
@@ -147,74 +205,15 @@ def simulate(
     Deterministic for a given (rng_seed, config).  Injected impulses add
     q/m to the velocity at the nearest time step.
     """
-    from scipy import signal
-
-    f0 = trap.resonant_frequency
-    if config.time_step >= 1.0 / (20.0 * f0):
-        raise DomainError(
-            f"time step {config.time_step} s too coarse; need < 1/(20 f0) = {1.0/(20*f0)} s"
-        )
-    gamma_total = total_damping(trap, config)
-    if config.duration < 100.0 / gamma_total and not config.allow_short_run:
+    model = _LinearTrap(sphere, trap, config)
+    if config.duration < 100.0 / model.gamma_total and not config.allow_short_run:
         raise DomainError(
             "duration shorter than 100 relaxation times; set allow_short_run to override"
         )
-
-    dt = config.time_step
-    n = int(round(config.duration / dt))
-    m_step, j_noise, _ = _baoab_maps(trap.omega0, gamma_total, dt)
-    if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
-        raise IntegrationError("unstable step: one-step map has spectral radius > 1")
-
-    mass = sphere.mass
-    out_row = np.array([[1.0, 0.0]])
-
-    x = np.zeros(n)
-    temp = config.bath_temperature
-    if temp > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
-        # Exact OU kick: stationary velocity variance kB T_eff / m with
-        # T_eff = T gamma / (gamma + g_fb); fluctuations enter via gamma only.
-        var = (
-            K_B * temp * trap.damping_rate / (mass * gamma_total)
-            * (1.0 - math.exp(-2.0 * gamma_total * dt))
-        )
-        xi = rng.standard_normal(n) * math.sqrt(var)
-        num, den = signal.ss2tf(m_step, j_noise[:, None], out_row, [[0.0]])
-        x = signal.lfilter(num[0], den, xi)
-
+    x = model.noise()
     if injected:
-        x = x + _impulse_motion(sphere, trap, config, injected)
-    elif temp > 0.0:
-        _check_energy_growth(x, gamma_total, dt)
-
+        x = x + model.response(model.kick_train(injected))
     return _record(x, config)
-
-
-def _impulse_motion(
-    sphere: Sphere,
-    trap: TrapState,
-    config: SimulationConfig,
-    injected: Sequence[ImpulseEvent],
-) -> np.ndarray:
-    """Full-rate displacement response to the injected impulses alone, from rest.
-
-    Each impulse adds q/m to the velocity at the nearest time step.  The
-    caller has validated the step with ``simulate``.
-    """
-    from scipy import signal
-
-    dt = config.time_step
-    n = int(round(config.duration / dt))
-    m_step, _, j_impulse = _baoab_maps(trap.omega0, total_damping(trap, config), dt)
-    kicks = np.zeros(n)
-    for ev in injected:
-        idx = int(round((ev.time - 0.0) / dt))
-        if not (0 <= idx < n):
-            raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
-        kicks[idx] += ev.direction * ev.momentum_transfer / sphere.mass
-    num, den = signal.ss2tf(m_step, j_impulse[:, None], [[1.0, 0.0]], [[0.0]])
-    return signal.lfilter(num[0], den, kicks)
 
 
 def _record(x: np.ndarray, config: SimulationConfig) -> TimeSeries:
@@ -253,9 +252,6 @@ class PsdEstimate:
     @property
     def df(self) -> float:
         return float(self.frequency[1] - self.frequency[0])
-
-    def integrated_power(self) -> float:
-        return float(np.sum(self.psd) * self.df)
 
 
 def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5) -> PsdEstimate:
@@ -343,20 +339,10 @@ def impulse_response_template(
 ) -> np.ndarray:
     """Displacement response to a unit (1 kg m/s) impulse, truncated at 10/gamma_eff.
 
-    Generated with the production integrator at zero temperature so the
-    template matches the discrete closed-loop dynamics exactly.
+    Filtered by the same discretised trap as ``simulate``'s impulse response,
+    so the template matches the discrete closed-loop dynamics exactly.
     """
-    gamma_total = total_damping(trap, config)
-    length = 10.0 / gamma_total
-    tpl_config = replace(
-        config,
-        duration=length,
-        bath_temperature=0.0,
-        record_decimation=1,
-        allow_short_run=True,
-    )
-    kick = ImpulseEvent(time=0.0, momentum_transfer=1.0, direction=1)
-    return simulate(sphere, trap, tpl_config, injected=[kick]).samples
+    return _LinearTrap(sphere, trap, config).template()
 
 
 def matched_filter_outputs(series: TimeSeries, template: np.ndarray) -> np.ndarray:
@@ -398,7 +384,9 @@ def search_impulses(
     (~1/gamma_eff) of simulated noise.  The impulses' response is then added,
     and each amplitude is the largest |filter output| at the five full-rate
     lags around its impulse, whatever ``record_decimation`` is.  Only the
-    returned series is decimated.
+    returned series is decimated.  An impulse whose lags reach into the last
+    template length of the record, which the threshold drops, is a
+    ``DomainError``, raised before anything is simulated.
     """
     if false_alarm_rate <= 0.0:
         raise DomainError("false alarm rate must be positive")
@@ -410,17 +398,26 @@ def search_impulses(
             "correlation times simulated, need >= 1e4"
         )
 
-    noise = simulate(sphere, trap, replace(config, record_decimation=1))
-    template = impulse_response_template(sphere, trap, config)
+    model = _LinearTrap(sphere, trap, config)
+    template = model.template()
+    steps = model.kick_steps(injected)
+    # The threshold keeps the lags whose correlation has the whole template
+    # inside the record; an amplitude is read only from lags it keeps.
+    last = model.n - template.size - 3
+    for ev, idx in zip(injected, steps):
+        if idx > last:
+            raise DomainError(
+                f"impulse at t = {ev.time} s is inside the last filter template length "
+                f"of the record; the last usable time is {last * model.dt} s")
+
+    noise = TimeSeries(sample_interval=model.dt, samples=model.noise())
     threshold = _noise_threshold(noise, template, false_alarm_rate)
 
     x = noise.samples
     if injected:
-        x = x + _impulse_motion(sphere, trap, config, injected)
+        x = x + model.response(model.kick_train(injected))
     norm = float(np.dot(template, template))
-    amplitudes = tuple(
-        _peak_correlation(x, template, int(round(ev.time / config.time_step))) / norm
-        for ev in injected)
+    amplitudes = tuple(_peak_correlation(x, template, idx) / norm for idx in steps)
     return ImpulseSearch(series=_record(x, config),
                          threshold=Quantity(threshold, Dimension.MOMENTUM),
                          amplitudes=amplitudes)
@@ -447,11 +444,11 @@ def _noise_threshold(noise: TimeSeries, template: np.ndarray, false_alarm_rate: 
 
 
 def _peak_correlation(x: np.ndarray, template: np.ndarray, idx: int) -> float:
-    """Largest |sum_k x[j+k] template[k]| over the lags j = idx-2 .. idx+2 in the record.
+    """Largest |sum_k x[j+k] template[k]| over the lags j = idx-2 .. idx+2.
 
     The same sums as ``matched_filter_outputs`` before its normalization,
-    taken directly at five lags instead of by a full-length FFT.
+    taken directly at five lags instead of by a full-length FFT.  The caller
+    keeps idx + 2 + template.size within the record.
     """
-    lags = range(max(0, idx - 2), min(idx + 3, x.size))
-    return max(abs(float(np.dot(x[j: j + template.size], template[: x.size - j])))
-               for j in lags)
+    return max(abs(float(np.dot(x[j: j + template.size], template)))
+               for j in range(max(0, idx - 2), idx + 3))

@@ -326,6 +326,40 @@ def test_unconverged_threshold_is_runtime_exit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_impulse_at_end_of_record_is_config_error(tmp_path, capsys):
+    """An impulse in the lags the threshold drops: exit 2 before any output."""
+    out = tmp_path / "out"
+    doc = impulse_doc(out)
+    doc["simulation"]["impulses"].append(
+        {"time": "19.995 s", "momentum_transfer": "4.2e-19 kg*m/s"})
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: impulse at t = 19.995 s")
+    assert "last usable time" in err and "Traceback" not in err
+    assert not (out / "detections.json").exists()
+    assert not out.exists()
+
+
+def test_unwritable_output_is_runtime_exit(tmp_path, capsys):
+    """An output directory that is a regular file: exit 3 with a message."""
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    assert main(["axion", "1e12", "--output", str(blocker / "x.csv")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "Traceback" not in err
+
+
+def test_memory_error_is_runtime_exit(tmp_path, capsys, monkeypatch):
+    """Out of memory: exit 3, named even when the error carries no message."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr("levkit.cli.simulate", exhausted)
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, simulate_doc(out))]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 def test_levkit_threads_caps_the_thread_pool():
     """LEVKIT_THREADS alone reaches the BLAS pools before numpy starts them."""

@@ -12,7 +12,6 @@ from levkit.dynamics import (
     SimulationConfig,
     ThresholdEstimateError,
     TimeSeries,
-    child_seed,
     estimate_psd,
     fit_lorentzian,
     impulse_response_template,
@@ -57,16 +56,6 @@ def test_different_seed_differs():
     assert not np.array_equal(a.samples, b.samples)
 
 
-def test_child_seed_rule_is_stable_and_distinct():
-    s0 = child_seed(1234, 0)
-    s1 = child_seed(1234, 1)
-    assert s0.spawn_key != s1.spawn_key
-    assert np.random.default_rng(s0).random() != np.random.default_rng(s1).random()
-    # same inputs -> same stream
-    assert (np.random.default_rng(child_seed(1234, 0)).random()
-            == np.random.default_rng(s0).random())
-
-
 def test_time_step_guard():
     bad = SimulationConfig(time_step=1e-3, duration=60.0, rng_seed=1,
                            bath_temperature=300.0)
@@ -106,7 +95,7 @@ def test_psd_parseval():
     series = simulate(SPHERE, TRAP, CONFIG)
     est = estimate_psd(series, segment_length=8192)
     var = float(np.var(series.samples))
-    assert est.integrated_power() == pytest.approx(var, rel=0.05)
+    assert np.sum(est.psd) * est.df == pytest.approx(var, rel=0.05)
 
 
 def test_lorentzian_fit_recovers_parameters():
@@ -168,23 +157,66 @@ def test_threshold_golden():
 
 
 def test_search_draws_noise_and_template_once(monkeypatch):
+    """One search: one discretised trap, one noise draw, one template, and no
+    call of simulate (so no zero-temperature run) or of the public template."""
+    import scipy.signal
+
     calls = []
 
-    def counted(name):
-        fn = getattr(dynamics, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
-        def wrapper(sphere, trap, config, *args, **kwargs):
-            calls.append((name, config.bath_temperature))
-            return fn(sphere, trap, config, *args, **kwargs)
-        monkeypatch.setattr(dynamics, name, wrapper)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("simulate")
-    counted("impulse_response_template")
+    for name in ("simulate", "impulse_response_template"):
+        counted(dynamics, name)
+    for name in ("__init__", "noise", "template"):
+        counted(dynamics._LinearTrap, name)
+    counted(scipy.signal, "ss2tf")
     kick = ImpulseEvent(time=10.0, momentum_transfer=1e-18, direction=1)
     search_impulses(IMP_SPHERE, IMP_TRAP, imp_config(995.0), [kick], 1.0)
-    # The template's own zero-temperature run is the only other simulation.
-    assert sorted(calls) == [("impulse_response_template", 300.0),
-                             ("simulate", 0.0), ("simulate", 300.0)]
+    assert sorted(calls) == ["__init__", "noise", "ss2tf", "ss2tf", "template"]
+
+
+@pytest.mark.parametrize("sphere, trap, config", [
+    (IMP_SPHERE, IMP_TRAP, imp_config(995.0)),
+    (SPHERE, TRAP, CONFIG),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0,
+                       feedback_gain=9.0), replace(CONFIG, time_step=1e-4, feedback_gain=3.0)),
+])
+def test_template_is_the_zero_temperature_unit_kick_run(sphere, trap, config):
+    """Bit for bit the response simulate gives to one unit kick at t = 0 from
+    a cold run of 10/gamma_eff: the template's definition before it was
+    filtered by the search's own discretised trap."""
+    cold = replace(config, duration=10.0 / total_damping(trap, config),
+                   bath_temperature=0.0, allow_short_run=True)
+    kick = ImpulseEvent(time=0.0, momentum_transfer=1.0, direction=1)
+    run = simulate(sphere, trap, cold, injected=[kick]).samples
+    tpl = impulse_response_template(sphere, trap, config)
+    assert tpl.dtype == run.dtype and tpl.shape == run.shape
+    np.testing.assert_array_equal(tpl.view(np.int64), run.view(np.int64))
+
+
+def test_impulse_in_the_dropped_lags_rejected_before_simulating(monkeypatch):
+    """An impulse whose five lags reach the last template length is an error,
+    raised before any noise is drawn; the last usable step is accepted."""
+    cfg = imp_config(995.0)
+    drawn = []
+    noise = dynamics._LinearTrap.noise
+    monkeypatch.setattr(dynamics._LinearTrap, "noise",
+                        lambda self: drawn.append(1) or noise(self))
+    n, size = 1_000_000, 500                      # 20 s and 10 ms at 20 us
+    last = (n - size - 3) * cfg.time_step
+    late = ImpulseEvent(time=last + cfg.time_step, momentum_transfer=1e-18, direction=1)
+    with pytest.raises(DomainError, match="last usable time"):
+        search_impulses(IMP_SPHERE, IMP_TRAP, cfg, [late], 1.0)
+    assert drawn == []
+    ok = ImpulseEvent(time=last, momentum_transfer=1e-18, direction=1)
+    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, [ok], 1.0)
+    assert drawn == [1] and found.amplitudes[0] > 0.0
 
 
 def test_decimated_record_is_a_compact_copy():
