@@ -12,8 +12,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, LEVKIT_THREADS)
 
 from .quantities import (  # noqa: F401
-    CONSTANTS,
-    ConstantsTable,
     Dimension,
     DimensionError,
     DomainError,

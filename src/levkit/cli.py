@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import LEVKIT_THREADS, __version__
-from .quantities import DomainError, DimensionError, Quantity, Dimension
+from .quantities import DomainError, DimensionError, K_B, Quantity, Dimension
 from .sensor import acceleration_asd_ng
 from .dynamics import (
     IntegrationError,
@@ -112,7 +112,8 @@ def cmd_noise_budget(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     cfg.require("sphere", "trap", "simulation")
-    # The search runs before anything is written, so a failed one leaves no output.
+    # The search and the PSD run before anything is written, so a failed one
+    # leaves no output.
     search = None
     if cfg.impulses and cfg.false_alarm_rate is not None:
         search = search_impulses(cfg.sphere, cfg.trap, cfg.simulation, cfg.impulses,
@@ -120,6 +121,9 @@ def cmd_simulate(args) -> int:
         series = search.series
     else:
         series = simulate(cfg.sphere, cfg.trap, cfg.simulation, injected=cfg.impulses)
+    psd = None
+    if cfg.psd_segment_length is not None:
+        psd = estimate_psd(series, cfg.psd_segment_length)
     out_dir = _out_dir(cfg, args.outdir)
 
     prov = _provenance("simulate", cfg)
@@ -135,13 +139,11 @@ def cmd_simulate(args) -> int:
     skip = min(series.samples.size // 2,
                int(5.0 / (gamma_tot * series.sample_interval)))
     var = float(np.var(series.samples[skip:]))
-    from .quantities import K_B
     t_eff = mass * omega0**2 * var / K_B
     print(f"measured displacement variance {var!r} m^2 "
           f"(equipartition temperature {t_eff!r} K)")
 
-    if cfg.psd_segment_length is not None:
-        psd = estimate_psd(series, cfg.psd_segment_length)
+    if psd is not None:
         psd_path = out_dir / "psd.csv"
         write_csv(psd_path, header.items(), ("frequency_hz", "displacement_psd_m2_per_hz"),
                   (psd.frequency, psd.psd))
@@ -175,11 +177,13 @@ def _write_curve(curve, out_dir: Path, stem: str, command: str, cfg):
     print(f"wrote {json_path}")
 
 
-def _lambda_grid(plan_sec: dict) -> np.ndarray:
-    if "lambda_min" not in plan_sec or "lambda_max" not in plan_sec:
-        raise ConfigError("plan: lambda_min and lambda_max are required for this case")
-    return log_grid(plan_sec["lambda_min"], plan_sec["lambda_max"],
-                    plan_sec.get("points_per_decade", 60))
+def _grid(plan: dict, lo_key: str, hi_key: str) -> np.ndarray:
+    """Log grid from plan[lo_key] to plan[hi_key], at the plan's density if it sets one."""
+    if lo_key not in plan or hi_key not in plan:
+        raise ConfigError(f"plan: {lo_key} and {hi_key} are required for this case")
+    if "points_per_decade" in plan:
+        return log_grid(plan[lo_key], plan[hi_key], plan["points_per_decade"])
+    return log_grid(plan[lo_key], plan[hi_key])
 
 
 def cmd_exclusion(args) -> int:
@@ -192,13 +196,13 @@ def cmd_exclusion(args) -> int:
     if case == "isl":
         if cfg.geometry is None:
             raise ConfigError("exclusion isl: config needs a geometry section")
-        curve = isl_projection(plan, _lambda_grid(p))
+        curve = isl_projection(plan, _grid(p, "lambda_min", "lambda_max"))
         _write_curve(curve, out_dir, "exclusion_isl", "exclusion isl", cfg)
     elif case == "coulomb":
         if cfg.capacitor is None:
             raise ConfigError("exclusion coulomb: config needs a capacitor section")
         curve = coulomb_projection(
-            plan, _lambda_grid(p), cfg.capacitor,
+            plan, _grid(p, "lambda_min", "lambda_max"), cfg.capacitor,
             polarizing_field=p.get("polarizing_field", 0.0))
         _write_curve(curve, out_dir, "exclusion_coulomb", "exclusion coulomb", cfg)
     elif case in ("millicharge", "neutrality"):
@@ -215,12 +219,10 @@ def cmd_exclusion(args) -> int:
         print(f"neutrality_bound_per_nucleon_e = {bound!r}")
         print(f"wrote {path}")
     elif case == "dm":
-        for key in ("q_min", "dm_mass_min", "dm_mass_max"):
-            if key not in p:
-                raise ConfigError(f"exclusion dm: plan.{key} is required")
+        if "q_min" not in p:
+            raise ConfigError("exclusion dm: plan.q_min is required")
         # Energy-dimension config values are already in eV.
-        masses = log_grid(p["dm_mass_min"], p["dm_mass_max"],
-                          p.get("points_per_decade", 60))
+        masses = _grid(p, "dm_mass_min", "dm_mass_max")
         curve = dm_projection(
             plan, masses, Quantity(p["q_min"], Dimension.MOMENTUM),
             mediator_mass_ev=p.get("mediator_mass", 0.0))

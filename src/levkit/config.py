@@ -341,10 +341,3 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     return parse_config(doc)
 
-
-def normalize_config(doc: dict) -> dict:
-    """Parse and re-emit the config with canonical SI unit strings.
-
-    Normalizing twice is a fixed point: parse(normalize(x)) == parse(x).
-    """
-    return parse_config(doc).normalized()

@@ -75,7 +75,6 @@ class SimulationConfig:
 class TimeSeries:
     sample_interval: float
     samples: np.ndarray
-    start_time: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -85,11 +84,7 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return self.start_time + self.sample_interval * np.arange(self.samples.size)
-
-    @property
-    def duration(self) -> float:
-        return self.sample_interval * self.samples.size
+        return self.sample_interval * np.arange(self.samples.size)
 
     def to_csv(self, path, provenance: Optional[dict] = None):
         """Two-column CSV (time_s, displacement_m) with '#' provenance header."""
@@ -254,8 +249,8 @@ class PsdEstimate:
         return float(self.frequency[1] - self.frequency[0])
 
 
-def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5) -> PsdEstimate:
-    """Averaged-periodogram (Welch) one-sided PSD with a Hann window.
+def estimate_psd(series: TimeSeries, segment_length: int) -> PsdEstimate:
+    """Averaged-periodogram (Welch) one-sided PSD, Hann window, 50 % overlap.
 
     Scaling uses the mean-square window correction, so sum(PSD) * df equals
     the variance of the window-corrected series.
@@ -267,7 +262,7 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5) 
     if x.size < m:
         raise DomainError(f"series of {x.size} samples shorter than one segment ({m})")
     fs = 1.0 / series.sample_interval
-    hop = max(1, int(round(m * (1.0 - overlap))))
+    hop = int(round(m * 0.5))
     window = np.hanning(m)
     u = float(np.mean(window**2))
 

@@ -212,26 +212,6 @@ class ExclusionCurve:
             doc["secondary_abscissa"] = list(self.secondary_abscissa)
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExclusionCurve":
-        doc = json.loads(text)
-        if doc.get("schema") != CURVE_SCHEMA:
-            raise DomainError(f"unsupported curve schema: {doc.get('schema')!r}")
-        sec = doc.get("secondary_abscissa")
-        return cls(
-            abscissa_kind=doc["abscissa_kind"],
-            abscissa=np.array(doc["abscissa"]),
-            coupling=np.array(doc["coupling"]),
-            provenance=doc["provenance"],
-            coupling_label=doc.get("coupling_label", "coupling"),
-            secondary_abscissa_kind=doc.get("secondary_abscissa_kind"),
-            secondary_abscissa=None if sec is None else np.array(sec),
-            warnings=tuple(doc.get("warnings", ())),
-        )
-
     def to_csv(self, path, header: Optional[dict] = None):
         """'#'-headed CSV: ``header`` lines first, then the schema and provenance."""
         lines = [*(header or {}).items(), ("schema", CURVE_SCHEMA)]
@@ -316,15 +296,9 @@ def coulomb_projection(
             capacitor.voltage, capacitor.plate_spacing, capacitor.standoff, coupling
         ).value
         if use_dipole:
-            # Gradient of the leakage field along the standoff direction.
-            grad = (
-                capacitor.voltage / (2.0 * capacitor.plate_spacing * lam)
-                * (
-                    math.exp(-capacitor.standoff / lam)
-                    - math.exp(-(capacitor.standoff + capacitor.plate_spacing) / lam)
-                )
-            )
-            force_per_chi2 = dipole * abs(grad)
+            # The leakage field falls off as e^(-standoff/lambda), so its
+            # gradient along the standoff is -field/lambda.
+            force_per_chi2 = dipole * e_per_chi2 / lam
         else:
             force_per_chi2 = charge * e_per_chi2
         if force_per_chi2 <= 0.0:

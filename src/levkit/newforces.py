@@ -364,15 +364,6 @@ def yukawa_force_modulated(
     return Quantity(amp_fine, Dimension.FORCE)
 
 
-def force_waveform(sphere: Sphere, coupling: YukawaCoupling, geom: ModulatedGeometry,
-                   n_phase: int = 256) -> np.ndarray:
-    """Time-domain Yukawa force over one drive period (for Parseval checks)."""
-    _require_kind(coupling, CouplingKind.ISL_ALPHA)
-    kernel, shifts = _point_kernel(sphere, geom, np.arange(n_phase) / n_phase)
-    point = kernel(geom, coupling.range_m, shifts, n_per_panel=16)
-    return _prefactor(sphere, coupling, geom) * point
-
-
 def capacitor_leakage_field(
     plate_voltage: float, plate_spacing: float, standoff: float, coupling: YukawaCoupling
 ) -> Quantity:

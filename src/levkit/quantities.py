@@ -1,16 +1,17 @@
 """Physical constants, unit conversions, and dimension-tagged scalar values.
 
-Everything internal to the library is SI; eV-based quantities are converted
-at the boundary.  The dimension system is deliberately a closed enumeration
-(no rational-exponent algebra): a Quantity knows which of a fixed set of
-dimensions it carries, mismatched arithmetic raises, and that is all.
+The constants are CODATA 2018 values.  Everything internal to the library
+is SI; eV-based quantities are converted at the boundary.  The dimension
+system is deliberately a closed enumeration (no rational-exponent algebra):
+a Quantity knows which of a fixed set of dimensions it carries, mismatched
+arithmetic raises, and that is all.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DimensionError(TypeError):
@@ -28,12 +29,10 @@ class Dimension(enum.Enum):
     VELOCITY = "velocity"
     FREQUENCY = "frequency"
     FORCE = "force"
-    ACCELERATION = "acceleration"
     CHARGE = "charge"
     ENERGY = "energy"
     TEMPERATURE = "temperature"
     ELECTRIC_FIELD = "electric-field"
-    FORCE_PSD = "PSD-of-force"
     FORCE_ASD = "ASD-of-force"            # N/sqrt(Hz)
     ACCELERATION_ASD = "ASD-of-acceleration"  # (m/s^2)/sqrt(Hz)
     MOMENTUM = "momentum"
@@ -121,50 +120,18 @@ class Quantity:
         return self.value >= self._check(other).value
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """CODATA-2018 constants, SI units.
-
-    Composite units (J s, J/K, ...) fall outside the closed dimension
-    enumeration, so those entries carry the dimensionless tag; the SI unit
-    is stated in the comment.
-    """
-
-    hbar: Quantity = field(default=Quantity(1.054571817e-34, Dimension.DIMENSIONLESS))  # J s
-    k_b: Quantity = field(default=Quantity(1.380649e-23, Dimension.DIMENSIONLESS))  # J/K
-    c: Quantity = field(default=Quantity(299792458.0, Dimension.DIMENSIONLESS))  # m/s, exact
-    G_N: Quantity = field(default=Quantity(6.67430e-11, Dimension.DIMENSIONLESS))
-    e: Quantity = field(default=Quantity(1.602176634e-19, Dimension.CHARGE))
-    eps0: Quantity = field(default=Quantity(8.8541878128e-12, Dimension.DIMENSIONLESS))
-    alpha_EM: Quantity = field(default=Quantity(7.2973525693e-3, Dimension.DIMENSIONLESS))
-    amu: Quantity = field(default=Quantity(1.66053906660e-27, Dimension.MASS))
-    source_tag: str = "CODATA-2018"
-
-
-CONSTANTS = ConstantsTable()
-
-# Bare-float aliases for the numerics-heavy modules.
-HBAR = CONSTANTS.hbar.value          # J s
-K_B = CONSTANTS.k_b.value            # J / K
-C_LIGHT = CONSTANTS.c.value          # m / s
-G_NEWTON = CONSTANTS.G_N.value       # m^3 / (kg s^2)
-E_CHARGE = CONSTANTS.e.value         # C
-EPS0 = CONSTANTS.eps0.value          # F / m
-ALPHA_EM = CONSTANTS.alpha_EM.value
-AMU = CONSTANTS.amu.value            # kg
+HBAR = 1.054571817e-34               # J s
+K_B = 1.380649e-23                   # J / K
+C_LIGHT = 299792458.0                # m / s, exact
+G_NEWTON = 6.67430e-11               # m^3 / (kg s^2)
+E_CHARGE = 1.602176634e-19           # C
+EPS0 = 8.8541878128e-12              # F / m
+AMU = 1.66053906660e-27              # kg
 PLANCK_H = 2.0 * math.pi * HBAR      # J s
 G_STANDARD = 9.80665                 # m / s^2, exact by definition
 
 EV = E_CHARGE                        # J per eV
 HBAR_C = HBAR * C_LIGHT              # J m
-
-
-def ev_to_joule(e_ev: float) -> float:
-    return e_ev * EV
-
-
-def joule_to_ev(e_j: float) -> float:
-    return e_j / EV
 
 
 def convert_mediator_mass_to_range(m: Quantity) -> Quantity:

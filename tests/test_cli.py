@@ -94,6 +94,17 @@ def test_simulate_writes_trajectory_and_psd(tmp_path, capsys):
     assert "equipartition temperature" in capsys.readouterr().out
 
 
+def test_psd_segment_longer_than_record_writes_nothing(tmp_path, capsys):
+    """The PSD is checked before the trajectory is written: exit 2, no output."""
+    out = tmp_path / "out"
+    doc = simulate_doc(out)
+    doc["simulation"]["psd_segment_length"] = 8192   # the record has 5000 samples
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: series of 5000 samples shorter than one segment")
+    assert not out.exists()
+
+
 def test_simulate_deterministic_across_reruns(tmp_path):
     doc = simulate_doc(tmp_path / "a")
     main(["simulate", write_config(tmp_path, doc, "a.json")])

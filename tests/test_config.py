@@ -6,7 +6,6 @@ from levkit.config import (
     CONFIG_SCHEMA,
     ConfigError,
     format_unit_string,
-    normalize_config,
     parse_config,
     parse_unit_string,
 )
@@ -144,8 +143,8 @@ def test_normalize_is_fixed_point():
     doc = minimal_doc()
     doc["noise"] = {"include_thermal": True, "technical_force_asd": "1 aN/Hz^0.5"}
     doc["plan"] = {"integration_time": "1e4 s", "drive_field": "1 kV/mm"}
-    once = normalize_config(doc)
-    twice = normalize_config(once)
+    once = parse_config(doc).normalized()
+    twice = parse_config(once).normalized()
     assert once == twice
     # normalization converts to canonical SI units
     assert once["sphere"]["radius"].endswith(" m")
@@ -159,7 +158,7 @@ def test_normalized_config_parses_identically():
     doc["capacitor"] = {"voltage": "10 kV", "plate_spacing": "1 mm",
                         "standoff": "100 um"}
     a = parse_config(doc)
-    b = parse_config(normalize_config(doc))
+    b = parse_config(parse_config(doc).normalized())
     assert a.sphere == b.sphere
     assert a.trap == b.trap
     assert a.capacitor == b.capacitor
@@ -255,21 +254,21 @@ ALL_FIELDS_NORMALIZED = {
 
 
 def test_normalize_all_fields_golden():
-    assert normalize_config(all_fields_doc()) == ALL_FIELDS_NORMALIZED
+    assert parse_config(all_fields_doc()).normalized() == ALL_FIELDS_NORMALIZED
 
 
 def test_normalize_other_geometries_golden():
     doc = all_fields_doc()
     doc["geometry"] = {"type": "plane_slab", "thickness": "20 um",
                        "density_contrast": "19300 kg/m^3", "distance": "6 um"}
-    assert normalize_config(doc)["geometry"] == {
+    assert parse_config(doc).normalized()["geometry"] == {
         "type": "plane_slab", "density_contrast": "19300.0 kg/m^3",
         "distance": "6e-06 m", "thickness": "1.9999999999999998e-05 m"}
     doc["geometry"] = {"type": "fluid_capillary", "inner_diameter": "10 um",
                        "droplet_length": "40 um", "density_a": "3 g/cm^3",
                        "density_b": "800 kg/m^3", "distance": "12 um",
                        "modulation_frequency": "50 Hz"}
-    assert normalize_config(doc)["geometry"] == {
+    assert parse_config(doc).normalized()["geometry"] == {
         "type": "fluid_capillary", "density_a": "3000.0 kg/m^3",
         "density_b": "800.0 kg/m^3", "distance": "1.2e-05 m",
         "droplet_length": "3.9999999999999996e-05 m",
@@ -290,7 +289,7 @@ def test_normalize_fills_defaults_golden():
                        "bath_temperature": "300 K", "impulses": []},
         "output": {"directory": "d"},
     }
-    assert normalize_config(doc) == {
+    assert parse_config(doc).normalized() == {
         "schema": "levkit-config/1",
         "sphere": {"density": "1850.0 kg/m^3", "material_label": "silica", "net_charge": 0,
                    "radius": "4.9999999999999996e-06 m", "relative_permittivity": 3.9},
@@ -317,8 +316,8 @@ def _shipped_docs():
 
 def test_shipped_configs_normalize_to_fixed_points():
     for name, doc in _shipped_docs():
-        once = normalize_config(doc)
-        assert normalize_config(once) == once, name
+        once = parse_config(doc).normalized()
+        assert parse_config(once).normalized() == once, name
         a, b = parse_config(doc), parse_config(once)
         for attr in ("sphere", "trap", "simulation", "impulses", "psd_segment_length",
                      "false_alarm_rate", "geometry", "capacitor", "halo", "plan_section",

@@ -8,6 +8,7 @@ from levkit.quantities import Dimension, DomainError, EV, HBAR_C, Quantity
 from levkit.sensor import NoiseModel, Sphere, TrapState
 from levkit.newforces import FingerArray, PlaneSlab
 from levkit.limits import (
+    CURVE_SCHEMA,
     Capacitor,
     ExclusionCurve,
     HaloModel,
@@ -24,6 +25,7 @@ from levkit.limits import (
     neutrality_sensitivity,
 )
 from levkit.oracles import mc_dm_rate
+from levkit.writer import json_text
 
 SPHERE = Sphere(radius=5e-6)
 TRAP = TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=300.0)
@@ -72,18 +74,12 @@ def test_exclusion_curve_json_round_trip():
     curve = ExclusionCurve("lambda_m", np.array([1e-6, 1e-5]),
                            np.array([1e-3, 1e-4]), {"case": "demo"},
                            coupling_label="alpha_min", warnings=("note",))
-    back = ExclusionCurve.from_json(curve.to_json())
-    assert np.array_equal(back.abscissa, curve.abscissa)
-    assert np.array_equal(back.coupling, curve.coupling)
-    assert back.provenance == {"case": "demo"}
-    assert back.warnings == ("note",)
-
-
-def test_exclusion_curve_rejects_other_schema():
-    doc = {"schema": "something-else/9", "abscissa_kind": "lambda_m",
-           "abscissa": [1.0], "coupling": [1.0], "provenance": {}}
-    with pytest.raises(DomainError):
-        ExclusionCurve.from_json(json.dumps(doc))
+    back = json.loads(json_text(curve.to_json_dict()))
+    assert back["schema"] == CURVE_SCHEMA
+    assert np.array_equal(back["abscissa"], curve.abscissa)
+    assert np.array_equal(back["coupling"], curve.coupling)
+    assert back["provenance"] == {"case": "demo"}
+    assert back["warnings"] == ["note"]
 
 
 def test_exclusion_curve_csv(tmp_path):
@@ -154,6 +150,26 @@ def test_coulomb_dipole_mode_requires_field():
         coulomb_projection(flat_plan(), [1e-4], cap)
     curve = coulomb_projection(flat_plan(), [1e-4], cap, polarizing_field=1e6)
     assert curve.coupling[0] > 0.0
+
+
+def test_coulomb_dipole_mode_matches_field_gradient():
+    """An uncharged sphere's induced dipole against the leakage field's
+    gradient in standoff, taken here by a central finite difference."""
+    from levkit.newforces import CouplingKind, YukawaCoupling, capacitor_leakage_field
+    from levkit.sensor import induced_dipole
+    cap = Capacitor(voltage=1e4, plate_spacing=1e-3, standoff=100e-6)
+    plan = flat_plan()
+    lambdas = [1e-5, 1e-4, 1e-3, 1e-2]
+    curve = coulomb_projection(plan, lambdas, cap, polarizing_field=1e6)
+    dipole = induced_dipole(plan.sphere, 1e6).value
+    for lam, chi in zip(lambdas, curve.coupling):
+        coupling = YukawaCoupling(CouplingKind.COULOMB_CHI2, 1.0, lam)
+        h = 1e-4 * lam
+        near, far = (capacitor_leakage_field(cap.voltage, cap.plate_spacing, d, coupling).value
+                     for d in (cap.standoff - h, cap.standoff + h))
+        grad = (far - near) / (2.0 * h)
+        expected = math.sqrt(plan.min_force() / (dipole * abs(grad)))
+        assert chi == pytest.approx(expected, rel=1e-6)
 
 
 # ------------------------------------------------------------------------- DM

@@ -21,7 +21,6 @@ from levkit.newforces import (
     capacitor_leakage_field,
     casimir_background_sphere_plane,
     dm_yukawa_point_potential,
-    force_waveform,
     sphere_form_factor,
     yukawa_force_modulated,
     yukawa_force_plane,
@@ -172,7 +171,11 @@ def test_capillary_harmonic_vs_oracle():
 def test_modulated_waveform_parseval():
     """Harmonic amplitudes must account for the waveform's AC power."""
     sphere = Sphere(radius=2.5e-6)
-    wave = force_waveform(sphere, isl(10e-6), FINGERS, n_phase=256)
+    # The force over one drive period at 256 phases, from the point kernel
+    # that yukawa_force_modulated samples.
+    kernel, shifts = newforces._point_kernel(sphere, FINGERS, np.arange(256) / 256)
+    wave = (newforces._prefactor(sphere, isl(10e-6), FINGERS)
+            * kernel(FINGERS, 10e-6, shifts, n_per_panel=16))
     ac_power = float(np.mean((wave - np.mean(wave)) ** 2))
     total = 0.0
     for h in range(1, 9):
@@ -251,19 +254,16 @@ def test_unconverged_quadrature_is_runtime_exit(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("evaluate", [yukawa_force_modulated, force_waveform])
-def test_modulated_rejects_unsupported_geometry(evaluate):
+def test_modulated_rejects_unsupported_geometry():
     slab = PlaneSlab(thickness=20e-6, density_contrast=19300.0, distance=6e-6)
     with pytest.raises(DomainError, match="unsupported modulated geometry: PlaneSlab"):
-        evaluate(Sphere(radius=2.5e-6), isl(10e-6), slab)
+        yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), slab)
 
 
 def test_modulated_overlap_rejected():
     sphere = Sphere(radius=6e-6)
     with pytest.raises(GeometryError):
         yukawa_force_modulated(sphere, isl(10e-6), FINGERS)
-    with pytest.raises(GeometryError):
-        force_waveform(sphere, isl(10e-6), FINGERS)
 
 
 def test_modulated_requires_enough_phases():
