@@ -39,7 +39,6 @@ from .dynamics import (  # noqa: F401
     TimeSeries,
     estimate_psd,
     fit_lorentzian,
-    matched_filter_outputs,
     search_impulses,
     simulate,
 )

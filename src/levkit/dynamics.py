@@ -16,21 +16,26 @@ thermally limited oscillator shows a Lorentzian with plateau force PSD
 4 kB T m gamma, i.e. twice the square of ``sensor.thermal_force_asd``.
 
 The discretisation lives in ``_LinearTrap`` alone, built once per call of
-``simulate``, ``impulse_response_template`` or ``search_impulses``: the template
-is the impulse response of the filter that makes the record.
+``simulate`` or ``search_impulses``: the matched-filter template is the
+impulse response of the filter that makes the record.  The model runs in
+blocks of ``_BLOCK`` samples with its filter state carried between them, so
+a whole-record array exists only where a caller keeps one.
 
-Impulse search: ``search_impulses`` simulates one run.  Its thermal noise is
-drawn once, at full rate; the matched-filter threshold comes from that noise
-record and the impulse amplitudes from the same record with the impulses
-added, both at full rate.  ``record_decimation`` thins only the trajectory
-that is returned for writing.
+Impulse search: ``search_impulses`` simulates one run in a single pass over
+those blocks.  Its thermal noise is drawn once, at full rate; an
+overlap-save matched filter turns each noise block into filter outputs, of
+which only the largest are kept for the threshold, and the impulse
+amplitudes are read from the same record with the impulses added, both at
+full rate.  ``record_decimation`` thins only the trajectory that is returned
+for writing.  A search holds O(template + N p + N / record_decimation)
+floats for N samples at false-alarm probability p per sample (plus one
+template length per injected impulse), not O(N).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,6 +119,12 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
     return trap.effective_damping + config.feedback_gain
 
 
+# Samples per block of a streamed run; also the least FFT length of the
+# search's overlap-save filter, which is raised to the next power of two
+# >= 8 template lengths when the template is longer.
+_BLOCK = 2**17
+
+
 class _LinearTrap:
     """The BAOAB discretisation of one trap, checked and built once.
 
@@ -148,24 +159,57 @@ class _LinearTrap:
 
         def displacement_filter(column):
             num, den = signal.ss2tf(m_step, column[:, None], [[1.0, 0.0]], [[0.0]])
-            return partial(signal.lfilter, num[0], den)
+            return num[0], den
 
         unit_velocity = np.array([0.0, 1.0])
         self._noise_filter = displacement_filter(kick @ drift @ unit_velocity)
         self._impulse_filter = displacement_filter(m_step @ unit_velocity)
 
-    def noise(self) -> np.ndarray:
-        """Full-rate thermal displacement from x = v = 0; zeros at zero temperature."""
-        if self.config.bath_temperature == 0.0:
-            return np.zeros(self.n)
-        rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
-        x = self._noise_filter(rng.standard_normal(self.n) * self._kick_std)
-        _check_energy_growth(x, self.gamma_total, self.dt)
-        return x
+    def blocks(self, injected: Sequence[ImpulseEvent] = ()):
+        """The run from x = v = 0 in consecutive full-rate blocks of ``_BLOCK`` steps.
 
-    def response(self, kicks: np.ndarray) -> np.ndarray:
-        """Displacement from rest driven by velocity kicks, one per step (m/s)."""
-        return self._impulse_filter(kicks)
+        Yields ``(start, noise, x)``: the block's first step, its thermal
+        displacement (zeros at zero temperature) and its displacement with the
+        impulses' response added, each impulse adding q/m to the velocity at
+        its nearest step.  Both filters carry their state from block to block,
+        so the samples are those of one whole-record pass, bit for bit.  After
+        the last block the noise is checked for energy growth.
+        """
+        from scipy import signal
+
+        steps = self.kick_steps(injected)
+        rng = None
+        if self.config.bath_temperature > 0.0:
+            rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
+        # The energy-growth check reads 2..5 relaxation times and the last 3.
+        relax = int(math.ceil(1.0 / (self.gamma_total * self.dt)))
+        windows = ()
+        if rng is not None and self.n >= 10 * relax:
+            windows = (_Span(2 * relax, 5 * relax), _Span(self.n - 3 * relax, self.n))
+        noise_state = np.zeros(self._noise_filter[1].size - 1)
+        impulse_state = np.zeros(self._impulse_filter[1].size - 1)
+        for start in range(0, self.n, _BLOCK):
+            size = min(_BLOCK, self.n - start)
+            if rng is None:
+                noise = np.zeros(size)
+            else:
+                noise, noise_state = signal.lfilter(
+                    *self._noise_filter, rng.standard_normal(size) * self._kick_std,
+                    zi=noise_state)
+            for window in windows:
+                window.take(start, noise)
+            x = noise
+            if injected:
+                kicks = np.zeros(size)
+                for ev, idx in zip(injected, steps):
+                    if start <= idx < start + size:
+                        kicks[idx - start] += ev.direction * ev.momentum_transfer / self.mass
+                response, impulse_state = signal.lfilter(*self._impulse_filter, kicks,
+                                                         zi=impulse_state)
+                x = noise + response
+            yield start, noise, x
+        if windows:
+            _check_energy_growth(*(window.values for window in windows))
 
     def kick_steps(self, injected: Sequence[ImpulseEvent]) -> list:
         """The step nearest each impulse's time; outside the simulated span is an error."""
@@ -175,18 +219,32 @@ class _LinearTrap:
                 raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
         return steps
 
-    def kick_train(self, injected: Sequence[ImpulseEvent]) -> np.ndarray:
-        """Full-rate velocity kicks: each impulse adds q/m at its nearest step."""
-        kicks = np.zeros(self.n)
-        for ev, idx in zip(injected, self.kick_steps(injected)):
-            kicks[idx] += ev.direction * ev.momentum_transfer / self.mass
-        return kicks
-
     def template(self) -> np.ndarray:
         """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
+        from scipy import signal
+
         kicks = np.zeros(int(round(10.0 / self.gamma_total / self.dt)))
         kicks[0] = 1.0 / self.mass
-        return self.response(kicks)
+        return signal.lfilter(*self._impulse_filter, kicks)
+
+
+class _Span:
+    """Every ``step``-th sample of the steps [start, stop) of a run streamed in
+    blocks, copied into one compact array as the blocks pass."""
+
+    def __init__(self, start: int, stop: int, step: int = 1):
+        self.start, self.stop, self.step = start, stop, step
+        self.values = np.empty(len(range(start, stop, step)))
+
+    def take(self, first: int, block: np.ndarray):
+        """Copy what ``block``, whose first sample is step ``first``, holds of the span."""
+        lo = max(self.start, first)
+        lo += (self.start - lo) % self.step
+        hi = min(self.stop, first + block.size)
+        if lo < hi:
+            chunk = block[lo - first: hi - first: self.step]
+            at = (lo - self.start) // self.step
+            self.values[at: at + chunk.size] = chunk
 
 
 def simulate(
@@ -198,37 +256,28 @@ def simulate(
     """Integrate the damped, thermally driven oscillator from x = v = 0.
 
     Deterministic for a given (rng_seed, config).  Injected impulses add
-    q/m to the velocity at the nearest time step.
+    q/m to the velocity at the nearest time step.  Only the recorded
+    (decimated) series is held in memory.
     """
     model = _LinearTrap(sphere, trap, config)
     if config.duration < 100.0 / model.gamma_total and not config.allow_short_run:
         raise DomainError(
             "duration shorter than 100 relaxation times; set allow_short_run to override"
         )
-    x = model.noise()
-    if injected:
-        x = x + model.response(model.kick_train(injected))
-    return _record(x, config)
+    record = _Span(0, model.n, config.record_decimation)
+    for start, _, x in model.blocks(injected):
+        record.take(start, x)
+    return _series(record, config)
 
 
-def _record(x: np.ndarray, config: SimulationConfig) -> TimeSeries:
-    """The recorded series: every ``record_decimation``-th full-rate sample.
-
-    At a decimation above one the record is a compact copy, so it does not
-    keep the full-rate array alive; at one it is the array itself.
-    """
-    k = config.record_decimation
-    return TimeSeries(sample_interval=config.time_step * k,
-                      samples=np.ascontiguousarray(x[::k]))
+def _series(record: _Span, config: SimulationConfig) -> TimeSeries:
+    """The recorded series: every ``record_decimation``-th full-rate sample."""
+    return TimeSeries(sample_interval=config.time_step * config.record_decimation,
+                      samples=record.values)
 
 
-def _check_energy_growth(x: np.ndarray, gamma_total: float, dt: float):
+def _check_energy_growth(early: np.ndarray, late: np.ndarray):
     """Flag runaway trajectories: late-time RMS > 10x post-transient RMS."""
-    relax = int(math.ceil(1.0 / (gamma_total * dt)))
-    if x.size < 10 * relax:
-        return
-    early = x[2 * relax: 5 * relax]
-    late = x[-3 * relax:]
     rms_early = float(np.sqrt(np.mean(early**2)))
     rms_late = float(np.sqrt(np.mean(late**2)))
     if rms_early > 0.0 and rms_late > 10.0 * rms_early:
@@ -329,32 +378,6 @@ def fit_lorentzian(psd_est: PsdEstimate, mass: float,
                          force_psd=float(math.exp(popt[0])))
 
 
-def impulse_response_template(
-    sphere: Sphere, trap: TrapState, config: SimulationConfig
-) -> np.ndarray:
-    """Displacement response to a unit (1 kg m/s) impulse, truncated at 10/gamma_eff.
-
-    Filtered by the same discretised trap as ``simulate``'s impulse response,
-    so the template matches the discrete closed-loop dynamics exactly.
-    """
-    return _LinearTrap(sphere, trap, config).template()
-
-
-def matched_filter_outputs(series: TimeSeries, template: np.ndarray) -> np.ndarray:
-    """Correlate a trajectory against the impulse template.
-
-    Output is calibrated in momentum units: a clean impulse q produces a
-    peak of q at the sample where it occurred.
-    """
-    from scipy import signal
-
-    norm = float(np.dot(template, template))
-    if norm <= 0.0:
-        raise DomainError("degenerate matched-filter template")
-    full = signal.fftconvolve(series.samples, template[::-1], mode="full")
-    return full[template.size - 1:] / norm
-
-
 @dataclass(frozen=True)
 class ImpulseSearch:
     """What ``search_impulses`` found in one simulated run."""
@@ -373,15 +396,21 @@ def search_impulses(
 ) -> ImpulseSearch:
     """Simulate one run and pick the injected impulses out of its thermal noise.
 
-    The thermal motion is simulated once, at full rate.  The threshold is the
-    empirical (1 - FAR * dt) quantile of |filter output| on that noise alone;
-    no Gaussian assumption.  It requires at least 1e4 filter correlation times
-    (~1/gamma_eff) of simulated noise.  The impulses' response is then added,
-    and each amplitude is the largest |filter output| at the five full-rate
-    lags around its impulse, whatever ``record_decimation`` is.  Only the
-    returned series is decimated.  An impulse whose lags reach into the last
-    template length of the record, which the threshold drops, is a
-    ``DomainError``, raised before anything is simulated.
+    The thermal motion is simulated once, at full rate, in one pass over the
+    model's blocks.  The threshold is the empirical (1 - FAR * dt) quantile of
+    |filter output| on that noise alone; no Gaussian assumption.  It requires
+    at least 1e4 filter correlation times (~1/gamma_eff) of simulated noise.
+    The impulses' response is added to the same blocks, and each amplitude is
+    the largest |filter output| at the five full-rate lags around its
+    impulse, whatever ``record_decimation`` is.  Only the returned series is
+    decimated.  An impulse whose lags reach into the last template length of
+    the record, which the threshold drops, is a ``DomainError``; it and every
+    other check that depends only on the record length, the template and the
+    false-alarm rate are raised before anything is simulated.
+
+    Memory is O(template + N p + N / record_decimation) floats for N samples
+    and false-alarm probability p = FAR * dt per sample, plus one template
+    length per injected impulse: never the whole full-rate record.
     """
     if false_alarm_rate <= 0.0:
         raise DomainError("false alarm rate must be positive")
@@ -404,46 +433,123 @@ def search_impulses(
             raise DomainError(
                 f"impulse at t = {ev.time} s is inside the last filter template length "
                 f"of the record; the last usable time is {last * model.dt} s")
+    noise_threshold = _NoiseThreshold(template, model.n, false_alarm_rate * model.dt)
 
-    noise = TimeSeries(sample_interval=model.dt, samples=model.noise())
-    threshold = _noise_threshold(noise, template, false_alarm_rate)
-
-    x = noise.samples
-    if injected:
-        x = x + model.response(model.kick_train(injected))
-    norm = float(np.dot(template, template))
-    amplitudes = tuple(_peak_correlation(x, template, idx) / norm for idx in steps)
-    return ImpulseSearch(series=_record(x, config),
-                         threshold=Quantity(threshold, Dimension.MOMENTUM),
+    record = _Span(0, model.n, config.record_decimation)
+    # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
+    reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
+    for start, noise, x in model.blocks(injected):
+        noise_threshold.take(noise)
+        for span in (record, *reads):
+            span.take(start, x)
+    amplitudes = tuple(
+        _peak_correlation(read.values, template, idx - read.start) / noise_threshold.norm
+        for read, idx in zip(reads, steps))
+    return ImpulseSearch(series=_series(record, config),
+                         threshold=Quantity(noise_threshold.threshold(), Dimension.MOMENTUM),
                          amplitudes=amplitudes)
 
 
-def _noise_threshold(noise: TimeSeries, template: np.ndarray, false_alarm_rate: float) -> float:
-    """The (1 - FAR * dt) quantile of |filter output| on a noise-only record."""
-    outputs = matched_filter_outputs(noise, template)
-    # Drop trailing lags where the template overruns the end of the series.
-    if outputs.size <= template.size:
-        raise ThresholdEstimateError("series shorter than the filter template")
-    outputs = outputs[: -template.size]
+class _NoiseThreshold:
+    """The (1 - p) quantile of |matched-filter output| on a noise record fed in blocks.
 
-    p_exceed = false_alarm_rate * noise.sample_interval
-    if p_exceed >= 1.0:
-        raise DomainError("false alarm rate above one per sample")
-    tail_count = outputs.size * p_exceed
-    if 0.0 < p_exceed and tail_count < 10.0:
-        raise ThresholdEstimateError(
-            f"only {tail_count:.1f} expected tail samples at this false-alarm rate; "
-            "simulate longer or relax the rate"
-        )
-    return float(np.quantile(np.abs(outputs), 1.0 - p_exceed))
+    The filter output at lag j is sum_k x[j+k] template[k] / |template|^2,
+    calibrated so that a clean impulse q reads q.  It is computed by
+    overlap-save (Oppenheim & Schafer, Discrete-Time Signal Processing,
+    sec. 8.7): segments of ``size`` samples, each overlapping the previous
+    one by M - 1 for a template of M samples, give size - M + 1 lags apiece
+    from one FFT product with the template's cached spectrum.  The last M
+    lags, where the template overruns the record, are dropped.  Of the kept
+    outputs only the ceil(lags * p) + 2 largest are held, which is enough for
+    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.
+    """
+
+    def __init__(self, template: np.ndarray, n: int, p_exceed: float):
+        self.norm = float(np.dot(template, template))
+        if self.norm <= 0.0:
+            raise DomainError("degenerate matched-filter template")
+        self.lags = n - template.size
+        if self.lags <= 0:
+            raise ThresholdEstimateError("series shorter than the filter template")
+        if p_exceed >= 1.0:
+            raise DomainError("false alarm rate above one per sample")
+        tail_count = self.lags * p_exceed
+        if 0.0 < p_exceed and tail_count < 10.0:
+            raise ThresholdEstimateError(
+                f"only {tail_count:.1f} expected tail samples at this false-alarm rate; "
+                "simulate longer or relax the rate"
+            )
+        self.quantile = 1.0 - p_exceed
+        self.keep = math.ceil(tail_count) + 2
+        size = max(_BLOCK, 1 << (8 * template.size - 1).bit_length())
+        self.spectrum = np.conj(np.fft.rfft(template, size))
+        self.overlap = template.size - 1
+        self.segment = np.empty(size)
+        self.filled = 0          # samples of the segment held so far
+        self.first_lag = 0       # the lag of the segment's first sample
+        self.top = np.empty(0)   # the largest |outputs| so far, unnormalized
+
+    def take(self, block: np.ndarray):
+        """Filter the next samples of the record."""
+        while block.size:
+            count = min(block.size, self.segment.size - self.filled)
+            self.segment[self.filled: self.filled + count] = block[:count]
+            self.filled += count
+            block = block[count:]
+            if self.filled == self.segment.size:
+                self._correlate()
+
+    def _correlate(self):
+        """Keep the largest outputs of the segment's lags, then slide it one hop on."""
+        size = self.segment.size
+        hop = size - self.overlap
+        count = min(hop, self.lags - self.first_lag)
+        if count > 0:
+            out = np.fft.irfft(np.fft.rfft(self.segment) * self.spectrum, size)[:count]
+            top = np.concatenate((self.top, np.abs(out)))
+            if top.size > self.keep:
+                top = np.partition(top, top.size - self.keep)[top.size - self.keep:]
+            self.top = top
+        self.segment[:self.overlap] = self.segment[hop:]
+        self.filled = self.overlap
+        self.first_lag += hop
+
+    def threshold(self) -> float:
+        """The quantile, once the whole record has been taken, kg m/s."""
+        if self.first_lag < self.lags:
+            # A partial last segment: its kept lags read only samples it holds.
+            self._correlate()
+        return _top_quantile(self.top / self.norm, self.lags, self.quantile)
+
+
+def _top_quantile(top: np.ndarray, n: int, q: float) -> float:
+    """``np.quantile(a, q)`` of an array ``a`` of ``n`` values, from its largest.
+
+    ``top`` holds the largest values of ``a`` (any order), enough of them to
+    include both order statistics that the linear rule interpolates.  The
+    arithmetic is numpy's own: virtual index (n - 1) q, and the two-sided
+    lerp of ``numpy.lib._function_base_impl._lerp``, so the result is
+    bit-equal to ``np.quantile``.
+    """
+    top = np.sort(top)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(top[-1])
+    below = math.floor(virtual)
+    offset = n - top.size
+    if below < offset:
+        raise ValueError(f"{top.size} largest values cannot give quantile {q} of {n}")
+    a, b = float(top[below - offset]), float(top[below + 1 - offset])
+    t = virtual - below
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _peak_correlation(x: np.ndarray, template: np.ndarray, idx: int) -> float:
     """Largest |sum_k x[j+k] template[k]| over the lags j = idx-2 .. idx+2.
 
-    The same sums as ``matched_filter_outputs`` before its normalization,
-    taken directly at five lags instead of by a full-length FFT.  The caller
-    keeps idx + 2 + template.size within the record.
+    The filter output before its normalization, taken directly at five lags.
+    The caller keeps idx + 2 + template.size within ``x``.
     """
     return max(abs(float(np.dot(x[j: j + template.size], template)))
                for j in range(max(0, idx - 2), idx + 3))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
+# scipy.special is imported inside the functions that use it: at module level
+# it is most of the import time of every command.
 
 from . import __version__ as _code_version
 from .quantities import (
@@ -90,6 +91,8 @@ class HaloModel:
 
     def speed_pdf(self, v: np.ndarray) -> np.ndarray:
         """Earth-frame speed distribution, normalized to unit integral. v in m/s."""
+        from scipy.special import erf
+
         v = np.asarray(v, dtype=float)
         v0 = self.v0
         vesc = self.v_escape
@@ -230,6 +233,8 @@ def log_grid(start: float, stop: float, points_per_decade: int = 60) -> np.ndarr
     """Logarithmic abscissa grid with fixed per-decade density."""
     if start <= 0.0 or stop <= start:
         raise DomainError("grid endpoints must satisfy 0 < start < stop")
+    if points_per_decade < 1:
+        raise DomainError(f"points_per_decade must be >= 1, got {points_per_decade}")
     n = max(2, int(round(math.log10(stop / start) * points_per_decade)) + 1)
     return np.logspace(math.log10(start), math.log10(stop), n)
 
@@ -367,10 +372,6 @@ def dm_rate_above_threshold(
 
     and is averaged over the halo speed distribution numerically.
     """
-    # Imported here: scipy.integrate pulls in scipy.optimize, which would
-    # otherwise be most of the import time of every levkit command.
-    from scipy.integrate import trapezoid
-
     if q_min_si <= 0.0:
         raise DomainError("impulse threshold must be positive")
     if dm_mass_ev <= 0.0:
@@ -389,7 +390,7 @@ def dm_rate_above_threshold(
 
     n_dm = halo.density_gev_cm3 * 1e9 / dm_mass_ev            # cm^-3
     integrand = pdf * v * sigma_cm2
-    flux_avg = trapezoid(integrand, v) * C_LIGHT * 100.0      # cm/s * cm^2
+    flux_avg = np.trapezoid(integrand, v) * C_LIGHT * 100.0   # cm/s * cm^2
     return n_dm * flux_avg                                    # 1/s
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import k0
+# scipy.special is imported inside the function that uses it: at module level
+# it is most of the import time of every command.
 
 from .quantities import (
     Dimension,
@@ -273,6 +274,8 @@ def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
     and only the lateral (x) integral is done by quadrature.  Returns one
     value per lateral pattern shift.
     """
+    from scipy.special import k0
+
     d = geom.distance
     x_nodes, x_weights = _strip_nodes(geom.finger_width, geom.n_finger_pairs, d, lam,
                                       shifts, n_per_panel)

@@ -273,7 +273,8 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     src = str(Path(levkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys, levkit.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.special', "
+            "'scipy.integrate') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.strip() == "[]"
@@ -310,11 +311,12 @@ def amplitudes(detections):
 
 
 def test_search_matches_fft_filter_golden(tmp_path):
-    """Threshold and amplitudes as the full-record FFT filter gave them."""
+    """Threshold and amplitudes as the full-record FFT filter gave them: the
+    amplitudes bit for bit, the overlap-save threshold within 1e-12."""
     found = run_search(tmp_path, 1)
-    assert found["threshold_kg_m_s"] == 1.396742048371855e-19
-    assert amplitudes(found) == pytest.approx([4.3436610214159e-19, 4.390235937278543e-19],
-                                              rel=1e-12, abs=0.0)
+    assert found["threshold_kg_m_s"] == pytest.approx(1.396742048371855e-19,
+                                                      rel=1e-12, abs=0.0)
+    assert amplitudes(found) == [4.3436610214159e-19, 4.390235937278543e-19]
 
 
 def test_decimated_search_reads_full_rate_amplitudes(tmp_path):
@@ -349,6 +351,18 @@ def test_impulse_at_end_of_record_is_config_error(tmp_path, capsys):
     assert "last usable time" in err and "Traceback" not in err
     assert not (out / "detections.json").exists()
     assert not out.exists()
+
+
+def test_non_positive_points_per_decade_is_config_error(tmp_path, capsys):
+    """A grid density below one point per decade: exit 2, no curve written."""
+    doc = json.loads((_config_dir() / "isl_finger_20um.json").read_text())
+    out = tmp_path / "out"
+    doc["output"]["directory"] = str(out)
+    doc["plan"]["points_per_decade"] = -5
+    assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: points_per_decade must be >= 1")
+    assert captured.out == "" and not out.exists()
 
 
 def test_unwritable_output_is_runtime_exit(tmp_path, capsys):

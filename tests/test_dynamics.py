@@ -14,8 +14,6 @@ from levkit.dynamics import (
     TimeSeries,
     estimate_psd,
     fit_lorentzian,
-    impulse_response_template,
-    matched_filter_outputs,
     search_impulses,
     simulate,
     total_damping,
@@ -40,6 +38,23 @@ def imp_config(g_fb, seed=777):
 def threshold(trap, config, false_alarm_rate=1.0):
     """The impulse threshold of a noise-only search, kg m/s."""
     return search_impulses(IMP_SPHERE, trap, config, (), false_alarm_rate).threshold.value
+
+
+def trap_template(sphere, trap, config):
+    """The search's matched-filter template: the model's unit-impulse response."""
+    return dynamics._LinearTrap(sphere, trap, config).template()
+
+
+def matched_filter_outputs(samples, template):
+    """Reference filter: the whole record correlated with the template by one FFT.
+
+    Calibrated in momentum units, so a clean impulse q reads q at its sample.
+    The search streams the same correlation by overlap-save.
+    """
+    from scipy import signal
+
+    full = signal.fftconvolve(samples, template[::-1], mode="full")
+    return full[template.size - 1:] / float(np.dot(template, template))
 
 
 def test_simulation_deterministic():
@@ -110,7 +125,7 @@ def test_lorentzian_fit_recovers_parameters():
 
 
 def test_impulse_response_template_shape():
-    tpl = impulse_response_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
+    tpl = trap_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
     gamma_eff = 1000.0
     assert tpl.size == int(round(10.0 / gamma_eff / 2e-5))
     assert np.max(np.abs(tpl)) > 0.0
@@ -125,8 +140,8 @@ def test_matched_filter_calibration():
     q = 3e-19
     kick = ImpulseEvent(time=0.05, momentum_transfer=q, direction=1)
     series = simulate(IMP_SPHERE, IMP_TRAP, quiet, injected=[kick])
-    tpl = impulse_response_template(IMP_SPHERE, IMP_TRAP, quiet)
-    out = matched_filter_outputs(series, tpl)
+    tpl = trap_template(IMP_SPHERE, IMP_TRAP, quiet)
+    out = matched_filter_outputs(series.samples, tpl)
     assert np.max(out) == pytest.approx(q, rel=1e-6)
 
 
@@ -152,13 +167,15 @@ def test_detection_efficiency_above_threshold():
 
 
 def test_threshold_golden():
-    """The full-rate threshold as the FFT filter of the noise record gave it."""
-    assert threshold(IMP_TRAP, imp_config(995.0)) == 1.396742048371855e-19
+    """The full-rate threshold as the whole-record FFT filter of the noise gave it;
+    the overlap-save filter rounds differently, within 1e-12."""
+    assert threshold(IMP_TRAP, imp_config(995.0)) == pytest.approx(
+        1.396742048371855e-19, rel=1e-12, abs=0.0)
 
 
 def test_search_draws_noise_and_template_once(monkeypatch):
-    """One search: one discretised trap, one noise draw, one template, and no
-    call of simulate (so no zero-temperature run) or of the public template."""
+    """One search: one discretised trap, one pass over its blocks, one template,
+    and no call of simulate (so no zero-temperature run)."""
     import scipy.signal
 
     calls = []
@@ -171,14 +188,13 @@ def test_search_draws_noise_and_template_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("simulate", "impulse_response_template"):
-        counted(dynamics, name)
-    for name in ("__init__", "noise", "template"):
+    counted(dynamics, "simulate")
+    for name in ("__init__", "blocks", "template"):
         counted(dynamics._LinearTrap, name)
     counted(scipy.signal, "ss2tf")
     kick = ImpulseEvent(time=10.0, momentum_transfer=1e-18, direction=1)
     search_impulses(IMP_SPHERE, IMP_TRAP, imp_config(995.0), [kick], 1.0)
-    assert sorted(calls) == ["__init__", "noise", "ss2tf", "ss2tf", "template"]
+    assert sorted(calls) == ["__init__", "blocks", "ss2tf", "ss2tf", "template"]
 
 
 @pytest.mark.parametrize("sphere, trap, config", [
@@ -195,7 +211,7 @@ def test_template_is_the_zero_temperature_unit_kick_run(sphere, trap, config):
                    bath_temperature=0.0, allow_short_run=True)
     kick = ImpulseEvent(time=0.0, momentum_transfer=1.0, direction=1)
     run = simulate(sphere, trap, cold, injected=[kick]).samples
-    tpl = impulse_response_template(sphere, trap, config)
+    tpl = trap_template(sphere, trap, config)
     assert tpl.dtype == run.dtype and tpl.shape == run.shape
     np.testing.assert_array_equal(tpl.view(np.int64), run.view(np.int64))
 
@@ -205,9 +221,9 @@ def test_impulse_in_the_dropped_lags_rejected_before_simulating(monkeypatch):
     raised before any noise is drawn; the last usable step is accepted."""
     cfg = imp_config(995.0)
     drawn = []
-    noise = dynamics._LinearTrap.noise
-    monkeypatch.setattr(dynamics._LinearTrap, "noise",
-                        lambda self: drawn.append(1) or noise(self))
+    blocks = dynamics._LinearTrap.blocks
+    monkeypatch.setattr(dynamics._LinearTrap, "blocks",
+                        lambda self, *args: drawn.append(1) or blocks(self, *args))
     n, size = 1_000_000, 500                      # 20 s and 10 ms at 20 us
     last = (n - size - 3) * cfg.time_step
     late = ImpulseEvent(time=last + cfg.time_step, momentum_transfer=1e-18, direction=1)
@@ -261,6 +277,111 @@ def test_trap_and_simulation_cold_damping_add():
         simulate(IMP_SPHERE, trap_fb, imp_config(0.0)).samples,
         simulate(IMP_SPHERE, IMP_TRAP, imp_config(995.0)).samples)
     np.testing.assert_array_equal(
-        impulse_response_template(IMP_SPHERE, trap_fb, imp_config(0.0)),
-        impulse_response_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0)))
+        trap_template(IMP_SPHERE, trap_fb, imp_config(0.0)),
+        trap_template(IMP_SPHERE, IMP_TRAP, imp_config(995.0)))
     assert threshold(trap_fb, imp_config(0.0)) == threshold(IMP_TRAP, imp_config(995.0))
+
+
+def whole_record_search(sphere, trap, config, injected, false_alarm_rate):
+    """The search computed on whole-record arrays: the noise drawn and filtered
+    in one pass, the threshold from ``matched_filter_outputs`` and
+    ``np.quantile``, the amplitudes from the full-rate record.  Returns the
+    noise, the record with impulses, the threshold and the amplitudes."""
+    from scipy import signal
+
+    model = dynamics._LinearTrap(sphere, trap, config)
+    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
+    noise = signal.lfilter(*model._noise_filter,
+                           rng.standard_normal(model.n) * model._kick_std)
+    kicks = np.zeros(model.n)
+    steps = model.kick_steps(injected)
+    for ev, idx in zip(injected, steps):
+        kicks[idx] += ev.direction * ev.momentum_transfer / model.mass
+    x = noise + signal.lfilter(*model._impulse_filter, kicks) if injected else noise
+    tpl = model.template()
+    outputs = matched_filter_outputs(noise, tpl)[:-tpl.size]
+    q = np.quantile(np.abs(outputs), 1.0 - false_alarm_rate * model.dt)
+    norm = float(np.dot(tpl, tpl))
+    amplitudes = tuple(
+        max(abs(float(np.dot(x[j: j + tpl.size], tpl))) for j in range(max(0, idx - 2), idx + 3))
+        / norm for idx in steps)
+    return noise, x, float(q), amplitudes
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("block, decimation, false_alarm_rate",
+                         [(300, 1, 1.0), (300, 7, 5000.0), (4096, 7, 1.0), (65536, 1, 5000.0)])
+def test_streamed_search_matches_whole_record_reference(monkeypatch, block, decimation,
+                                                        false_alarm_rate):
+    """Many block boundaries, blocks shorter than the 500-sample template, and a
+    record (1e6 steps) that is no multiple of the block: the noise windows, the
+    record and the amplitudes are the whole-record ones bit for bit, and the
+    overlap-save threshold is within 1e-12 of the whole-record FFT filter's.
+    At 5000 false alarms per second (p = 0.1) the quantile rests on the bulk
+    of the outputs, so a wrong lag anywhere in the record moves it."""
+    cfg = replace(imp_config(995.0), record_decimation=decimation)
+    events = [ImpulseEvent(time=0.0, momentum_transfer=4e-19),
+              ImpulseEvent(time=3000 * cfg.time_step, momentum_transfer=4e-19, direction=-1),
+              ImpulseEvent(time=12.5, momentum_transfer=4e-19),
+              ImpulseEvent(time=(1_000_000 - 503) * cfg.time_step, momentum_transfer=4e-19)]
+    noise, x, q_ref, amp_ref = whole_record_search(IMP_SPHERE, IMP_TRAP, cfg, events,
+                                                   false_alarm_rate)
+
+    windows = []
+    check = dynamics._check_energy_growth
+    monkeypatch.setattr(dynamics, "_check_energy_growth",
+                        lambda early, late: windows.append((early, late)) or check(early, late))
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, events, false_alarm_rate)
+    relax = 50                                     # ceil(1 / (gamma_eff dt))
+    [(early, late)] = windows
+    np.testing.assert_array_equal(bits(early), bits(noise[2 * relax: 5 * relax]))
+    np.testing.assert_array_equal(bits(late), bits(noise[-3 * relax:]))
+    assert found.threshold.value == pytest.approx(q_ref, rel=1e-12, abs=0.0)
+    assert found.amplitudes == amp_ref
+    np.testing.assert_array_equal(bits(found.series.samples), bits(x[::decimation]))
+    assert found.series.sample_interval == decimation * cfg.time_step
+    simulated = simulate(IMP_SPHERE, IMP_TRAP, cfg, injected=events)
+    np.testing.assert_array_equal(bits(simulated.samples), bits(x[::decimation]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_top_quantile_is_numpy_quantile(seed):
+    """From the ceil(n p) + 2 largest values alone, bit for bit np.quantile's
+    (1 - p) quantile, ties included."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 5, 12, 97, 1000, 4099, 30_000):
+        values = np.abs(rng.standard_normal(n))
+        if seed % 2:
+            values = np.round(values, 1)             # many ties
+        for p in (0.0, 1e-5, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.999, 1.0 - 1e-12,
+                  *rng.uniform(0.0, min(1.0, 10.0 / n), 5), *rng.uniform(0.0, 1.0, 5)):
+            p = float(p)
+            keep = min(n, math.ceil(n * p) + 2)
+            top = np.sort(values)[n - keep:]
+            rng.shuffle(top)
+            got = dynamics._top_quantile(top, n, 1.0 - p)
+            assert got.hex() == float(np.quantile(values, 1.0 - p)).hex(), (n, p)
+
+
+def test_search_memory_is_flat_in_duration():
+    """A noise-only search of 80 s (4e6 steps) peaks no higher than one of 20 s,
+    bar the larger decimated record: nothing whole-record is held."""
+    import tracemalloc
+
+    def peak(duration):
+        cfg = replace(imp_config(995.0), duration=duration, record_decimation=100)
+        tracemalloc.start()
+        try:
+            search_impulses(IMP_SPHERE, IMP_TRAP, cfg, (), 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20.0)                 # first use imports scipy.signal: not the search's
+    short, long = peak(20.0), peak(80.0)
+    record_growth = 8 * (80.0 - 20.0) / 2e-5 / 100
+    assert long <= short + record_growth + 256 * 1024

@@ -18,8 +18,6 @@ PACKAGE = ROOT / "src" / "levkit"
 DEMOS = ROOT / "demos"
 
 KEPT_API = {
-    "impulse_response_template": "the public template for matched_filter_outputs, "
-                                 "which search_impulses calls",
     "fit_lorentzian": "fits a simulated PSD; demos/langevin_psd.py and acceptance "
                       "criterion 06 use it",
     "casimir_background_sphere_plane": "the Casimir background a Yukawa signal at "
