@@ -460,7 +460,8 @@ class _NoiseThreshold:
     one by M - 1 for a template of M samples, give size - M + 1 lags apiece
     from one FFT product with the template's cached spectrum.  The last M
     lags, where the template overruns the record, are dropped.  Of the kept
-    outputs only the ceil(lags * p) + 2 largest are held, which is enough for
+    outputs at most 2 (ceil(lags * p) + 2) plus one hop are held, always
+    including the ceil(lags * p) + 2 largest, which is enough for
     ``_top_quantile`` to give ``np.quantile`` of all of them exactly.
     """
 
@@ -487,7 +488,11 @@ class _NoiseThreshold:
         self.segment = np.empty(size)
         self.filled = 0          # samples of the segment held so far
         self.first_lag = 0       # the lag of the segment's first sample
-        self.top = np.empty(0)   # the largest |outputs| so far, unnormalized
+        # |outputs|, unnormalized: the largest so far, then the newer ones.
+        # Cut back to the largest ``keep`` only when a hop would overflow, so
+        # each partition is paid for by at least ``keep`` appended values.
+        self.top = np.empty(2 * self.keep + size - self.overlap)
+        self.held = 0
 
     def take(self, block: np.ndarray):
         """Filter the next samples of the record."""
@@ -506,10 +511,12 @@ class _NoiseThreshold:
         count = min(hop, self.lags - self.first_lag)
         if count > 0:
             out = np.fft.irfft(np.fft.rfft(self.segment) * self.spectrum, size)[:count]
-            top = np.concatenate((self.top, np.abs(out)))
-            if top.size > self.keep:
-                top = np.partition(top, top.size - self.keep)[top.size - self.keep:]
-            self.top = top
+            if self.held + count > self.top.size:
+                cut = self.held - self.keep
+                self.top[:self.keep] = np.partition(self.top[:self.held], cut)[cut:]
+                self.held = self.keep
+            np.abs(out, out=self.top[self.held: self.held + count])
+            self.held += count
         self.segment[:self.overlap] = self.segment[hop:]
         self.filled = self.overlap
         self.first_lag += hop
@@ -517,9 +524,11 @@ class _NoiseThreshold:
     def threshold(self) -> float:
         """The quantile, once the whole record has been taken, kg m/s."""
         if self.first_lag < self.lags:
-            # A partial last segment: its kept lags read only samples it holds.
+            # A partial last segment: its kept lags read only samples it holds,
+            # but the FFT reads the whole segment, so the rest must be defined.
+            self.segment[self.filled:] = 0.0
             self._correlate()
-        return _top_quantile(self.top / self.norm, self.lags, self.quantile)
+        return _top_quantile(self.top[:self.held] / self.norm, self.lags, self.quantile)
 
 
 def _top_quantile(top: np.ndarray, n: int, q: float) -> float:
@@ -528,8 +537,8 @@ def _top_quantile(top: np.ndarray, n: int, q: float) -> float:
     ``top`` holds the largest values of ``a`` (any order), enough of them to
     include both order statistics that the linear rule interpolates.  The
     arithmetic is numpy's own: virtual index (n - 1) q, and the two-sided
-    lerp of ``numpy.lib._function_base_impl._lerp``, so the result is
-    bit-equal to ``np.quantile``.
+    lerp of numpy's private ``_lerp``, so the result is bit-equal to
+    ``np.quantile``.
     """
     top = np.sort(top)
     virtual = (n - 1) * q

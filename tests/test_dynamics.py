@@ -313,11 +313,13 @@ def bits(a):
 
 
 @pytest.mark.parametrize("block, decimation, false_alarm_rate",
-                         [(300, 1, 1.0), (300, 7, 5000.0), (4096, 7, 1.0), (65536, 1, 5000.0)])
+                         [(300, 1, 1.0), (300, 7, 5000.0), (4096, 7, 1.0), (65536, 1, 5000.0),
+                          (2**21, 1, 5000.0)])
 def test_streamed_search_matches_whole_record_reference(monkeypatch, block, decimation,
                                                         false_alarm_rate):
-    """Many block boundaries, blocks shorter than the 500-sample template, and a
-    record (1e6 steps) that is no multiple of the block: the noise windows, the
+    """Many block boundaries, blocks shorter than the 500-sample template, a
+    record (1e6 steps) that is no multiple of the block, and one block longer
+    than the record, so a single partial FFT segment: the noise windows, the
     record and the amplitudes are the whole-record ones bit for bit, and the
     overlap-save threshold is within 1e-12 of the whole-record FFT filter's.
     At 5000 false alarms per second (p = 0.1) the quantile rests on the bulk
@@ -346,6 +348,42 @@ def test_streamed_search_matches_whole_record_reference(monkeypatch, block, deci
     assert found.series.sample_interval == decimation * cfg.time_step
     simulated = simulate(IMP_SPHERE, IMP_TRAP, cfg, injected=events)
     np.testing.assert_array_equal(bits(simulated.samples), bits(x[::decimation]))
+
+
+def test_threshold_of_a_record_shorter_than_one_segment_ignores_stale_memory():
+    """A record shorter than the FFT length is one partial segment.  The FFT
+    reads all of it, so what the segment's memory held before must not reach
+    the threshold."""
+    rng = np.random.default_rng(6)
+    template = np.hanning(500)
+    noise = rng.standard_normal(50_000)
+    reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
+    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.01)
+    assert noise.size < noise_threshold.segment.size
+    noise_threshold.segment[:] = np.nan
+    noise_threshold.take(noise)
+    assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
+    """At p = 0.1 the held outputs are a tenth of the record.  They are cut back
+    by np.partition only once they have doubled, so the values partitioned
+    stay a small multiple of the record instead of one held top per segment
+    (about 29 records here, with ~280 segments of 4096)."""
+    rng = np.random.default_rng(5)
+    template = np.hanning(500)
+    noise = rng.standard_normal(1_000_000)
+    reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.9)
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    partitioned = []
+    partition = np.partition
+    monkeypatch.setattr(np, "partition",
+                        lambda a, kth: partitioned.append(a.size) or partition(a, kth))
+    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.1)
+    for chunk in np.array_split(noise, 37):
+        noise_threshold.take(chunk)
+    assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert 0 < sum(partitioned) <= 3 * noise.size
 
 
 @pytest.mark.parametrize("seed", range(4))
