@@ -87,14 +87,28 @@ class TimeSeries:
             raise DomainError("time series contains non-finite samples")
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.sample_interval * np.arange(self.samples.size)
-
     def to_csv(self, path, provenance: Optional[dict] = None):
-        """Two-column CSV (time_s, displacement_m) with '#' provenance header."""
+        """Two-column CSV (time_s, displacement_m) with '#' provenance header.
+
+        Sample i is at time i * sample_interval; the writer gets those times
+        a chunk at a time, so no whole-record time array is made.
+        """
         write_csv(path, (provenance or {}).items(), ("time_s", "displacement_m"),
-                  (self.times, self.samples))
+                  (_SampleTimes(self.sample_interval, self.samples.size), self.samples))
+
+
+class _SampleTimes:
+    """The times ``interval * i`` of ``n`` samples, made per slice: element for
+    element the values of ``interval * np.arange(n)``, held only as asked for."""
+
+    def __init__(self, interval: float, n: int):
+        self.interval, self.n = interval, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.interval * np.arange(*rows.indices(self.n))
 
 
 @dataclass(frozen=True)
@@ -223,7 +237,11 @@ class _LinearTrap:
         """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
         from scipy import signal
 
-        kicks = np.zeros(int(round(10.0 / self.gamma_total / self.dt)))
+        length = 10.0 / self.gamma_total
+        kicks = np.zeros(int(round(length / self.dt)))
+        if kicks.size == 0:
+            raise DomainError(f"matched-filter template of 10/gamma_total = {length} s "
+                              f"is shorter than half a time step ({self.dt} s)")
         kicks[0] = 1.0 / self.mass
         return signal.lfilter(*self._impulse_filter, kicks)
 

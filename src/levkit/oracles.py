@@ -11,6 +11,7 @@ are the contract.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -29,13 +30,22 @@ from .newforces import (
 from .limits import HBARC_EV_CM, HaloModel
 
 
+@functools.cache
+def _legendre(n: int):
+    """numpy's Gauss-Legendre rule of order n on [-1, 1], built once per order."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gauss_nodes(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights mapped onto [a, b].
 
     Built here from numpy's rule, not taken from :mod:`levkit.newforces`, so
     a fault in the production node helper cannot move both sides of a check.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -152,17 +162,22 @@ def finger_force_oracle(
     sx, sz, sw = _disc_nodes(sphere.radius, n_r, n_theta)
     phases = np.arange(n_phase) / n_phase
     shifts = geom.drive_amplitude * np.sin(2.0 * math.pi * phases)
+    # sin(2 pi phi) = sin(pi - 2 pi phi): for even n_phase, phases i and
+    # (n_phase/2 - i) mod n_phase share a shift, so each pair is summed once.
+    index = np.arange(n_phase)
+    first = np.minimum(index, (n_phase // 2 - index) % n_phase) if n_phase % 2 == 0 else index
 
     volume = sphere.volume
     samples = np.empty(n_phase)
-    for i, shift in enumerate(shifts):
+    for i in np.unique(first):
         # axes: (sphere point, strip x, strip z)
-        dx = x_nodes[None, :, None] + shift - sx[:, None, None]
+        dx = x_nodes[None, :, None] + shifts[i] - sx[:, None, None]
         dz = z_nodes[None, None, :] - sz[:, None, None]
         b = np.sqrt(dx**2 + dz**2)
         kern = 2.0 * dz / (lam * b) * k1(b / lam)
         per_sphere = np.einsum("sxz,x,z->s", kern, x_weights, z_weights)
         samples[i] = np.dot(sw, per_sphere) / volume
+    samples = samples[first]
 
     spec = np.fft.rfft(samples)
     amp = 2.0 * abs(spec[harmonic]) / n_phase

@@ -2,9 +2,15 @@
 
 Every output goes to a temp file beside its destination, which replaces the
 destination only once it is complete, so a reader never sees a partial file
-and a failed write leaves nothing behind.  CSV rows stream straight into the
-temp file.  Numbers are written as ``repr`` of Python floats, the shortest
+and a failed write leaves nothing behind; the finished file gets the mode
+the process umask gives a new file (0644 under umask 022), not the temp
+file's 0600.  Numbers are written as ``repr`` of Python floats, the shortest
 text that reads back to the same double, so reruns are byte-identical.
+
+CSV rows are formatted and written ``_CHUNK_ROWS`` rows at a time, slicing
+each column per chunk, so writing holds the columns the caller passes plus
+one chunk's Python floats and strings (about 150 B per cell, some 1.3 MB
+for two columns), whatever the row count.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-_CHUNK_ROWS = 1 << 16
+# Rows formatted per chunk: a chunk's strings stay near 1 MB, and the
+# per-chunk overhead is small next to the float reprs.
+_CHUNK_ROWS = 1 << 12
 
 
 @contextlib.contextmanager
@@ -30,6 +38,10 @@ def atomic_open(path):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
+        # mkstemp makes the file 0600; give it what open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,8 +53,10 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
               data: Sequence[Sequence[float]]):
     """'# key = value' header lines, a '# columns = ...' line, then the rows.
 
-    ``data`` holds one 1-D sequence of numbers per column; row i is the i-th
-    value of each.  Rows are formatted and written a chunk at a time.
+    ``data`` holds one sliceable sequence of numbers per column; row i is the
+    i-th value of each.  Rows are formatted and written ``_CHUNK_ROWS`` at a
+    time, and a column is only ever sliced, so it may be a view that makes
+    its values per slice.
     """
     with atomic_open(path) as fh:
         for key, value in header:

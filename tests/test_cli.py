@@ -353,6 +353,20 @@ def test_impulse_at_end_of_record_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_template_shorter_than_a_time_step_is_config_error(tmp_path, capsys):
+    """10/gamma_total below half a time step rounds the template to no samples:
+    exit 2 before anything is simulated, naming the template length and dt."""
+    out = tmp_path / "out"
+    doc = impulse_doc(out, duration="0.1 s")
+    doc["simulation"]["feedback_gain"] = "1e6 1/s"
+    doc["simulation"]["impulses"] = [{"time": "0.01 s", "momentum_transfer": "4.2e-19 kg*m/s"}]
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: matched-filter template of 10/gamma_total = ")
+    assert "(2e-05 s)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_positive_points_per_decade_is_config_error(tmp_path, capsys):
     """A grid density below one point per decade: exit 2, no curve written."""
     doc = json.loads((_config_dir() / "isl_finger_20um.json").read_text())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levkit import dynamics
+from levkit import dynamics, writer
 from levkit.quantities import K_B, DomainError
 from levkit.sensor import Sphere, TrapState, thermal_force_asd
 from levkit.dynamics import (
@@ -264,6 +264,39 @@ def test_timeseries_csv_round_trip(tmp_path):
     assert lines[0] == "# run = demo"
     data = [line.split(",") for line in lines if not line.startswith("#")]
     assert [float(row[1]) for row in data] == [1.0, -2.25, 3.5e-7]
+
+
+@pytest.mark.parametrize("n", [0, 5, 7, 20])
+def test_timeseries_csv_rows_across_chunks(tmp_path, monkeypatch, n):
+    """Row counts below, at and not a multiple of the chunk: each row is
+    repr(t), repr(x) with t the element of dt * np.arange(n)."""
+    monkeypatch.setattr(writer, "_CHUNK_ROWS", 7)
+    dt = 0.1
+    x = np.random.default_rng(n).standard_normal(n)
+    path = tmp_path / "ts.csv"
+    TimeSeries(sample_interval=dt, samples=x).to_csv(path)
+    rows = "".join(f"{t!r},{v!r}\n" for t, v in zip((dt * np.arange(n)).tolist(), x.tolist()))
+    assert path.read_text() == "# columns = time_s,displacement_m\n" + rows
+
+
+def test_timeseries_csv_memory_is_flat_in_rows(tmp_path):
+    """Writing 2e5 rows peaks no higher than writing 2e4, within about one
+    chunk: no whole-record times or strings are made."""
+    import tracemalloc
+
+    def peak(n):
+        series = TimeSeries(sample_interval=1e-4,
+                            samples=np.random.default_rng(0).standard_normal(n))
+        tracemalloc.start()
+        try:
+            series.to_csv(tmp_path / "ts.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    short, long = peak(20_000), peak(200_000)
+    assert long <= short + 512 * 1024
 
 
 def test_trap_and_simulation_cold_damping_add():

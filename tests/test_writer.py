@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -43,3 +45,17 @@ def test_json_layout(tmp_path):
     path = tmp_path / "d.json"
     write_json(path, {"b": [1, 2], "a": 0.5})
     assert path.read_text() == json.dumps({"a": 0.5, "b": [1, 2]}, indent=2) + "\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_outputs_take_the_mode_the_umask_gives(tmp_path):
+    """A finished output has open()'s mode, not the 0600 of its temp file."""
+    for umask in (0o022, 0o077):
+        old = os.umask(umask)
+        try:
+            write_csv(tmp_path / f"{umask:o}.csv", [], ["a"], ([1.0],))
+            write_json(tmp_path / f"{umask:o}.json", {"a": 1})
+        finally:
+            os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"22.csv": 0o644, "22.json": 0o644, "77.csv": 0o600, "77.json": 0o600}
