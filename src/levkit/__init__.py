@@ -7,9 +7,16 @@ __version__ = "0.1.0"
 # Thread budget of the BLAS and OpenMP pools, recorded in every output's
 # provenance.  It must reach the environment before numpy is first imported;
 # every levkit module, the console script's included, runs this file first.
+# A pool variable set beforehand is kept, and the record then names it, so
+# "1 (OMP_NUM_THREADS=2)" says what the pools were given, not only the budget.
 LEVKIT_THREADS = os.environ.get("LEVKIT_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _POOLS:
     os.environ.setdefault(_var, LEVKIT_THREADS)
+_others = ", ".join(f"{var}={os.environ[var]}" for var in _POOLS
+                    if os.environ[var] != LEVKIT_THREADS)
+if _others:
+    LEVKIT_THREADS = f"{LEVKIT_THREADS} ({_others})"
 
 from .quantities import (  # noqa: F401
     Dimension,

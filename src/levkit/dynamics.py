@@ -34,13 +34,17 @@ template length per injected impulse), not O(N).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# scipy.signal and scipy.optimize are imported inside the functions that use
-# them: at module level they are most of the import time of every command.
+# scipy.optimize is imported inside the function that uses it: at module
+# level it is most of the import time of every command.  scipy.signal is not
+# imported at all (see ``_linear_filter``).
 
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
@@ -139,16 +143,38 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
 _BLOCK = 2**17
 
 
+@functools.cache
+def _linear_filter():
+    """scipy's compiled direct-form II transposed IIR kernel, ``_linear_filter``.
+
+    ``_linear_filter(b, a, x, -1[, zi])`` is the call ``scipy.signal.lfilter``
+    makes for a denominator of more than one coefficient, so its samples are
+    lfilter's bit for bit.  The extension is loaded from its file in the
+    ``scipy.signal`` package directory, which imports only the top-level
+    ``scipy`` package: ``import scipy.signal`` would load some 500 scipy
+    modules (``scipy.stats`` and ``scipy.linalg`` among them), about 1.3 s
+    and 70 MiB on a 1-core host, for this one function.  The module is not
+    registered in ``sys.modules``.
+    """
+    package = importlib.util.find_spec("scipy.signal").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("_sigtools", package)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
 class _LinearTrap:
     """The BAOAB discretisation of one trap, checked and built once.
 
     Two displacement filters of the one-step map on (x, v): noise enters as a
     velocity kick at the O substep, an impulse as one at the start of a step.
+    Each is a transfer function (num, den) of three coefficients, built with
+    ``scipy.signal.ss2tf``'s own numpy arithmetic, and is run by
+    ``_linear_filter``, the kernel of ``scipy.signal.lfilter``: the samples
+    are lfilter's, without the import of ``scipy.signal``.
     """
 
     def __init__(self, sphere: Sphere, trap: TrapState, config: SimulationConfig):
-        from scipy import signal
-
         f0 = trap.resonant_frequency
         if config.time_step >= 1.0 / (20.0 * f0):
             raise DomainError(f"time step {config.time_step} s too coarse; "
@@ -171,13 +197,9 @@ class _LinearTrap:
         if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
             raise IntegrationError("unstable step: one-step map has spectral radius > 1")
 
-        def displacement_filter(column):
-            num, den = signal.ss2tf(m_step, column[:, None], [[1.0, 0.0]], [[0.0]])
-            return num[0], den
-
         unit_velocity = np.array([0.0, 1.0])
-        self._noise_filter = displacement_filter(kick @ drift @ unit_velocity)
-        self._impulse_filter = displacement_filter(m_step @ unit_velocity)
+        self._noise_filter = _displacement_filter(m_step, kick @ drift @ unit_velocity)
+        self._impulse_filter = _displacement_filter(m_step, m_step @ unit_velocity)
 
     def blocks(self, injected: Sequence[ImpulseEvent] = ()):
         """The run from x = v = 0 in consecutive full-rate blocks of ``_BLOCK`` steps.
@@ -189,8 +211,7 @@ class _LinearTrap:
         so the samples are those of one whole-record pass, bit for bit.  After
         the last block the noise is checked for energy growth.
         """
-        from scipy import signal
-
+        linear_filter = _linear_filter()
         steps = self.kick_steps(injected)
         rng = None
         if self.config.bath_temperature > 0.0:
@@ -207,9 +228,9 @@ class _LinearTrap:
             if rng is None:
                 noise = np.zeros(size)
             else:
-                noise, noise_state = signal.lfilter(
-                    *self._noise_filter, rng.standard_normal(size) * self._kick_std,
-                    zi=noise_state)
+                noise, noise_state = linear_filter(
+                    *self._noise_filter, rng.standard_normal(size) * self._kick_std, -1,
+                    noise_state)
             for window in windows:
                 window.take(start, noise)
             x = noise
@@ -218,8 +239,8 @@ class _LinearTrap:
                 for ev, idx in zip(injected, steps):
                     if start <= idx < start + size:
                         kicks[idx - start] += ev.direction * ev.momentum_transfer / self.mass
-                response, impulse_state = signal.lfilter(*self._impulse_filter, kicks,
-                                                         zi=impulse_state)
+                response, impulse_state = linear_filter(*self._impulse_filter, kicks, -1,
+                                                        impulse_state)
                 x = noise + response
             yield start, noise, x
         if windows:
@@ -235,15 +256,22 @@ class _LinearTrap:
 
     def template(self) -> np.ndarray:
         """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
-        from scipy import signal
-
         length = 10.0 / self.gamma_total
         kicks = np.zeros(int(round(length / self.dt)))
         if kicks.size == 0:
             raise DomainError(f"matched-filter template of 10/gamma_total = {length} s "
                               f"is shorter than half a time step ({self.dt} s)")
         kicks[0] = 1.0 / self.mass
-        return signal.lfilter(*self._impulse_filter, kicks)
+        return _linear_filter()(*self._impulse_filter, kicks, -1)
+
+
+def _displacement_filter(m_step: np.ndarray, column: np.ndarray) -> tuple:
+    """(num, den) from a velocity kick ``column`` to the displacement, under the
+    one-step map ``m_step``: ``scipy.signal.ss2tf(m_step, column[:, None],
+    [[1.0, 0.0]], [[0.0]])`` with its own arithmetic, so bit for bit its
+    ``(num[0], den)``.  (Its ``+ (D - 1) * den`` is ``- den`` exactly at D = 0.)"""
+    den = np.poly(m_step)
+    return np.poly(m_step - np.dot(column[:, None], [[1.0, 0.0]])) - den, den
 
 
 class _Span:

@@ -267,17 +267,21 @@ def test_curve_csv_starts_with_cli_provenance(tmp_path):
     assert json.loads(lines[3].split(" = ", 1)[1])["plan"]["exposure_sphere_days"] == "86400.0 s"
 
 
-def test_import_leaves_scipy_signal_and_optimize_unloaded():
-    """Commands that never simulate or fit must not pay their import time."""
-    env = dict(os.environ)
+def run_python(code, env=None):
+    """Stdout of ``python -c code`` in a fresh process that imports this levkit."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(levkit.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_leaves_scipy_signal_and_optimize_unloaded():
+    """Commands that never simulate or fit must not pay their import time."""
     code = ("import sys, levkit.cli; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize', 'scipy.special', "
             "'scipy.integrate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def impulse_doc(outdir, decimation=1, duration="20 s"):
@@ -297,6 +301,23 @@ def impulse_doc(outdir, decimation=1, duration="20 s"):
         ],
     }
     return doc
+
+
+@pytest.mark.parametrize("search", [True, False])
+def test_simulate_leaves_scipy_signal_stats_and_linalg_unloaded(tmp_path, search):
+    """Simulating, with or without the impulse search, runs scipy.signal's
+    filter kernel without importing scipy.signal and what it pulls in."""
+    doc = impulse_doc(tmp_path / "out", decimation=10)
+    if not search:
+        del doc["simulation"]["false_alarm_rate"]
+    cfg = write_config(tmp_path, doc)
+    code = ("import sys; from levkit.cli import main; "
+            f"assert main(['simulate', {cfg!r}]) == 0; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg') "
+            "if m in sys.modules))")
+    out = run_python(code).splitlines()
+    assert out[-1] == "[]"
+    assert (tmp_path / "out" / "detections.json").exists() == search
 
 
 def run_search(tmp_path, decimation):
@@ -405,11 +426,26 @@ def test_levkit_threads_caps_the_thread_pool():
     env = {key: val for key, val in os.environ.items()
            if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["LEVKIT_THREADS"] = "1"
-    src = str(Path(levkit.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import levkit.cli\n"
             "print(next(line.split()[1] for line in open('/proc/self/status')\n"
             "           if line.startswith('Threads:')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "1"
+    assert run_python(code, env).strip() == "1"
+
+
+@pytest.mark.parametrize("pools, recorded", [
+    ({}, "1"),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, "1"),
+    ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"},
+     "1 (OMP_NUM_THREADS=2, OPENBLAS_NUM_THREADS=2)"),
+    ({"MKL_NUM_THREADS": "4"}, "1 (MKL_NUM_THREADS=4)"),
+])
+def test_levkit_threads_record_names_conflicting_pools(tmp_path, pools, recorded):
+    """A pool variable set before levkit is kept, and the header says so: the
+    recorded value is LEVKIT_THREADS alone only when every pool has it."""
+    env = {key: val for key, val in os.environ.items()
+           if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(pools, LEVKIT_THREADS="1")
+    out = tmp_path / "axion.csv"
+    run_python(f"from levkit.cli import main; main(['axion', '1e12', '--output', {str(out)!r}])",
+               env)
+    assert f"# levkit_threads = {recorded}\n" in out.read_text()

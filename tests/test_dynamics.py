@@ -175,9 +175,7 @@ def test_threshold_golden():
 
 def test_search_draws_noise_and_template_once(monkeypatch):
     """One search: one discretised trap, one pass over its blocks, one template,
-    and no call of simulate (so no zero-temperature run)."""
-    import scipy.signal
-
+    two transfer functions, and no call of simulate (so no zero-temperature run)."""
     calls = []
 
     def counted(owner, name):
@@ -191,18 +189,64 @@ def test_search_draws_noise_and_template_once(monkeypatch):
     counted(dynamics, "simulate")
     for name in ("__init__", "blocks", "template"):
         counted(dynamics._LinearTrap, name)
-    counted(scipy.signal, "ss2tf")
+    counted(dynamics, "_displacement_filter")
     kick = ImpulseEvent(time=10.0, momentum_transfer=1e-18, direction=1)
     search_impulses(IMP_SPHERE, IMP_TRAP, imp_config(995.0), [kick], 1.0)
-    assert sorted(calls) == ["__init__", "blocks", "ss2tf", "ss2tf", "template"]
+    assert sorted(calls) == ["__init__", "_displacement_filter", "_displacement_filter",
+                             "blocks", "template"]
 
 
-@pytest.mark.parametrize("sphere, trap, config", [
+TRAPS = [
     (IMP_SPHERE, IMP_TRAP, imp_config(995.0)),
     (SPHERE, TRAP, CONFIG),
     (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0,
                        feedback_gain=9.0), replace(CONFIG, time_step=1e-4, feedback_gain=3.0)),
-])
+]
+
+
+@pytest.mark.parametrize("sphere, trap, config", TRAPS)
+def test_transfer_functions_are_ss2tf(monkeypatch, sphere, trap, config):
+    """Both (num, den) pairs are bit for bit scipy.signal.ss2tf's for the
+    one-step map and kick column the trap builds them from."""
+    from scipy import signal
+
+    built = []
+    build = dynamics._displacement_filter
+
+    def recorded(m_step, column):
+        built.append((m_step, column, build(m_step, column)))
+        return built[-1][2]
+    monkeypatch.setattr(dynamics, "_displacement_filter", recorded)
+    dynamics._LinearTrap(sphere, trap, config)
+    assert len(built) == 2
+    for m_step, column, (num, den) in built:
+        ref_num, ref_den = signal.ss2tf(m_step, column[:, None], [[1.0, 0.0]], [[0.0]])
+        assert num.shape == den.shape == (3,)
+        np.testing.assert_array_equal(bits(num), bits(ref_num[0]))
+        np.testing.assert_array_equal(bits(den), bits(ref_den))
+
+
+@pytest.mark.parametrize("sphere, trap, config", TRAPS)
+def test_filter_kernel_is_lfilter(sphere, trap, config):
+    """The kernel the model runs gives scipy.signal.lfilter's samples bit for
+    bit, on the whole record and block by block with its state carried."""
+    from scipy import signal
+
+    model = dynamics._LinearTrap(sphere, trap, config)
+    kernel = dynamics._linear_filter()
+    x = np.random.default_rng(3).standard_normal(10_007) * model._kick_std
+    for b, a in (model._noise_filter, model._impulse_filter):
+        ref, ref_state = signal.lfilter(b, a, x, zi=np.zeros(2))
+        np.testing.assert_array_equal(bits(kernel(b, a, x, -1)), bits(ref))
+        state, parts = np.zeros(2), []
+        for block in np.array_split(x, 13):
+            out, state = kernel(b, a, block, -1, state)
+            parts.append(out)
+        np.testing.assert_array_equal(bits(np.concatenate(parts)), bits(ref))
+        np.testing.assert_array_equal(bits(state), bits(ref_state))
+
+
+@pytest.mark.parametrize("sphere, trap, config", TRAPS)
 def test_template_is_the_zero_temperature_unit_kick_run(sphere, trap, config):
     """Bit for bit the response simulate gives to one unit kick at t = 0 from
     a cold run of 10/gamma_eff: the template's definition before it was
@@ -452,7 +496,7 @@ def test_search_memory_is_flat_in_duration():
         finally:
             tracemalloc.stop()
 
-    peak(20.0)                 # first use imports scipy.signal: not the search's
+    peak(20.0)                 # first use loads the filter kernel: not the search's
     short, long = peak(20.0), peak(80.0)
     record_growth = 8 * (80.0 - 20.0) / 2e-5 / 100
     assert long <= short + record_growth + 256 * 1024
