@@ -165,10 +165,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_curve(curve, out_dir: Path, stem: str, command: str, cfg):
-    csv_path = out_dir / f"{stem}.csv"
-    json_path = out_dir / f"{stem}.json"
-    prov = _provenance(command, cfg)
+def _write_curve(curve, out_dir: Path, case: str, cfg):
+    csv_path = out_dir / f"exclusion_{case}.csv"
+    json_path = out_dir / f"exclusion_{case}.json"
+    prov = _provenance(f"exclusion {case}", cfg)
     curve.to_csv(csv_path, _csv_header(prov))
     # The curve JSON's own provenance carries the code version and the plan.
     write_json(json_path, {**curve.to_json_dict(), "command": prov["command"],
@@ -193,19 +193,7 @@ def cmd_exclusion(args) -> int:
     case = args.case
     p = cfg.plan_section
 
-    if case == "isl":
-        if cfg.geometry is None:
-            raise ConfigError("exclusion isl: config needs a geometry section")
-        curve = isl_projection(plan, _grid(p, "lambda_min", "lambda_max"))
-        _write_curve(curve, out_dir, "exclusion_isl", "exclusion isl", cfg)
-    elif case == "coulomb":
-        if cfg.capacitor is None:
-            raise ConfigError("exclusion coulomb: config needs a capacitor section")
-        curve = coulomb_projection(
-            plan, _grid(p, "lambda_min", "lambda_max"), cfg.capacitor,
-            polarizing_field=p.get("polarizing_field", 0.0))
-        _write_curve(curve, out_dir, "exclusion_coulomb", "exclusion coulomb", cfg)
-    elif case in ("millicharge", "neutrality"):
+    if case in ("millicharge", "neutrality"):
         if "drive_field" not in p:
             raise ConfigError(f"exclusion {case}: plan.drive_field is required")
         eps = millicharge_sensitivity(plan, p["drive_field"]).value
@@ -218,7 +206,18 @@ def cmd_exclusion(args) -> int:
         print(f"millicharge_sensitivity_e = {eps!r}")
         print(f"neutrality_bound_per_nucleon_e = {bound!r}")
         print(f"wrote {path}")
-    elif case == "dm":
+        return EXIT_OK
+    if case == "isl":
+        if cfg.geometry is None:
+            raise ConfigError("exclusion isl: config needs a geometry section")
+        curve = isl_projection(plan, _grid(p, "lambda_min", "lambda_max"))
+    elif case == "coulomb":
+        if cfg.capacitor is None:
+            raise ConfigError("exclusion coulomb: config needs a capacitor section")
+        curve = coulomb_projection(
+            plan, _grid(p, "lambda_min", "lambda_max"), cfg.capacitor,
+            polarizing_field=p.get("polarizing_field", 0.0))
+    else:
         if "q_min" not in p:
             raise ConfigError("exclusion dm: plan.q_min is required")
         # Energy-dimension config values are already in eV.
@@ -226,7 +225,7 @@ def cmd_exclusion(args) -> int:
         curve = dm_projection(
             plan, masses, Quantity(p["q_min"], Dimension.MOMENTUM),
             mediator_mass_ev=p.get("mediator_mass", 0.0))
-        _write_curve(curve, out_dir, "exclusion_dm", "exclusion dm", cfg)
+    _write_curve(curve, out_dir, case, cfg)
     return EXIT_OK
 
 

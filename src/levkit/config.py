@@ -278,7 +278,6 @@ def _noise_model(sec: dict, sphere: Optional[Sphere], trap: Optional[TrapState])
 class RunConfig:
     """Parsed, validated run configuration."""
 
-    raw: dict
     sphere: Optional[Sphere] = None
     trap: Optional[TrapState] = None
     noise: Optional[NoiseModel] = None
@@ -317,7 +316,7 @@ def parse_config(doc: dict) -> RunConfig:
                           f"got {doc.get('schema')!r}")
     values = {name: _parse_section(name, doc[name], name)
               for name in _SECTIONS if name in doc}
-    cfg = RunConfig(raw=doc, values=values)
+    cfg = RunConfig(values=values)
     for name, sec in values.items():
         cls = _OBJECTS.get(_section_of(name, sec, name))
         if cls is not None:

@@ -337,7 +337,6 @@ def _check_energy_growth(early: np.ndarray, late: np.ndarray):
 class PsdEstimate:
     frequency: np.ndarray     # Hz
     psd: np.ndarray           # one-sided, m^2/Hz for displacement input
-    segment_length: int
     n_segments: int
 
     @property
@@ -374,7 +373,7 @@ def estimate_psd(series: TimeSeries, segment_length: int) -> PsdEstimate:
     if m % 2 == 0:
         psd[-1] /= 2.0
     freqs = np.fft.rfftfreq(m, d=series.sample_interval)
-    return PsdEstimate(frequency=freqs, psd=psd, segment_length=m, n_segments=n_segments)
+    return PsdEstimate(frequency=freqs, psd=psd, n_segments=n_segments)
 
 
 @dataclass(frozen=True)

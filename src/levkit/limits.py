@@ -56,6 +56,7 @@ CURVE_SCHEMA = "levkit-curve/1"
 POISSON_LIMIT_COUNTS = 3.0   # expected events for a zero-background ~95% CL
 HBARC_EV_CM = 1.973269804e-5  # hbar c in eV cm, for natural-unit cross sections
 SECONDS_PER_DAY = 86400.0
+_N_VELOCITY = 4000            # halo speed samples in the DM rate's trapezoid rule
 
 
 @dataclass(frozen=True)
@@ -249,30 +250,42 @@ def _signal_force(plan: SearchPlan, lam: float) -> float:
     raise DomainError("ISL projection needs an attractor geometry in the plan")
 
 
+def _curve(plan: SearchPlan, case: str, kind: str, label: str, abscissa, coupling,
+           kept, omitted: str, secondary=None, **extras) -> ExclusionCurve:
+    """The curve through the kept points in increasing abscissa.
+
+    Each point the ``kept`` mask drops adds one warning: ``omitted`` with the
+    point's abscissa, as a Python float, in place of ``{}``.  ``secondary`` is
+    an optional (kind, values) pair masked like the abscissa, and ``extras``
+    follow the plan's provenance and the case.
+    """
+    x = np.asarray(abscissa, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x, kept = x[order], np.asarray(kept, dtype=bool)[order]
+    secondary_kind, secondary_values = secondary or (None, None)
+    if secondary_values is not None:
+        secondary_values = np.asarray(secondary_values, dtype=float)[order][kept]
+    return ExclusionCurve(
+        abscissa_kind=kind,
+        abscissa=x[kept],
+        coupling=np.asarray(coupling, dtype=float)[order][kept],
+        provenance={**plan.provenance(), "case": case, **extras},
+        coupling_label=label,
+        secondary_abscissa_kind=secondary_kind,
+        secondary_abscissa=secondary_values,
+        warnings=tuple(omitted.format(float(v)) for v in x[~kept]),
+    )
+
+
 def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve:
     """Minimum detectable Yukawa alpha vs range for the plan's attractor."""
-    f_min = plan.min_force()
-    points = []
-    warnings = []
-    for lam in sorted(lambdas):
-        signal = _signal_force(plan, lam)
-        if signal <= 0.0:
-            warnings.append(f"zero signal force at lambda = {lam!r} m; point omitted")
-            continue
-        points.append((lam, f_min / signal))
-    if not points:
+    signal = np.array([_signal_force(plan, lam) for lam in lambdas])
+    kept = signal > 0.0
+    if not kept.any():
         raise DomainError("no usable grid points: signal force vanished everywhere")
-    arr = np.array(points)
-    prov = plan.provenance()
-    prov["case"] = "isl"
-    return ExclusionCurve(
-        abscissa_kind="lambda_m",
-        abscissa=arr[:, 0],
-        coupling=arr[:, 1],
-        coupling_label="alpha_min",
-        provenance=prov,
-        warnings=tuple(warnings),
-    )
+    return _curve(plan, "isl", "lambda_m", "alpha_min", lambdas,
+                  plan.min_force() / np.where(kept, signal, np.inf), kept,
+                  "zero signal force at lambda = {} m; point omitted")
 
 
 def coulomb_projection(
@@ -293,9 +306,8 @@ def coulomb_projection(
             raise DomainError("Coulomb projection needs a net charge or a polarizing field")
         dipole = induced_dipole(plan.sphere, polarizing_field).value
 
-    lam_arr = np.sort(np.asarray(list(lambdas), dtype=float))
     chis = []
-    for lam in lam_arr:
+    for lam in lambdas:
         coupling = YukawaCoupling(CouplingKind.COULOMB_CHI2, 1.0, lam)
         e_per_chi2 = capacitor_leakage_field(
             capacitor.voltage, capacitor.plate_spacing, capacitor.standoff, coupling
@@ -306,36 +318,13 @@ def coulomb_projection(
             force_per_chi2 = dipole * e_per_chi2 / lam
         else:
             force_per_chi2 = charge * e_per_chi2
-        if force_per_chi2 <= 0.0:
-            chis.append(math.inf)
-        else:
-            chis.append(math.sqrt(f_min / force_per_chi2))
-    chi_arr = np.array(chis)
-    finite = np.isfinite(chi_arr)
-    warnings = tuple(
-        f"leakage force vanished at lambda = {lam!r} m; point omitted"
-        for lam in lam_arr[~finite]
-    )
-    lam_arr = lam_arr[finite]
-    chi_arr = chi_arr[finite]
-    mass_ev = np.array(
-        [convert_range_to_mediator_mass(Quantity(lam, Dimension.LENGTH)).value / EV
-         for lam in lam_arr]
-    )
-    prov = plan.provenance()
-    prov["case"] = "coulomb"
-    prov["capacitor"] = asdict(capacitor)
-    prov["polarizing_field_v_per_m"] = polarizing_field
-    return ExclusionCurve(
-        abscissa_kind="lambda_m",
-        abscissa=lam_arr,
-        coupling=chi_arr,
-        coupling_label="chi_min",
-        secondary_abscissa_kind="mediator_mass_ev",
-        secondary_abscissa=mass_ev,
-        provenance=prov,
-        warnings=warnings,
-    )
+        chis.append(math.sqrt(f_min / force_per_chi2) if force_per_chi2 > 0.0 else math.inf)
+    mass_ev = [convert_range_to_mediator_mass(Quantity(lam, Dimension.LENGTH)).value / EV
+               for lam in lambdas]
+    return _curve(plan, "coulomb", "lambda_m", "chi_min", lambdas, chis, np.isfinite(chis),
+                  "leakage force vanished at lambda = {} m; point omitted",
+                  secondary=("mediator_mass_ev", mass_ev), capacitor=asdict(capacitor),
+                  polarizing_field_v_per_m=polarizing_field)
 
 
 def millicharge_sensitivity(plan: SearchPlan, field_v_per_m: float) -> Quantity:
@@ -359,7 +348,6 @@ def dm_rate_above_threshold(
     mediator_mass_ev: float = 0.0,
     alpha_n: float = 1.0,
     halo: HaloModel = HaloModel(),
-    n_velocity: int = 4000,
 ) -> float:
     """Expected scattering rate (events/s per sphere) with impulse above q_min.
 
@@ -380,7 +368,7 @@ def dm_rate_above_threshold(
     q_min = q_min_si * C_LIGHT / EV          # eV (natural units)
     mu = mediator_mass_ev
 
-    v = np.linspace(1e-9, halo.v_max, n_velocity) / C_LIGHT  # units of c
+    v = np.linspace(1e-9, halo.v_max, _N_VELOCITY) / C_LIGHT  # units of c
     pdf = halo.speed_pdf(v * C_LIGHT) * C_LIGHT              # per unit (v/c)
     p = dm_mass_ev * v
     bracket = 1.0 / (q_min**2 + mu**2) - 1.0 / (4.0 * p**2 + mu**2)
@@ -423,28 +411,12 @@ def dm_projection(
     """alpha_n exclusion vs dark-matter mass for an impulse threshold q_min."""
     if q_min.dimension is not Dimension.MOMENTUM:
         raise DomainError("q_min must be a Quantity[momentum]")
-    masses = np.sort(np.asarray(list(dm_masses_ev), dtype=float))
-    limits = np.array(
-        [dm_alpha_limit(plan, q_min.value, m, mediator_mass_ev) for m in masses]
-    )
-    finite = np.isfinite(limits)
-    warnings = tuple(
-        f"threshold above kinematic maximum at dm_mass_ev = {m!r}; point censored"
-        for m in masses[~finite]
-    )
-    prov = plan.provenance()
-    prov["case"] = "dm"
-    prov["q_min_kg_m_per_s"] = q_min.value
-    prov["mediator_mass_ev"] = mediator_mass_ev
-    prov["poisson_limit_counts"] = POISSON_LIMIT_COUNTS
-    return ExclusionCurve(
-        abscissa_kind="dm_mass_ev",
-        abscissa=masses[finite],
-        coupling=limits[finite],
-        coupling_label="alpha_n_limit",
-        provenance=prov,
-        warnings=warnings,
-    )
+    limits = [dm_alpha_limit(plan, q_min.value, m, mediator_mass_ev) for m in dm_masses_ev]
+    return _curve(plan, "dm", "dm_mass_ev", "alpha_n_limit", dm_masses_ev, limits,
+                  np.isfinite(limits),
+                  "threshold above kinematic maximum at dm_mass_ev = {}; point censored",
+                  q_min_kg_m_per_s=q_min.value, mediator_mass_ev=mediator_mass_ev,
+                  poisson_limit_counts=POISSON_LIMIT_COUNTS)
 
 
 AXION_MASS_SCALE_EV = 5.7e-3    # m_a at f_a = 1e9 GeV

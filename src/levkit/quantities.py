@@ -60,7 +60,7 @@ class Quantity:
             raise DimensionError(f"not a Dimension tag: {self.dimension!r}")
         v = float(self.value)
         if not math.isfinite(v):
-            raise DomainError(f"non-finite quantity value: {self.value!r}")
+            raise DomainError(f"non-finite quantity value: {v!r}")
         object.__setattr__(self, "value", v)
 
     def _check(self, other: "Quantity") -> "Quantity":

@@ -174,6 +174,17 @@ def test_exclusion_isl_without_geometry_is_config_error(tmp_path, capsys):
     assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_CONFIG
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_force_message_prints_a_python_float(tmp_path, capsys):
+    # At a 1 nm range the sphere form factor overflows and the force is NaN.
+    doc = json.loads((_config_dir() / "isl_finger_20um.json").read_text())
+    doc["plan"]["lambda_min"] = "1 nm"
+    cfg = write_config(tmp_path, doc)
+    assert main(["exclusion", "isl", cfg, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: non-finite quantity value: nan"]
+
+
 def test_exclusion_dm_curve(tmp_path):
     doc = base_doc(tmp_path / "out")
     doc["plan"] = {"integration_time": "1e5 s",

@@ -129,6 +129,36 @@ def test_coulomb_projection_dual_axis():
         assert mass_ev == pytest.approx(HBAR_C / (lam * EV), rel=1e-12)
 
 
+def test_isl_projection_omits_points_whose_signal_underflows():
+    # exp(-d/lambda) underflows for the two shortest ranges at a 1 mm gap.
+    plan = flat_plan(geometry=PlaneSlab(thickness=1e-4, density_contrast=1e4,
+                                        distance=1e-3))
+    for lambdas in ([1e-6, 1.2e-6, 5e-6, 1e-5], np.array([1e-5, 1.2e-6, 5e-6, 1e-6])):
+        curve = isl_projection(plan, lambdas)
+        assert curve.abscissa.tolist() == [5e-6, 1e-5]
+        assert np.all(curve.coupling > 0.0)
+        assert curve.warnings == (
+            "zero signal force at lambda = 1e-06 m; point omitted",
+            "zero signal force at lambda = 1.2e-06 m; point omitted",
+        )
+        assert curve.provenance["case"] == "isl"
+
+
+def test_coulomb_projection_omission_keeps_mass_axis_aligned():
+    cap = Capacitor(voltage=100.0, plate_spacing=1e-3, standoff=1e-3)
+    charged = SearchPlan(sphere=Sphere(radius=5e-6, net_charge=100), trap=TRAP,
+                         noise=NoiseModel.flat("tech", 1e-18), integration_time=1e4)
+    for lambdas in ([1e-6, 1e-5, 1e-4], [1e-4, 1e-6, 1e-5]):
+        curve = coulomb_projection(charged, lambdas, cap)
+        assert curve.abscissa.tolist() == [1e-5, 1e-4]
+        assert curve.secondary_abscissa == pytest.approx([0.0197327, 0.00197327], rel=1e-6)
+        for lam, mass_ev in zip(curve.abscissa, curve.secondary_abscissa):
+            assert mass_ev == pytest.approx(HBAR_C / (lam * EV), rel=1e-12)
+        assert curve.warnings == ("leakage force vanished at lambda = 1e-06 m; point omitted",)
+        assert curve.provenance["case"] == "coulomb"
+        assert curve.provenance["capacitor"]["voltage"] == 100.0
+
+
 def test_coulomb_projection_sqrt_inversion():
     from levkit.quantities import E_CHARGE
     from levkit.newforces import CouplingKind, YukawaCoupling, capacitor_leakage_field
@@ -235,7 +265,9 @@ def test_dm_projection_censors_closed_channels():
     plan = flat_plan(exposure_sphere_days=1.0)
     curve = dm_projection(plan, [1e6, 1e13], Quantity(5e-19, Dimension.MOMENTUM))
     assert curve.abscissa.size == 1
-    assert len(curve.warnings) == 1
+    assert curve.warnings == (
+        "threshold above kinematic maximum at dm_mass_ev = 1000000.0; point censored",
+    )
 
 
 # ---------------------------------------------------------------------- axion
