@@ -72,6 +72,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.time_step <= 0.0 or self.duration <= 0.0:
             raise DomainError("time step and duration must be positive")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng seed must be >= 0, got {self.rng_seed!r}")
         if self.bath_temperature < 0.0:
             raise DomainError("bath temperature must be >= 0")
         if self.feedback_gain < 0.0:

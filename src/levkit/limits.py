@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-# scipy.special is imported inside the functions that use it: at module level
-# it is most of the import time of every command.
 
 from . import __version__ as _code_version
 from .quantities import (
@@ -92,14 +90,12 @@ class HaloModel:
 
     def speed_pdf(self, v: np.ndarray) -> np.ndarray:
         """Earth-frame speed distribution, normalized to unit integral. v in m/s."""
-        from scipy.special import erf
-
         v = np.asarray(v, dtype=float)
         v0 = self.v0
         vesc = self.v_escape
         ve = self.v_earth
         z = vesc / v0
-        n0 = math.pi**1.5 * v0**3 * (erf(z) - 2.0 * z / math.sqrt(math.pi) * math.exp(-z * z))
+        n0 = math.pi**1.5 * v0**3 * (math.erf(z) - 2.0 * z / math.sqrt(math.pi) * math.exp(-z * z))
         f_low = np.exp(-((v - ve) ** 2) / v0**2) - np.exp(-((v + ve) ** 2) / v0**2)
         f_edge = np.exp(-((v - ve) ** 2) / v0**2) - math.exp(-z * z)
         out = np.zeros_like(v)
@@ -429,8 +425,8 @@ def axion_gw_line(f_a_gev: float):
     m_a = 5.7 meV (1e9 GeV / f_a); the annihilation signal sits at twice the
     axion mass, f_gw = 2 m_a c^2 / h.
     """
-    if f_a_gev <= 0.0:
-        raise DomainError("axion decay constant must be positive")
+    if not (math.isfinite(f_a_gev) and f_a_gev > 0.0):
+        raise DomainError(f"axion decay constant must be finite and positive, got {f_a_gev!r}")
     m_a_ev = AXION_MASS_SCALE_EV * (AXION_FA_REFERENCE_GEV / f_a_gev)
     f_gw_hz = 2.0 * m_a_ev * EV / PLANCK_H
     return m_a_ev, f_gw_hz
@@ -438,7 +434,7 @@ def axion_gw_line(f_a_gev: float):
 
 def axion_decay_constant_for_line(f_gw_hz: float) -> float:
     """Inverse of axion_gw_line: f_a (GeV) producing a given GW line frequency."""
-    if f_gw_hz <= 0.0:
-        raise DomainError("GW frequency must be positive")
+    if not (math.isfinite(f_gw_hz) and f_gw_hz > 0.0):
+        raise DomainError(f"GW frequency must be finite and positive, got {f_gw_hz!r}")
     m_a_ev = f_gw_hz * PLANCK_H / (2.0 * EV)
     return AXION_FA_REFERENCE_GEV * AXION_MASS_SCALE_EV / m_a_ev

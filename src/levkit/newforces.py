@@ -189,13 +189,6 @@ def _legendre_rule(n: int):
     return x, w
 
 
-def _gauss_nodes(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    x, w = _legendre_rule(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab) -> Quantity:
     """Yukawa-only force between a uniform sphere and an infinite slab.
 
@@ -221,18 +214,6 @@ def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab
 _RANGE_CUTOFF = 45.0
 
 
-def _panel_nodes(a: float, b: float, lam: float, n_per_panel: int):
-    """Composite Gauss rule: panels no wider than 5 lambda across [a, b]."""
-    n_panels = max(1, math.ceil((b - a) / (5.0 * lam)))
-    edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for i in range(n_panels):
-        xn, xw = _gauss_nodes(edges[i], edges[i + 1], n_per_panel)
-        xs.append(xn)
-        ws.append(xw)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
                  shifts: np.ndarray, n_per_panel: int):
     """Lateral quadrature nodes and weights over the dense strips.
@@ -241,22 +222,23 @@ def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
     Each is cut to the lateral reach at which the distance from a point
     ``distance`` away exceeds the e^-45 suppression radius, widened by the
     largest pattern shift, and split into panels no wider than 5 lambda.
+    The Gauss rule is mapped onto every panel at once; nodes run in strip,
+    panel and node order.
     """
     cut = _RANGE_CUTOFF * lam
     s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
     x_cut = math.sqrt((distance + cut) ** 2 - distance**2) + s_max
-    xs_list = []
-    ws_list = []
+    edges = []
     for k in range(-n_pairs, n_pairs):
         x0 = 2.0 * k * width
         lo = max(x0, -x_cut)
         hi = min(x0 + width, x_cut)
-        if lo >= hi:
-            continue
-        xn, xw = _panel_nodes(lo, hi, lam, n_per_panel)
-        xs_list.append(xn)
-        ws_list.append(xw)
-    return np.concatenate(xs_list), np.concatenate(ws_list)
+        if lo < hi:
+            edges.append(np.linspace(lo, hi, max(1, math.ceil((hi - lo) / (5.0 * lam))) + 1))
+    left = np.concatenate([e[:-1] for e in edges])
+    half = 0.5 * (np.concatenate([e[1:] for e in edges]) - left)[:, None]
+    x, w = _legendre_rule(n_per_panel)
+    return (left[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,

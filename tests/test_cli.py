@@ -207,6 +207,15 @@ def test_axion_command(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("fa", ["nan", "inf", "0"])
+def test_axion_rejects_non_finite_or_non_positive_decay_constant(tmp_path, capsys, fa):
+    out = tmp_path / "axion.csv"
+    assert main(["axion", "1e9", fa, "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: axion decay constant must be finite "
+                                       f"and positive, got {float(fa)!r}\n")
+    assert not out.exists()
+
+
 def test_normalize_config_fixed_point(tmp_path, capsys):
     cfg = write_config(tmp_path, base_doc(tmp_path / "out"))
     assert main(["normalize-config", cfg]) == EXIT_OK
@@ -295,6 +304,16 @@ def test_import_leaves_scipy_signal_and_optimize_unloaded():
     assert run_python(code).strip() == "[]"
 
 
+def test_exclusion_dm_leaves_scipy_special_unloaded(tmp_path):
+    """The halo speed distribution takes erf from math, not scipy.special."""
+    cfg = str(_config_dir() / "dm_recoil_10um.json")
+    code = ("import sys; from levkit.cli import main; "
+            f"assert main(['exclusion', 'dm', {cfg!r}, '-o', {str(tmp_path)!r}]) == 0; "
+            "print('scipy.special' in sys.modules)")
+    assert run_python(code).splitlines()[-1] == "False"
+    assert (tmp_path / "exclusion_dm.csv").exists()
+
+
 def impulse_doc(outdir, decimation=1, duration="20 s"):
     """A fast impulse search: gamma_eff = 1000 1/s, so 20 s is 2e4 correlation
     times; the impulses are three times the threshold."""
@@ -360,15 +379,31 @@ def test_decimated_search_reads_full_rate_amplitudes(tmp_path):
     assert len([row for row in rows if not row.startswith("#")]) == 100_000
 
 
-def test_unconverged_threshold_is_runtime_exit(tmp_path, capsys):
-    """Too few correlation times: exit 3 before any output is written."""
+def test_false_alarm_rate_without_impulses_writes_threshold(tmp_path, capsys):
+    """A false-alarm rate alone still sets and reports the threshold."""
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, impulse_doc(out, duration="5 s"))
-    assert main(["simulate", cfg]) == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error: noise distribution not converged")
-    assert "Traceback" not in err
-    assert not out.exists()
+    doc = impulse_doc(out)
+    del doc["simulation"]["impulses"]
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_OK
+    found = json.loads((out / "detections.json").read_text())
+    assert found["events"] == []
+    assert found["threshold_kg_m_s"] > 0.0
+    assert "0/0 injected impulses detected" in capsys.readouterr().out
+
+
+def test_unconverged_threshold_is_runtime_exit(tmp_path, capsys):
+    """Too few correlation times, with impulses or a false-alarm rate alone:
+    exit 3 before any output is written."""
+    out = tmp_path / "out"
+    doc = impulse_doc(out, duration="5 s")
+    without = impulse_doc(out, duration="5 s")
+    del without["simulation"]["impulses"]
+    for name, case in (("impulses.json", doc), ("rate_only.json", without)):
+        assert main(["simulate", write_config(tmp_path, case, name)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: noise distribution not converged")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_impulse_at_end_of_record_is_config_error(tmp_path, capsys):
@@ -396,6 +431,18 @@ def test_template_shorter_than_a_time_step_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: matched-filter template of 10/gamma_total = ")
     assert "(2e-05 s)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temperature", ["300 K", "0 K"])
+def test_negative_rng_seed_is_config_error(tmp_path, capsys, temperature):
+    out = tmp_path / "out"
+    doc = impulse_doc(out)
+    del doc["simulation"]["impulses"], doc["simulation"]["false_alarm_rate"]
+    doc["simulation"].update(rng_seed=-1, bath_temperature=temperature)
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: rng seed must be >= 0, got -1\n"
     assert not out.exists()
 
 

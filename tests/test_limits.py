@@ -288,3 +288,11 @@ def test_axion_inverse_solve():
     # round trip
     _, f_gw = axion_gw_line(f_a)
     assert f_gw == pytest.approx(145e3, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_axion_line_rejects_non_finite_or_non_positive_input(bad):
+    with pytest.raises(DomainError, match=f"must be finite and positive, got {bad!r}$"):
+        axion_gw_line(bad)
+    with pytest.raises(DomainError, match=f"must be finite and positive, got {bad!r}$"):
+        axion_decay_constant_for_line(bad)

@@ -209,6 +209,67 @@ def test_finger_depth_integral_matches_quadrature(lam):
     np.testing.assert_allclose(closed, quadrature, rtol=1e-10, atol=0.0)
 
 
+def _reference_strip_nodes(width, n_pairs, distance, lam, shifts, n_per_panel):
+    """The lateral rule built one strip, one panel and one Gauss map at a time."""
+    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+
+    def gauss_nodes(a, b):
+        half = 0.5 * (b - a)
+        return a + half * (x + 1.0), half * w
+
+    def panel_nodes(a, b):
+        n_panels = max(1, math.ceil((b - a) / (5.0 * lam)))
+        edges = np.linspace(a, b, n_panels + 1)
+        nodes = [gauss_nodes(edges[i], edges[i + 1]) for i in range(n_panels)]
+        return np.concatenate([x for x, _ in nodes]), np.concatenate([w for _, w in nodes])
+
+    cut = 45.0 * lam
+    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
+    x_cut = math.sqrt((distance + cut) ** 2 - distance**2) + s_max
+    xs, ws = [], []
+    for k in range(-n_pairs, n_pairs):
+        x0 = 2.0 * k * width
+        lo = max(x0, -x_cut)
+        hi = min(x0 + width, x_cut)
+        if lo >= hi:
+            continue
+        xn, xw = panel_nodes(lo, hi)
+        xs.append(xn)
+        ws.append(xw)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _strip_cases():
+    """(width, pairs, distance, lam, shifts): the shipped finger config and the
+    benchmark's capillary over their lambda grids, then random geometries."""
+    phases = np.arange(64) / 64
+    finger = (10e-6, 40, 15e-6, 10e-6 * np.sin(2.0 * math.pi * phases))
+    capillary = (40e-6, 40, 12e-6, 2.0 * 40e-6 * phases)
+    for (width, pairs, distance, shifts), lams in ((finger, np.geomspace(1e-6, 1e-4, 41)),
+                                                  (capillary, np.geomspace(1e-6, 1e-2, 81))):
+        for lam in lams:
+            yield width, pairs, distance, lam, shifts
+            yield width, pairs, distance, lam, np.empty(0)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        width = 10.0 ** rng.uniform(-6.5, -4.0)
+        yield (width, int(rng.integers(1, 41)), 10.0 ** rng.uniform(-6.5, -4.0),
+               10.0 ** rng.uniform(-7.0, -2.0),
+               rng.uniform(-2.0, 2.0, int(rng.integers(0, 8))) * width)
+
+
+@pytest.mark.parametrize("n_per_panel", [8, 16])
+def test_strip_nodes_match_per_panel_reference(n_per_panel):
+    """Mapping the rule onto all panels at once changes no node or weight bit."""
+    for width, pairs, distance, lam, shifts in _strip_cases():
+        nodes, weights = newforces._strip_nodes(width, pairs, distance, lam, shifts,
+                                                n_per_panel)
+        ref_nodes, ref_weights = _reference_strip_nodes(width, pairs, distance, lam,
+                                                        shifts, n_per_panel)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(weights, ref_weights)
+
+
 def _skew_coarse_rule(monkeypatch):
     """Make the 8-node finger rule disagree with the 16-node one by 10 %."""
     exact = newforces._finger_point_force
