@@ -19,7 +19,14 @@ The discretisation lives in ``_LinearTrap`` alone, built once per call of
 ``simulate`` or ``search_impulses``: the matched-filter template is the
 impulse response of the filter that makes the record.  The model runs in
 blocks of ``_BLOCK`` samples with its filter state carried between them, so
-a whole-record array exists only where a caller keeps one.
+a whole-record array exists only where a caller keeps one.  The noise is
+that of one whole-record pass bit for bit; so is the impulses' response,
+except that the response is run only on a block that holds a kick or starts
+from a nonzero state, and its state is set to zero at the end of a block
+once every component is subnormal (below ``np.finfo(float).tiny``).  A
+whole-record pass would instead carry a subnormal limit cycle to the end of
+the record.  At zero temperature that tail is exactly +0.0 from the next
+block on; above zero it changes no sample whose |noise| exceeds 2^-969 m.
 
 Impulse search: ``search_impulses`` simulates one run in a single pass over
 those blocks.  Its thermal noise is drawn once, at full rate; an
@@ -144,6 +151,9 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
 # >= 8 template lengths when the template is longer.
 _BLOCK = 2**17
 
+# The least positive normal double.
+_TINY = np.finfo(float).tiny
+
 
 @functools.cache
 def _linear_filter():
@@ -211,8 +221,15 @@ class _LinearTrap:
         displacement (zeros at zero temperature) and its displacement with the
         impulses' response added, each impulse adding q/m to the velocity at
         its nearest step.  Both filters carry their state from block to block,
-        so the samples are those of one whole-record pass, bit for bit.  After
-        the last block the noise is checked for energy growth.
+        so the samples are those of one whole-record pass, bit for bit, with
+        one exception.  The impulse filter runs only on a block that holds a
+        kick or starts from a nonzero state, and once its state is subnormal
+        in every component at a block's end it is set to zero; a skipped block
+        yields ``x`` as ``noise`` itself.  So where one pass would leave a
+        subnormal limit cycle, a zero-temperature run is exactly +0.0 from the
+        next block on; with noise, only a sample with |noise| <= 2^-969 m
+        could differ.  After the last block the noise is checked for energy
+        growth.
         """
         linear_filter = _linear_filter()
         steps = self.kick_steps(injected)
@@ -237,13 +254,19 @@ class _LinearTrap:
             for window in windows:
                 window.take(start, noise)
             x = noise
-            if injected:
+            hits = [(idx - start, ev) for ev, idx in zip(injected, steps)
+                    if start <= idx < start + size]
+            if hits or impulse_state.any():
                 kicks = np.zeros(size)
-                for ev, idx in zip(injected, steps):
-                    if start <= idx < start + size:
-                        kicks[idx - start] += ev.direction * ev.momentum_transfer / self.mass
+                for at, ev in hits:
+                    kicks[at] += ev.direction * ev.momentum_transfer / self.mass
                 response, impulse_state = linear_filter(*self._impulse_filter, kicks, -1,
                                                         impulse_state)
+                # A decayed response never reaches zero: it settles into a
+                # limit cycle of subnormal doubles, which the kernel runs many
+                # times slower than normal ones.  End it at the block's end.
+                if np.max(np.abs(impulse_state)) < _TINY:
+                    impulse_state[:] = 0.0
                 x = noise + response
             yield start, noise, x
         if windows:

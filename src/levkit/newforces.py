@@ -162,15 +162,24 @@ class FluidCapillary:
 ModulatedGeometry = Union[FingerArray, FluidCapillary]
 
 
+# The largest x at which 3 (x cosh x - sinh x) is finite in double precision.
+_FORM_FACTOR_MAX = 702.8235657436883
+
+
 def sphere_form_factor(x) -> float:
     """Uniform-sphere Yukawa form factor Phi(x) = 3 x^-3 (x cosh x - sinh x).
 
     x = R / lambda.  For x < 1e-3 the series 1 + x^2/10 + x^4/280 avoids
-    catastrophic cancellation.  Phi -> 1 in the point-mass limit.
+    catastrophic cancellation.  Phi -> 1 in the point-mass limit.  Above
+    x = ``_FORM_FACTOR_MAX`` the formula overflows, which is a DomainError.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("form-factor argument must be >= 0")
+    if np.any(x > _FORM_FACTOR_MAX):
+        raise DomainError(
+            f"sphere form factor overflows at R/lambda = {float(np.max(x))!r}, "
+            f"above its limit {_FORM_FACTOR_MAX!r}")
     small = x < 1e-3
     xs = np.where(small, 0.0, x)
     with np.errstate(divide="ignore", invalid="ignore"):

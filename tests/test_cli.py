@@ -174,15 +174,18 @@ def test_exclusion_isl_without_geometry_is_config_error(tmp_path, capsys):
     assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_CONFIG
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_non_finite_force_message_prints_a_python_float(tmp_path, capsys):
-    # At a 1 nm range the sphere form factor overflows and the force is NaN.
+@pytest.mark.filterwarnings("error")
+def test_form_factor_overflow_is_a_config_error_naming_the_limit(tmp_path, capsys):
+    """At a 1 nm range R/lambda is 1e4, past where the sphere form factor
+    overflows: one message naming R/lambda and the limit, and no warning."""
     doc = json.loads((_config_dir() / "isl_finger_20um.json").read_text())
     doc["plan"]["lambda_min"] = "1 nm"
     cfg = write_config(tmp_path, doc)
     assert main(["exclusion", "isl", cfg, "-o", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: non-finite quantity value: nan"]
+    assert capsys.readouterr().err == (
+        "config error: sphere form factor overflows at R/lambda = 9999.999999999998, "
+        "above its limit 702.8235657436883\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_exclusion_dm_curve(tmp_path):

@@ -427,6 +427,62 @@ def test_streamed_search_matches_whole_record_reference(monkeypatch, block, deci
     np.testing.assert_array_equal(bits(simulated.samples), bits(x[::decimation]))
 
 
+def test_streamed_search_skips_blocks_whose_response_has_decayed(monkeypatch):
+    """Kicks 8 s apart: between them the response decays below the least normal
+    double, so the impulse filter runs on fewer than half the blocks, and the
+    record and the amplitudes are still the whole-record ones bit for bit and
+    the threshold within 1e-12 of the whole-record FFT filter's."""
+    cfg = imp_config(995.0)
+    events = [ImpulseEvent(time=1.0, momentum_transfer=4e-19),
+              ImpulseEvent(time=9.0, momentum_transfer=4e-19, direction=-1),
+              ImpulseEvent(time=17.0, momentum_transfer=4e-19)]
+    noise, x, q_ref, amp_ref = whole_record_search(IMP_SPHERE, IMP_TRAP, cfg, events, 1.0)
+
+    impulse_num = dynamics._LinearTrap(IMP_SPHERE, IMP_TRAP, cfg)._impulse_filter[0]
+    kernel = dynamics._linear_filter()
+    filtered = []
+
+    def counted(b, a, samples, axis, *state):
+        if state and np.array_equal(b, impulse_num):
+            filtered.append(samples.size)
+        return kernel(b, a, samples, axis, *state)
+    monkeypatch.setattr(dynamics, "_linear_filter", lambda: counted)
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, events, 1.0)
+    blocks = math.ceil(1_000_000 / 4096)
+    assert len(events) <= len(filtered) < blocks // 2
+    np.testing.assert_array_equal(bits(found.series.samples), bits(x))
+    assert found.amplitudes == amp_ref
+    assert found.threshold.value == pytest.approx(q_ref, rel=1e-12, abs=0.0)
+
+
+def test_cold_run_ends_the_decayed_response_at_a_block_boundary(monkeypatch):
+    """At zero temperature the record is lfilter's response to the kick train
+    bit for bit through the block at whose end the filter state is first
+    subnormal, and exactly +0.0 after it, where lfilter carries on with a
+    subnormal limit cycle."""
+    from scipy import signal
+
+    cfg = replace(imp_config(995.0), duration=3.0, bath_temperature=0.0)
+    kick = ImpulseEvent(time=0.01, momentum_transfer=4e-19)
+    model = dynamics._LinearTrap(IMP_SPHERE, IMP_TRAP, cfg)
+    kicks = np.zeros(model.n)
+    kicks[model.kick_steps([kick])[0]] = kick.momentum_transfer / model.mass
+    reference = signal.lfilter(*model._impulse_filter, kicks)
+
+    block = 4096
+    end, state = 0, np.zeros(2)
+    while end == 0 or np.max(np.abs(state)) >= np.finfo(float).tiny:
+        _, state = signal.lfilter(*model._impulse_filter, kicks[end: end + block], zi=state)
+        end += block
+    assert end < model.n and np.any(reference[end:] != 0.0)
+
+    monkeypatch.setattr(dynamics, "_BLOCK", block)
+    samples = simulate(IMP_SPHERE, IMP_TRAP, cfg, injected=[kick]).samples
+    np.testing.assert_array_equal(bits(samples[:end]), bits(reference[:end]))
+    assert not np.any(bits(samples[end:]))
+
+
 def test_threshold_of_a_record_shorter_than_one_segment_ignores_stale_memory():
     """A record shorter than the FFT length is one partial segment.  The FFT
     reads all of it, so what the segment's memory held before must not reach

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_form_factor_vectorized_and_monotone():
 def test_form_factor_rejects_negative():
     with pytest.raises(DomainError):
         sphere_form_factor(-0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_form_factor_overflow_is_a_domain_error():
+    """Finite up to its limit; one ulp above it, an error that names both,
+    raised before numpy can warn of the overflow."""
+    limit = newforces._FORM_FACTOR_MAX
+    assert math.isfinite(sphere_form_factor(limit))
+    above = float(np.nextafter(limit, np.inf))
+    with pytest.raises(DomainError, match=re.escape(f"R/lambda = {above!r}, above its limit {limit!r}")):
+        sphere_form_factor(np.array([1.0, above]))
 
 
 # -------------------------------------------------------------------- kernels

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +65,12 @@ def test_nonfinite_value_rejected():
         Quantity(float("nan"), Dimension.MASS)
     with pytest.raises(DomainError):
         Quantity(float("inf"), Dimension.MASS)
+
+
+def test_nonfinite_message_prints_a_python_float():
+    with pytest.raises(DomainError) as err:
+        Quantity(np.float64("nan"), Dimension.FORCE)
+    assert str(err.value) == "non-finite quantity value: nan"
 
 
 def test_comparison_requires_same_dimension():
