@@ -151,9 +151,6 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
 # >= 8 template lengths when the template is longer.
 _BLOCK = 2**17
 
-# The least positive normal double.
-_TINY = np.finfo(float).tiny
-
 
 @functools.cache
 def _linear_filter():
@@ -265,7 +262,7 @@ class _LinearTrap:
                 # A decayed response never reaches zero: it settles into a
                 # limit cycle of subnormal doubles, which the kernel runs many
                 # times slower than normal ones.  End it at the block's end.
-                if np.max(np.abs(impulse_state)) < _TINY:
+                if np.max(np.abs(impulse_state)) < np.finfo(float).tiny:
                     impulse_state[:] = 0.0
                 x = noise + response
             yield start, noise, x

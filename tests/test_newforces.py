@@ -88,7 +88,8 @@ def test_form_factor_overflow_is_a_domain_error():
     limit = newforces._FORM_FACTOR_MAX
     assert math.isfinite(sphere_form_factor(limit))
     above = float(np.nextafter(limit, np.inf))
-    with pytest.raises(DomainError, match=re.escape(f"R/lambda = {above!r}, above its limit {limit!r}")):
+    message = f"R/lambda = {above!r}, above its limit {limit!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
         sphere_form_factor(np.array([1.0, above]))
 
 
