@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import LEVKIT_THREADS, __version__
+from ._scipy import ExtensionNotFoundError
 from .quantities import DomainError, DimensionError, K_B, Quantity, Dimension
 from .sensor import acceleration_asd_ng
 from .dynamics import (
@@ -47,7 +48,7 @@ EXIT_RUNTIME = 3
 
 _CONFIG_ERRORS = (ConfigError, DomainError, DimensionError, GeometryError)
 _RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError,
-                   OSError, MemoryError)
+                   ExtensionNotFoundError, OSError, MemoryError)
 
 
 def _provenance(command: str, cfg=None) -> dict:

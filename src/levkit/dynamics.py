@@ -41,18 +41,16 @@ template length per injected impulse), not O(N).
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 # scipy.optimize is imported inside the function that uses it: at module
-# level it is most of the import time of every command.  scipy.signal is not
-# imported at all (see ``_linear_filter``).
+# level it is most of the import time of every command.  The filter kernel is
+# loaded from its file, with no scipy package imported (see ``_linear_filter``).
 
+from . import _scipy
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
 from .writer import write_csv
@@ -152,25 +150,19 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
 _BLOCK = 2**17
 
 
-@functools.cache
 def _linear_filter():
     """scipy's compiled direct-form II transposed IIR kernel, ``_linear_filter``.
 
     ``_linear_filter(b, a, x, -1[, zi])`` is the call ``scipy.signal.lfilter``
     makes for a denominator of more than one coefficient, so its samples are
-    lfilter's bit for bit.  The extension is loaded from its file in the
-    ``scipy.signal`` package directory, which imports only the top-level
-    ``scipy`` package: ``import scipy.signal`` would load some 500 scipy
-    modules (``scipy.stats`` and ``scipy.linalg`` among them) for this one
-    function, 1.0-1.2 s and 76 MiB of resident memory with scipy 1.17 on a
-    2-core x86-64 VM, more than the filtering of a 1e7-sample search.  The
-    module is not registered in ``sys.modules``.
+    lfilter's bit for bit.  The extension ``_sigtools`` is loaded from its file
+    by ``_scipy.extension``, which imports no scipy package: ``import
+    scipy.signal`` would load some 500 scipy modules (``scipy.stats`` and
+    ``scipy.linalg`` among them) for this one function, 1.0-1.2 s and 76 MiB
+    of resident memory with scipy 1.17 on a 2-core x86-64 VM, more than the
+    filtering of a 1e7-sample search.
     """
-    package = importlib.util.find_spec("scipy.signal").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("_sigtools", package)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._linear_filter
+    return _scipy.extension("signal", "_sigtools")._linear_filter
 
 
 class _LinearTrap:

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-# scipy.special is imported inside the function that uses it: at module level
-# it is most of the import time of every command.
+# k0 is scipy's compiled kernel, loaded from its file by ``_scipy.extension``
+# on first use: ``scipy.special`` (66 scipy modules) is never imported.
 
+from . import _scipy
 from .quantities import (
     Dimension,
     DomainError,
@@ -265,8 +266,7 @@ def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
     and only the lateral (x) integral is done by quadrature.  Returns one
     value per lateral pattern shift.
     """
-    from scipy.special import k0
-
+    k0 = _scipy.extension("special", "_special_ufuncs").k0
     d = geom.distance
     x_nodes, x_weights = _strip_nodes(geom.finger_width, geom.n_finger_pairs, d, lam,
                                       shifts, n_per_panel)

@@ -3,8 +3,8 @@
 The constants are CODATA 2018 values.  Everything internal to the library
 is SI; eV-based quantities are converted at the boundary.  The dimension
 system is deliberately a closed enumeration (no rational-exponent algebra):
-a Quantity knows which of a fixed set of dimensions it carries, mismatched
-arithmetic raises, and that is all.
+a Quantity knows which of a fixed set of dimensions it carries, and that is
+all.  It has no arithmetic: code reads ``.value`` and checks ``.dimension``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 
 class DimensionError(TypeError):
-    """Arithmetic or construction across mismatched dimensions."""
+    """A Quantity of the wrong dimension, or a tag that is not a Dimension."""
 
 
 class DomainError(ValueError):
@@ -42,15 +42,9 @@ class Dimension(enum.Enum):
     DIMENSIONLESS = "dimensionless"
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class Quantity:
-    """A finite real value tagged with one of the supported dimensions.
-
-    Addition, subtraction and comparison require matching dimensions.
-    Multiplication and division are supported with bare numbers only;
-    products of two Quantities are outside the closed dimension set and
-    raise DimensionError (use ``.value`` and re-tag explicitly).
-    """
+    """A finite real value tagged with one of the supported dimensions."""
 
     value: float
     dimension: Dimension
@@ -62,62 +56,6 @@ class Quantity:
         if not math.isfinite(v):
             raise DomainError(f"non-finite quantity value: {v!r}")
         object.__setattr__(self, "value", v)
-
-    def _check(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            raise DimensionError(
-                f"cannot combine Quantity[{self.dimension.value}] with {type(other).__name__}"
-            )
-        if other.dimension is not self.dimension:
-            raise DimensionError(
-                f"dimension mismatch: {self.dimension.value} vs {other.dimension.value}"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return Quantity(self.value + other.value, self.dimension)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return Quantity(self.value - other.value, self.dimension)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.dimension)
-
-    def __abs__(self):
-        return Quantity(abs(self.value), self.dimension)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            raise DimensionError(
-                "Quantity*Quantity is outside the closed dimension set; "
-                "use .value and tag the result explicitly"
-            )
-        return Quantity(self.value * float(other), self.dimension)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            if other.dimension is self.dimension:
-                return self.value / other.value  # dimensionless ratio as float
-            raise DimensionError(
-                "Quantity/Quantity across dimensions is outside the closed set"
-            )
-        return Quantity(self.value / float(other), self.dimension)
-
-    def __lt__(self, other):
-        return self.value < self._check(other).value
-
-    def __le__(self, other):
-        return self.value <= self._check(other).value
-
-    def __gt__(self, other):
-        return self.value > self._check(other).value
-
-    def __ge__(self, other):
-        return self.value >= self._check(other).value
 
 
 HBAR = 1.054571817e-34               # J s

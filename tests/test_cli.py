@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import levkit
+from levkit import _scipy
 from levkit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _config_dir, main
 
 
@@ -315,6 +316,66 @@ def test_exclusion_dm_leaves_scipy_special_unloaded(tmp_path):
             "print('scipy.special' in sys.modules)")
     assert run_python(code).splitlines()[-1] == "False"
     assert (tmp_path / "exclusion_dm.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def regen_figures(tmp_path_factory):
+    """One ``regen-figures`` run in a fresh process: its output directory and
+    the ``scipy*`` modules the process had loaded at the end."""
+    out = tmp_path_factory.mktemp("figures")
+    code = ("import sys; from levkit.cli import main; "
+            f"assert main(['regen-figures', '-o', {str(out)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    return out, run_python(code).splitlines()[-1]
+
+
+def test_regen_figures_leaves_scipy_unloaded(regen_figures):
+    """The finger kernel's k0 is loaded from its extension file: neither
+    scipy.special nor any other scipy module is imported."""
+    assert regen_figures[1] == "[]"
+
+
+# float.hex of every alpha_min of the shipped finger ISL curve, as
+# numpy 2.4.6 and scipy 1.17.1 compute it.
+FINGER_ISL_ALPHA_HEX = [
+    "0x1.cab71f26fa529p+24", "0x1.a47f3c001b762p+23", "0x1.9e2f8e2edb6a5p+22",
+    "0x1.b419a8f9f0050p+21", "0x1.e89dbff0e703ep+20", "0x1.221db6375f32cp+20",
+    "0x1.6bd3aef33016cp+19", "0x1.e03eb06e446c5p+18", "0x1.4c8eb03f6635ap+18",
+    "0x1.e1baf15960476p+17", "0x1.6bc5e96ae46b1p+17", "0x1.1d761109a4813p+17",
+    "0x1.cffbf61779e19p+16", "0x1.852742558ee2fp+16", "0x1.4fa94543e3f1fp+16",
+    "0x1.28b75eb49a38fp+16", "0x1.0beaf6cf03d98p+16", "0x1.ecaee91625065p+15",
+    "0x1.cbff6b1ef6b7bp+15", "0x1.b303f4704b25ep+15", "0x1.9fc74d2076873p+15",
+    "0x1.90e01e104cb13p+15", "0x1.8545d5ab772e7p+15", "0x1.7c341790ea8c5p+15",
+    "0x1.75176ed7ab2cdp+15", "0x1.6f8002f36a192p+15", "0x1.6b1845f74353dp+15",
+    "0x1.679e4fdde23e2p+15", "0x1.64df0f49499b1p+15", "0x1.62b2c18ba7bb0p+15",
+    "0x1.60fa529b6744ap+15", "0x1.5f9d63eac68abp+15", "0x1.5e88cd18f1bf4p+15",
+    "0x1.5dad76f88d846p+15", "0x1.5cff7b2c39556p+15", "0x1.5c757abfcd211p+15",
+    "0x1.5c0825e2c629bp+15", "0x1.5bb1f50ce9bc5p+15", "0x1.5b6f13f494c5ap+15",
+    "0x1.5b3d7431e4243p+15", "0x1.5b1cea0959916p+15",
+]
+
+
+def test_regen_figures_finger_isl_curve_golden(regen_figures):
+    """Any change to the finger kernel that moves a bit of the curve fails here."""
+    text = (regen_figures[0] / "isl_finger_20um" / "exclusion_isl.csv").read_text()
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    assert [float(alpha).hex() for _, alpha in rows] == FINGER_ISL_ALPHA_HEX
+
+
+def test_missing_scipy_extension_is_runtime_exit(tmp_path, capsys, monkeypatch):
+    """A scipy whose layout lacks the kernel's extension: exit 3 with one line
+    naming it, no traceback and no output."""
+    load = _scipy.extension
+    monkeypatch.setattr(_scipy, "extension",
+                        lambda subpackage, name: load(subpackage, "_no_such_extension"))
+    out = tmp_path / "out"
+    cfg = str(_config_dir() / "isl_finger_20um.json")
+    assert main(["exclusion", "isl", cfg, "-o", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "runtime error: scipy extension special._no_such_extension not found in ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def impulse_doc(outdir, decimation=1, duration="20 s"):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import k1
 
-from levkit import newforces, oracles
+from levkit import _scipy, newforces, oracles
 from levkit.cli import EXIT_RUNTIME, main
 from levkit.quantities import DomainError, HBAR_C
 from levkit.sensor import Sphere
@@ -376,3 +377,21 @@ def test_casimir_pfa():
     assert est.pfa_valid
     far = casimir_background_sphere_plane(sphere, gap=2e-6)
     assert not far.pfa_valid
+
+
+def test_file_loaded_k0_is_scipy_special_k0_bit_for_bit():
+    """The finger kernel's k0, loaded from its extension file, is scipy.special's."""
+    from scipy.special import k0
+
+    z = np.geomspace(1e-3, 700.0, 100_000)
+    assert np.array_equal(_scipy.extension("special", "_special_ufuncs").k0(z), k0(z))
+
+
+def test_missing_extension_names_it_the_directory_and_scipy_version():
+    import scipy
+
+    with pytest.raises(_scipy.ExtensionNotFoundError) as err:
+        _scipy.extension("special", "_no_such_extension")
+    special = os.path.join(os.path.dirname(scipy.__file__), "special")
+    assert str(err.value) == (f"scipy extension special._no_such_extension not found in "
+                              f"{special} (scipy {scipy.__version__})")
