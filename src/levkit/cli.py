@@ -23,10 +23,10 @@ from .quantities import DomainError, DimensionError, K_B, Quantity, Dimension
 from .sensor import acceleration_asd_ng
 from .dynamics import (
     IntegrationError,
+    Run,
+    RunningVariance,
     ThresholdEstimateError,
-    estimate_psd,
-    search_impulses,
-    simulate,
+    Welch,
     total_damping,
 )
 from .newforces import GeometryError, QuadratureError
@@ -99,7 +99,7 @@ def cmd_noise_budget(args) -> int:
     data = [freqs, *([p[lb] for p in per] for lb in labels), totals, accel_ng]
 
     out = _out_dir(cfg, args.outdir) / "noise_budget.csv"
-    write_csv(out, _csv_header(_provenance("noise-budget", cfg)).items(), cols, data)
+    write_csv(out, _csv_header(_provenance("noise-budget", cfg)).items(), cols, [data])
 
     f0 = cfg.trap.resonant_frequency
     total0 = cfg.noise.total_asd(f0)
@@ -113,51 +113,51 @@ def cmd_noise_budget(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     cfg.require("sphere", "trap", "simulation")
-    # The search and the PSD run before anything is written, so a failed one
-    # leaves no output.
-    search = None
-    if cfg.false_alarm_rate is not None:
-        search = search_impulses(cfg.sphere, cfg.trap, cfg.simulation, cfg.impulses,
-                                 cfg.false_alarm_rate)
-        series = search.series
-    else:
-        series = simulate(cfg.sphere, cfg.trap, cfg.simulation, injected=cfg.impulses)
-    psd = None
+    # Every check that depends only on the config, the search's and the
+    # PSD's included, is made here, before any sample is simulated.
+    run = Run(cfg.sphere, cfg.trap, cfg.simulation, cfg.impulses, cfg.false_alarm_rate)
+    readers = []
+    welch = None
     if cfg.psd_segment_length is not None:
-        psd = estimate_psd(series, cfg.psd_segment_length)
+        welch = Welch(cfg.psd_segment_length, run.sample_interval, run.size)
+        readers.append(welch)
+    # Drop the first 5 relaxation times before measuring the variance.
+    gamma_tot = total_damping(cfg.trap, cfg.simulation)
+    variance = RunningVariance(min(run.size // 2,
+                                   int(5.0 / (gamma_tot * run.sample_interval))))
+    readers.append(variance)
     out_dir = _out_dir(cfg, args.outdir)
 
     prov = _provenance("simulate", cfg)
     header = _csv_header(prov)
     traj_path = out_dir / "trajectory.csv"
-    series.to_csv(traj_path, header)
+    # The one pass runs inside the trajectory's write, the search and the PSD
+    # with it, so a run that fails anywhere leaves no output.
+    run.to_csv(traj_path, header.items(), *readers)
     print(f"wrote {traj_path}")
 
     mass = cfg.sphere.mass
     omega0 = cfg.trap.omega0
-    # Drop the first 5 relaxation times before measuring the variance.
-    gamma_tot = total_damping(cfg.trap, cfg.simulation)
-    skip = min(series.samples.size // 2,
-               int(5.0 / (gamma_tot * series.sample_interval)))
-    var = float(np.var(series.samples[skip:]))
+    var = variance.value
     t_eff = mass * omega0**2 * var / K_B
     print(f"measured displacement variance {var!r} m^2 "
           f"(equipartition temperature {t_eff!r} K)")
 
-    if psd is not None:
+    if welch is not None:
+        psd = welch.estimate()
         psd_path = out_dir / "psd.csv"
         write_csv(psd_path, header.items(), ("frequency_hz", "displacement_psd_m2_per_hz"),
-                  (psd.frequency, psd.psd))
+                  [(psd.frequency, psd.psd)])
         print(f"wrote {psd_path} ({psd.n_segments} segments)")
 
-    if search is not None:
-        threshold = search.threshold.value
+    if run.threshold is not None:
+        threshold = run.threshold.value
         detections = [{
             "time_s": ev.time,
             "injected_momentum_kg_m_s": ev.momentum_transfer * ev.direction,
             "filter_amplitude_kg_m_s": amp,
             "detected": bool(amp > threshold),
-        } for ev, amp in zip(cfg.impulses, search.amplitudes)]
+        } for ev, amp in zip(cfg.impulses, run.amplitudes)]
         det_path = out_dir / "detections.json"
         write_json(det_path, {**prov, "threshold_kg_m_s": threshold, "events": detections})
         n_hit = sum(1 for d in detections if d["detected"])
@@ -238,7 +238,7 @@ def cmd_axion(args) -> int:
         print(f"f_a = {fa!r} GeV: m_a = {m_a_ev!r} eV, f_gw = {f_gw_hz!r} Hz")
     if args.output is not None:
         write_csv(args.output, _csv_header(_provenance("axion")).items(),
-                  ("f_a_gev", "m_a_ev", "f_gw_hz"), list(zip(*rows)))
+                  ("f_a_gev", "m_a_ev", "f_gw_hz"), [list(zip(*rows))])
         print(f"wrote {args.output}")
     return EXIT_OK
 

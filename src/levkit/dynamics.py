@@ -15,35 +15,43 @@ PSD convention: ``estimate_psd`` returns a one-sided density, so a
 thermally limited oscillator shows a Lorentzian with plateau force PSD
 4 kB T m gamma, i.e. twice the square of ``sensor.thermal_force_asd``.
 
-The discretisation lives in ``_LinearTrap`` alone, built once per call of
-``simulate`` or ``search_impulses``: the matched-filter template is the
-impulse response of the filter that makes the record.  The model runs in
-blocks of ``_BLOCK`` samples with its filter state carried between them, so
-a whole-record array exists only where a caller keeps one.  The noise is
-that of one whole-record pass bit for bit; so is the impulses' response,
-except that the response is run only on a block that holds a kick or starts
-from a nonzero state, and its state is set to zero at the end of a block
-once every component is subnormal (below ``np.finfo(float).tiny``).  A
-whole-record pass would instead carry a subnormal limit cycle to the end of
-the record.  At zero temperature that tail is exactly +0.0 from the next
-block on; above zero it changes no sample whose |noise| exceeds 2^-969 m.
+The discretisation lives in ``_LinearTrap`` alone, built once per ``Run``:
+the matched-filter template is the impulse response of the filter that makes
+the record.  The model runs in blocks of ``_BLOCK`` samples with its filter
+state carried between them, so a whole-record array exists only where a
+caller keeps one.  The noise is that of one whole-record pass bit for bit; so
+is the impulses' response, except that the response is run only on a block
+that holds a kick or starts from a nonzero state, and its state is set to
+zero at the end of a block once every component is subnormal (below
+``np.finfo(float).tiny``).  A whole-record pass would instead carry a
+subnormal limit cycle to the end of the record.  At zero temperature that
+tail is exactly +0.0 from the next block on; above zero it changes no sample
+whose |noise| exceeds 2^-969 m.
 
-Impulse search: ``search_impulses`` simulates one run in a single pass over
-those blocks.  Its thermal noise is drawn once, at full rate; an
-overlap-save matched filter turns each noise block into filter outputs, of
-which only the largest are kept for the threshold, and the impulse
-amplitudes are read from the same record with the impulses added, both at
-full rate.  ``record_decimation`` thins only the trajectory that is returned
-for writing.  A search holds O(template + N p + N / record_decimation)
-floats for N samples at false-alarm probability p per sample (plus one
-template length per injected impulse), not O(N).
+One pass: a ``Run`` makes every check that depends only on its configuration
+when it is built, then ``Run.chunks`` streams the recorded (decimated)
+samples a block at a time.  Readers take each chunk as it passes: the
+trajectory CSV writer (``Run.to_csv``), the streaming Welch estimate
+(``Welch``, which ``estimate_psd`` also runs on a whole series) and the
+post-transient variance (``RunningVariance``).  ``simulate`` and
+``search_impulses`` are collectors of the same pass.
+
+Impulse search: a ``Run`` given a false-alarm rate draws its thermal noise
+once, at full rate; an overlap-save matched filter turns each noise block
+into filter outputs, of which only the largest are kept for the threshold,
+and the impulse amplitudes are read from the same record with the impulses
+added, both at full rate.  ``record_decimation`` thins only the recorded
+trajectory.  The pass holds O(template + N p) floats for N samples at
+false-alarm probability p per sample (plus one template length per injected
+impulse), and a few blocks of samples: nothing grows with N but the held
+filter outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 # scipy.optimize is imported inside the function that uses it: at module
@@ -53,7 +61,7 @@ import numpy as np
 from . import _scipy
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
-from .writer import write_csv
+from .writer import write_series
 
 
 class IntegrationError(RuntimeError):
@@ -101,25 +109,13 @@ class TimeSeries:
     def to_csv(self, path, provenance: Optional[dict] = None):
         """Two-column CSV (time_s, displacement_m) with '#' provenance header.
 
-        Sample i is at time i * sample_interval; the writer gets those times
-        a chunk at a time, so no whole-record time array is made.
+        Sample i is at time i * sample_interval; see ``writer.write_series``.
         """
-        write_csv(path, (provenance or {}).items(), ("time_s", "displacement_m"),
-                  (_SampleTimes(self.sample_interval, self.samples.size), self.samples))
+        write_series(path, (provenance or {}).items(), _TRAJECTORY_COLUMNS,
+                     self.sample_interval, (self.samples,))
 
 
-class _SampleTimes:
-    """The times ``interval * i`` of ``n`` samples, made per slice: element for
-    element the values of ``interval * np.arange(n)``, held only as asked for."""
-
-    def __init__(self, interval: float, n: int):
-        self.interval, self.n = interval, n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.interval * np.arange(*rows.indices(self.n))
+_TRAJECTORY_COLUMNS = ("time_s", "displacement_m")
 
 
 @dataclass(frozen=True)
@@ -232,21 +228,27 @@ class _LinearTrap:
             windows = (_Span(2 * relax, 5 * relax), _Span(self.n - 3 * relax, self.n))
         noise_state = np.zeros(self._noise_filter[1].size - 1)
         impulse_state = np.zeros(self._impulse_filter[1].size - 1)
+        # The OU kicks of every block are drawn into this one buffer, and the
+        # impulses' kicks put in it once the noise filter has read them.
+        normals = np.empty(min(_BLOCK, self.n))
         for start in range(0, self.n, _BLOCK):
             size = min(_BLOCK, self.n - start)
             if rng is None:
                 noise = np.zeros(size)
             else:
-                noise, noise_state = linear_filter(
-                    *self._noise_filter, rng.standard_normal(size) * self._kick_std, -1,
-                    noise_state)
+                drawn = normals[:size]
+                rng.standard_normal(out=drawn)
+                drawn *= self._kick_std
+                noise, noise_state = linear_filter(*self._noise_filter, drawn, -1,
+                                                   noise_state)
             for window in windows:
                 window.take(start, noise)
             x = noise
             hits = [(idx - start, ev) for ev, idx in zip(injected, steps)
                     if start <= idx < start + size]
             if hits or impulse_state.any():
-                kicks = np.zeros(size)
+                kicks = normals[:size]
+                kicks[:] = 0.0
                 for at, ev in hits:
                     kicks[at] += ev.direction * ev.momentum_transfer / self.mass
                 response, impulse_state = linear_filter(*self._impulse_filter, kicks, -1,
@@ -256,7 +258,7 @@ class _LinearTrap:
                 # times slower than normal ones.  End it at the block's end.
                 if np.max(np.abs(impulse_state)) < np.finfo(float).tiny:
                     impulse_state[:] = 0.0
-                x = noise + response
+                x = np.add(noise, response, out=response)
             yield start, noise, x
         if windows:
             _check_energy_growth(*(window.values for window in windows))
@@ -308,6 +310,109 @@ class _Span:
             self.values[at: at + chunk.size] = chunk
 
 
+class Run:
+    """One simulated run from x = v = 0, checked whole and then streamed in one pass.
+
+    Building it makes every check that depends only on the configuration:
+    the trap's time step and stability, each impulse inside the simulated
+    span and, given a ``false_alarm_rate``, the impulse search's checks (see
+    ``search_impulses``); without one, the 100-relaxation-time floor unless
+    ``allow_short_run``.  So a run that fails these draws no sample.
+    ``chunks`` is the pass itself; ``series`` and ``to_csv`` read it.
+    """
+
+    def __init__(self, sphere: Sphere, trap: TrapState, config: SimulationConfig,
+                 injected: Sequence[ImpulseEvent] = (),
+                 false_alarm_rate: Optional[float] = None):
+        if false_alarm_rate is not None:
+            if false_alarm_rate <= 0.0:
+                raise DomainError("false alarm rate must be positive")
+            n_correlation_times = config.duration * total_damping(trap, config)
+            if n_correlation_times < 1.0e4:
+                raise ThresholdEstimateError(
+                    f"noise distribution not converged: {n_correlation_times:.0f} filter "
+                    "correlation times simulated, need >= 1e4"
+                )
+        self._injected = tuple(injected)
+        self._model = model = _LinearTrap(sphere, trap, config)
+        self._decimation = config.record_decimation
+        self._noise_threshold = None
+        self._reads = []
+        if false_alarm_rate is None:
+            if config.duration < 100.0 / model.gamma_total and not config.allow_short_run:
+                raise DomainError(
+                    "duration shorter than 100 relaxation times; set allow_short_run to override"
+                )
+            model.kick_steps(self._injected)
+        else:
+            self._template = template = model.template()
+            self._steps = steps = model.kick_steps(self._injected)
+            # The threshold keeps the lags whose correlation has the whole
+            # template inside the record; an amplitude is read only from lags
+            # it keeps.
+            last = model.n - template.size - 3
+            for ev, idx in zip(self._injected, steps):
+                if idx > last:
+                    raise DomainError(
+                        f"impulse at t = {ev.time} s is inside the last filter template "
+                        f"length of the record; the last usable time is {last * model.dt} s")
+            self._noise_threshold = _NoiseThreshold(template, model.n,
+                                                    false_alarm_rate * model.dt)
+            # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
+            self._reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
+        self.sample_interval = config.time_step * config.record_decimation
+        self.size = len(range(0, model.n, config.record_decimation))   # recorded samples
+        # The search's results, set at the end of the pass.
+        self.threshold: Optional[Quantity] = None
+        self.amplitudes: tuple = ()
+
+    def chunks(self, *readers):
+        """The pass: the recorded samples, one block's worth at a time.
+
+        Every ``record_decimation``-th full-rate sample is recorded.  Each
+        reader's ``take`` gets every chunk before it is yielded; the search
+        reads the full-rate blocks, and sets ``threshold`` and ``amplitudes``
+        after the last one, still inside the pass.  A chunk that holds a
+        non-finite sample is a ``DomainError``.
+        """
+        step = self._decimation
+        for start, noise, x in self._model.blocks(self._injected):
+            if self._noise_threshold is not None:
+                self._noise_threshold.take(noise)
+            for read in self._reads:
+                read.take(start, x)
+            chunk = x[-start % step::step]
+            if not np.isfinite(chunk).all():
+                raise DomainError("time series contains non-finite samples")
+            for reader in readers:
+                reader.take(chunk)
+            yield chunk
+        if self._noise_threshold is not None:
+            norm = self._noise_threshold.norm
+            self.amplitudes = tuple(
+                _peak_correlation(read.values, self._template, idx - read.start) / norm
+                for read, idx in zip(self._reads, self._steps))
+            self.threshold = Quantity(self._noise_threshold.threshold(), Dimension.MOMENTUM)
+
+    def series(self) -> TimeSeries:
+        """The whole recorded series, collected from one pass."""
+        samples = np.empty(self.size)
+        at = 0
+        for chunk in self.chunks():
+            samples[at: at + chunk.size] = chunk
+            at += chunk.size
+        return TimeSeries(sample_interval=self.sample_interval, samples=samples)
+
+    def to_csv(self, path, header: Iterable[Tuple[str, object]], *readers):
+        """The trajectory CSV (time_s, displacement_m), written in one pass.
+
+        The pass runs inside the write, so a failure anywhere in it leaves no
+        file behind; ``readers`` take each chunk as it is written.
+        """
+        write_series(path, header, _TRAJECTORY_COLUMNS, self.sample_interval,
+                     self.chunks(*readers))
+
+
 def simulate(
     sphere: Sphere,
     trap: TrapState,
@@ -317,24 +422,11 @@ def simulate(
     """Integrate the damped, thermally driven oscillator from x = v = 0.
 
     Deterministic for a given (rng_seed, config).  Injected impulses add
-    q/m to the velocity at the nearest time step.  Only the recorded
-    (decimated) series is held in memory.
+    q/m to the velocity at the nearest time step.  The recorded (decimated)
+    series is collected from one ``Run`` pass; the full-rate record is never
+    held.
     """
-    model = _LinearTrap(sphere, trap, config)
-    if config.duration < 100.0 / model.gamma_total and not config.allow_short_run:
-        raise DomainError(
-            "duration shorter than 100 relaxation times; set allow_short_run to override"
-        )
-    record = _Span(0, model.n, config.record_decimation)
-    for start, _, x in model.blocks(injected):
-        record.take(start, x)
-    return _series(record, config)
-
-
-def _series(record: _Span, config: SimulationConfig) -> TimeSeries:
-    """The recorded series: every ``record_decimation``-th full-rate sample."""
-    return TimeSeries(sample_interval=config.time_step * config.record_decimation,
-                      samples=record.values)
+    return Run(sphere, trap, config, injected).series()
 
 
 def _check_energy_growth(early: np.ndarray, late: np.ndarray):
@@ -358,36 +450,111 @@ class PsdEstimate:
         return float(self.frequency[1] - self.frequency[0])
 
 
-def estimate_psd(series: TimeSeries, segment_length: int) -> PsdEstimate:
-    """Averaged-periodogram (Welch) one-sided PSD, Hann window, 50 % overlap.
+class _Segments:
+    """Consecutive segments of a record fed in blocks of any size.
+
+    Each segment is ``size`` samples and overlaps the one before by
+    ``overlap``; ``_segment`` sees each full one in ``self.segment``, once.
+    """
+
+    def __init__(self, size: int, overlap: int):
+        self.segment = np.empty(size)
+        self.overlap = overlap
+        self.filled = 0          # samples of the segment held so far
+
+    def take(self, block: np.ndarray):
+        """The next samples of the record."""
+        size = self.segment.size
+        while block.size:
+            count = min(block.size, size - self.filled)
+            self.segment[self.filled: self.filled + count] = block[:count]
+            self.filled += count
+            block = block[count:]
+            if self.filled == size:
+                self._segment()
+                self.segment[:self.overlap] = self.segment[size - self.overlap:]
+                self.filled = self.overlap
+
+
+class Welch(_Segments):
+    """Averaged-periodogram (Welch) one-sided PSD of a series of ``size``
+    samples fed in blocks: Hann window, 50 % overlap.
 
     Scaling uses the mean-square window correction, so sum(PSD) * df equals
-    the variance of the window-corrected series.
+    the variance of the window-corrected series.  The segments are summed in
+    order, so the estimate does not depend on how the series is cut into
+    blocks.  A segment length below 8 or above ``size`` is a ``DomainError``,
+    raised on construction.
     """
-    x = series.samples
-    m = int(segment_length)
-    if m < 8:
-        raise DomainError("segment length too short")
-    if x.size < m:
-        raise DomainError(f"series of {x.size} samples shorter than one segment ({m})")
-    fs = 1.0 / series.sample_interval
-    hop = int(round(m * 0.5))
-    window = np.hanning(m)
-    u = float(np.mean(window**2))
 
-    n_segments = 0
-    acc = np.zeros(m // 2 + 1)
-    for start in range(0, x.size - m + 1, hop):
-        seg = x[start: start + m] * window
-        spec = np.fft.rfft(seg)
-        acc += np.abs(spec) ** 2
-        n_segments += 1
-    psd = acc / (n_segments * fs * m * u)
-    psd[1:] *= 2.0
-    if m % 2 == 0:
-        psd[-1] /= 2.0
-    freqs = np.fft.rfftfreq(m, d=series.sample_interval)
-    return PsdEstimate(frequency=freqs, psd=psd, n_segments=n_segments)
+    def __init__(self, segment_length: int, sample_interval: float, size: int):
+        m = int(segment_length)
+        if m < 8:
+            raise DomainError("segment length too short")
+        if size < m:
+            raise DomainError(f"series of {size} samples shorter than one segment ({m})")
+        super().__init__(m, m - int(round(m * 0.5)))
+        self.sample_interval = sample_interval
+        self.window = np.hanning(m)
+        self.acc = np.zeros(m // 2 + 1)
+        self.n_segments = 0
+
+    def _segment(self):
+        self.acc += np.abs(np.fft.rfft(self.segment * self.window)) ** 2
+        self.n_segments += 1
+
+    def estimate(self) -> PsdEstimate:
+        """The PSD of the segments taken so far."""
+        m = self.segment.size
+        fs = 1.0 / self.sample_interval
+        u = float(np.mean(self.window**2))
+        psd = self.acc / (self.n_segments * fs * m * u)
+        psd[1:] *= 2.0
+        if m % 2 == 0:
+            psd[-1] /= 2.0
+        freqs = np.fft.rfftfreq(m, d=self.sample_interval)
+        return PsdEstimate(frequency=freqs, psd=psd, n_segments=self.n_segments)
+
+
+def estimate_psd(series: TimeSeries, segment_length: int) -> PsdEstimate:
+    """``Welch`` PSD of a whole series."""
+    welch = Welch(segment_length, series.sample_interval, series.samples.size)
+    welch.take(series.samples)
+    return welch.estimate()
+
+
+class RunningVariance:
+    """Population variance of a record's samples from ``skip`` on, fed in chunks.
+
+    Each chunk's mean and sum of squared deviations are merged into the
+    running ones (Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983)), so no
+    sample is held.  It agrees with ``np.var`` of the same samples to
+    rounding, not bit for bit.  With no sample past ``skip`` it is NaN.
+    """
+
+    def __init__(self, skip: int):
+        self.skip = skip
+        self.seen = 0            # samples taken, skipped ones included
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0            # sum of squared deviations from the mean
+
+    def take(self, chunk: np.ndarray):
+        part = chunk[max(0, self.skip - self.seen):]
+        self.seen += chunk.size
+        if part.size:
+            mean = float(np.mean(part))
+            dev = part - mean
+            m2 = float(np.sum(np.multiply(dev, dev, out=dev)))
+            count = self.count + part.size
+            delta = mean - self.mean
+            self.mean += delta * part.size / count
+            self.m2 += m2 + delta * delta * self.count * part.size / count
+            self.count = count
+
+    @property
+    def value(self) -> float:
+        return self.m2 / self.count if self.count else math.nan
 
 
 @dataclass(frozen=True)
@@ -456,8 +623,8 @@ def search_impulses(
 ) -> ImpulseSearch:
     """Simulate one run and pick the injected impulses out of its thermal noise.
 
-    The thermal motion is simulated once, at full rate, in one pass over the
-    model's blocks.  The threshold is the empirical (1 - FAR * dt) quantile of
+    The thermal motion is simulated once, at full rate, in the one pass of a
+    ``Run``.  The threshold is the empirical (1 - FAR * dt) quantile of
     |filter output| on that noise alone; no Gaussian assumption.  It requires
     at least 1e4 filter correlation times (~1/gamma_eff) of simulated noise.
     The impulses' response is added to the same blocks, and each amplitude is
@@ -470,47 +637,16 @@ def search_impulses(
 
     Memory is O(template + N p + N / record_decimation) floats for N samples
     and false-alarm probability p = FAR * dt per sample, plus one template
-    length per injected impulse: never the whole full-rate record.
+    length per injected impulse: never the whole full-rate record.  The last
+    term is the returned series; ``levkit simulate`` writes it as the pass
+    goes instead.
     """
-    if false_alarm_rate <= 0.0:
-        raise DomainError("false alarm rate must be positive")
-    gamma_total = total_damping(trap, config)
-    n_correlation_times = config.duration * gamma_total
-    if n_correlation_times < 1.0e4:
-        raise ThresholdEstimateError(
-            f"noise distribution not converged: {n_correlation_times:.0f} filter "
-            "correlation times simulated, need >= 1e4"
-        )
-
-    model = _LinearTrap(sphere, trap, config)
-    template = model.template()
-    steps = model.kick_steps(injected)
-    # The threshold keeps the lags whose correlation has the whole template
-    # inside the record; an amplitude is read only from lags it keeps.
-    last = model.n - template.size - 3
-    for ev, idx in zip(injected, steps):
-        if idx > last:
-            raise DomainError(
-                f"impulse at t = {ev.time} s is inside the last filter template length "
-                f"of the record; the last usable time is {last * model.dt} s")
-    noise_threshold = _NoiseThreshold(template, model.n, false_alarm_rate * model.dt)
-
-    record = _Span(0, model.n, config.record_decimation)
-    # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
-    reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
-    for start, noise, x in model.blocks(injected):
-        noise_threshold.take(noise)
-        for span in (record, *reads):
-            span.take(start, x)
-    amplitudes = tuple(
-        _peak_correlation(read.values, template, idx - read.start) / noise_threshold.norm
-        for read, idx in zip(reads, steps))
-    return ImpulseSearch(series=_series(record, config),
-                         threshold=Quantity(noise_threshold.threshold(), Dimension.MOMENTUM),
-                         amplitudes=amplitudes)
+    run = Run(sphere, trap, config, injected, false_alarm_rate)
+    series = run.series()
+    return ImpulseSearch(series=series, threshold=run.threshold, amplitudes=run.amplitudes)
 
 
-class _NoiseThreshold:
+class _NoiseThreshold(_Segments):
     """The (1 - p) quantile of |matched-filter output| on a noise record fed in blocks.
 
     The filter output at lag j is sum_k x[j+k] template[k] / |template|^2,
@@ -522,7 +658,9 @@ class _NoiseThreshold:
     lags, where the template overruns the record, are dropped.  Of the kept
     outputs at most 2 (ceil(lags * p) + 2) plus one hop are held, always
     including the ceil(lags * p) + 2 largest, which is enough for
-    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.
+    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  The
+    spectrum product has one buffer, and each segment's outputs are made in
+    place after the held ones, so the FFTs allocate nothing.
     """
 
     def __init__(self, template: np.ndarray, n: int, p_exceed: float):
@@ -543,42 +681,32 @@ class _NoiseThreshold:
         self.quantile = 1.0 - p_exceed
         self.keep = math.ceil(tail_count) + 2
         size = max(_BLOCK, 1 << (8 * template.size - 1).bit_length())
+        super().__init__(size, template.size - 1)
         self.spectrum = np.conj(np.fft.rfft(template, size))
-        self.overlap = template.size - 1
-        self.segment = np.empty(size)
-        self.filled = 0          # samples of the segment held so far
+        self.product = np.empty_like(self.spectrum)
         self.first_lag = 0       # the lag of the segment's first sample
-        # |outputs|, unnormalized: the largest so far, then the newer ones.
-        # Cut back to the largest ``keep`` only when a hop would overflow, so
-        # each partition is paid for by at least ``keep`` appended values.
-        self.top = np.empty(2 * self.keep + size - self.overlap)
+        # |outputs|, unnormalized: the largest so far, then the newer ones,
+        # then room for one segment's outputs.  Cut back to the largest
+        # ``keep`` only when that room runs out, so each partition is paid
+        # for by at least ``keep`` appended values.
+        self.top = np.empty(2 * self.keep + size)
         self.held = 0
 
-    def take(self, block: np.ndarray):
-        """Filter the next samples of the record."""
-        while block.size:
-            count = min(block.size, self.segment.size - self.filled)
-            self.segment[self.filled: self.filled + count] = block[:count]
-            self.filled += count
-            block = block[count:]
-            if self.filled == self.segment.size:
-                self._correlate()
-
-    def _correlate(self):
-        """Keep the largest outputs of the segment's lags, then slide it one hop on."""
+    def _segment(self):
+        """Keep the largest outputs of the segment's lags; the next starts one hop on."""
         size = self.segment.size
         hop = size - self.overlap
         count = min(hop, self.lags - self.first_lag)
         if count > 0:
-            out = np.fft.irfft(np.fft.rfft(self.segment) * self.spectrum, size)[:count]
-            if self.held + count > self.top.size:
+            if self.held + size > self.top.size:
                 cut = self.held - self.keep
                 self.top[:self.keep] = np.partition(self.top[:self.held], cut)[cut:]
                 self.held = self.keep
-            np.abs(out, out=self.top[self.held: self.held + count])
+            np.fft.rfft(self.segment, out=self.product)
+            np.multiply(self.product, self.spectrum, out=self.product)
+            out = np.fft.irfft(self.product, size, out=self.top[self.held: self.held + size])
+            np.abs(out[:count], out=out[:count])
             self.held += count
-        self.segment[:self.overlap] = self.segment[hop:]
-        self.filled = self.overlap
         self.first_lag += hop
 
     def threshold(self) -> float:
@@ -587,7 +715,7 @@ class _NoiseThreshold:
             # A partial last segment: its kept lags read only samples it holds,
             # but the FFT reads the whole segment, so the rest must be defined.
             self.segment[self.filled:] = 0.0
-            self._correlate()
+            self._segment()
         return _top_quantile(self.top[:self.held] / self.norm, self.lags, self.quantile)
 
 

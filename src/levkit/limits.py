@@ -223,7 +223,7 @@ class ExclusionCurve:
         if self.secondary_abscissa is not None:
             columns.insert(1, self.secondary_abscissa_kind)
             arrays.insert(1, self.secondary_abscissa)
-        write_csv(path, lines, columns, arrays)
+        write_csv(path, lines, columns, [arrays])
 
 
 def log_grid(start: float, stop: float, points_per_decade: int = 60) -> np.ndarray:

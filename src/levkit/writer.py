@@ -2,15 +2,18 @@
 
 Every output goes to a temp file beside its destination, which replaces the
 destination only once it is complete, so a reader never sees a partial file
-and a failed write leaves nothing behind; the finished file gets the mode
+and a failed write leaves nothing behind: no temp file, and none of the
+directories the write created for it.  The finished file gets the mode
 the process umask gives a new file (0644 under umask 022), not the temp
 file's 0600.  Numbers are written as ``repr`` of Python floats, the shortest
 text that reads back to the same double, so reruns are byte-identical.
 
-CSV rows are formatted and written ``_CHUNK_ROWS`` rows at a time, slicing
-each column per chunk, so writing holds the columns the caller passes plus
-one chunk's Python floats and strings (about 150 B per cell, some 1.3 MB
-for two columns), whatever the row count.
+CSV rows come from the caller as chunks, which may be made one at a time by
+a generator, and are formatted and written at most ``_CHUNK_ROWS`` rows at a
+time.  So writing holds the caller's current chunk plus one chunk's Python
+floats and strings (about 150 B per cell, some 1.3 MB for two columns),
+whatever the row count.  ``write_series`` writes a sampled series that way
+from chunks of samples alone, making each chunk's times as it goes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ _CHUNK_ROWS = 1 << 12
 def atomic_open(path):
     """Text handle on a temp file that replaces ``path`` when the block exits."""
     path = Path(path)
+    made = [parent for parent in (path.parent, *path.parent.parents) if not parent.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -46,27 +50,54 @@ def atomic_open(path):
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        # Deepest first; a directory something else has since written to stays.
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
         raise
 
 
 def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str],
-              data: Sequence[Sequence[float]]):
+              chunks: Iterable[Sequence[Sequence[float]]]):
     """'# key = value' header lines, a '# columns = ...' line, then the rows.
 
-    ``data`` holds one sliceable sequence of numbers per column; row i is the
-    i-th value of each.  Rows are formatted and written ``_CHUNK_ROWS`` at a
-    time, and a column is only ever sliced, so it may be a view that makes
-    its values per slice.
+    Each of ``chunks`` holds one sliceable sequence of numbers per column, all
+    of one length; its row i is the i-th value of each.  The chunks are read
+    in order, once, inside the temp file's lifetime, so an error raised while
+    one is made leaves no output.  A chunk is formatted and written
+    ``_CHUNK_ROWS`` rows at a time.
     """
     with atomic_open(path) as fh:
         for key, value in header:
             fh.write(f"# {key} = {value}\n")
         fh.write("# columns = " + ",".join(columns) + "\n")
-        for start in range(0, len(data[0]), _CHUNK_ROWS):
-            # repr of a list of floats is the repr of each float joined by ", ".
-            cells = [repr(np.asarray(col[start:start + _CHUNK_ROWS], dtype=float).tolist())
-                     [1:-1].split(", ") for col in data]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for chunk in chunks:
+            for start in range(0, len(chunk[0]), _CHUNK_ROWS):
+                # repr of a list of floats is the repr of each float joined by ", ".
+                cells = [repr(np.asarray(col[start:start + _CHUNK_ROWS], dtype=float).tolist())
+                         [1:-1].split(", ") for col in chunk]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_series(path, header: Iterable[Tuple[str, object]], columns: Sequence[str],
+                 sample_interval: float, chunks: Iterable[np.ndarray]):
+    """``write_csv`` of a uniformly sampled series given in chunks of samples.
+
+    Row i is the time i * sample_interval, then sample i.  Each chunk is cut
+    into pieces of ``_CHUNK_ROWS`` and a piece's times are made with it,
+    element for element those of ``sample_interval * np.arange(n)``, so no
+    whole-series array of times is made.
+    """
+    def rows():
+        first = 0
+        for chunk in chunks:
+            for start in range(0, len(chunk), _CHUNK_ROWS):
+                piece = chunk[start:start + _CHUNK_ROWS]
+                yield sample_interval * np.arange(first, first + len(piece)), piece
+                first += len(piece)
+    write_csv(path, header, columns, rows())
 
 
 def json_text(doc: dict) -> str:

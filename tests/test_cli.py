@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levkit
@@ -535,7 +536,7 @@ def test_memory_error_is_runtime_exit(tmp_path, capsys, monkeypatch):
     """Out of memory: exit 3, named even when the error carries no message."""
     def exhausted(*args, **kwargs):
         raise MemoryError()
-    monkeypatch.setattr("levkit.cli.simulate", exhausted)
+    monkeypatch.setattr("levkit.cli.Run", exhausted)
     out = tmp_path / "out"
     assert main(["simulate", write_config(tmp_path, simulate_doc(out))]) == EXIT_RUNTIME
     assert capsys.readouterr().err == "runtime error: MemoryError\n"
@@ -571,3 +572,124 @@ def test_levkit_threads_record_names_conflicting_pools(tmp_path, pools, recorded
     run_python(f"from levkit.cli import main; main(['axion', '1e12', '--output', {str(out)!r}])",
                env)
     assert f"# levkit_threads = {recorded}\n" in out.read_text()
+
+
+def stream_doc(out):
+    """60 s at 0.2 ms (300000 steps), decimation 7, with a PSD: many blocks
+    once _BLOCK is 4096."""
+    doc = simulate_doc(out)
+    doc["simulation"].update(duration="60 s", record_decimation=7, psd_segment_length=3000)
+    return doc
+
+
+def test_streamed_outputs_are_the_collected_ones(tmp_path, capsys, monkeypatch):
+    """Blocks of 4096, decimation 7, writer chunks of 1000 and PSD segments
+    of 3000 do not align: trajectory.csv is simulate's samples bit for bit at
+    times 7 dt i, psd.csv is estimate_psd's, and the printed variance is
+    np.var of the post-transient samples within 1e-12."""
+    from levkit import dynamics, writer
+    from levkit.config import load_config
+
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    monkeypatch.setattr(writer, "_CHUNK_ROWS", 1000)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, stream_doc(out))
+    assert main(["simulate", path]) == EXIT_OK
+    cfg = load_config(path)
+    series = dynamics.simulate(cfg.sphere, cfg.trap, cfg.simulation)
+
+    def table(name):
+        rows = (out / name).read_text().splitlines()
+        return np.array([[float(v) for v in row.split(",")]
+                         for row in rows if not row.startswith("#")])
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.int64)
+
+    trajectory = table("trajectory.csv")
+    np.testing.assert_array_equal(bits(trajectory[:, 1]), bits(series.samples))
+    np.testing.assert_array_equal(
+        bits(trajectory[:, 0]), bits(series.sample_interval * np.arange(series.samples.size)))
+    psd = dynamics.estimate_psd(series, 3000)
+    np.testing.assert_array_equal(bits(table("psd.csv")[:, 1]), bits(psd.psd))
+    stdout = capsys.readouterr().out
+    printed = float(stdout.split("measured displacement variance ")[1].split()[0])
+    skip = int(5.0 / (20.0 * series.sample_interval))
+    assert printed == pytest.approx(float(np.var(series.samples[skip:])), rel=1e-12, abs=0.0)
+
+
+def failing_blocks(monkeypatch, fail):
+    """Run the model in blocks of 4096 and hand the fourth block to ``fail``."""
+    from levkit import dynamics
+
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    blocks = dynamics._LinearTrap.blocks
+
+    def wrapped(self, *args):
+        for i, block in enumerate(blocks(self, *args)):
+            yield fail(*block) if i == 3 else block
+    monkeypatch.setattr(dynamics._LinearTrap, "blocks", wrapped)
+
+
+def assert_nothing_written(tmp_path):
+    """Only the config is left: no trajectory.csv, no temp file, no directory."""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_energy_growth_in_the_pass_writes_nothing(tmp_path, capsys, monkeypatch):
+    """The energy-growth check fails after the last block: exit 3, and the
+    trajectory written so far and the directories made for it are gone."""
+    from levkit import dynamics
+
+    def runaway(early, late):
+        raise dynamics.IntegrationError("energy growth detected: late RMS 1 m vs early 0.1 m")
+    monkeypatch.setattr(dynamics, "_check_energy_growth", runaway)
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    path = write_config(tmp_path, stream_doc(tmp_path / "out" / "run"))
+    assert main(["simulate", path]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("runtime error: energy growth detected")
+    assert_nothing_written(tmp_path)
+
+
+def test_memory_error_on_a_middle_block_writes_nothing(tmp_path, capsys, monkeypatch):
+    def exhausted(start, noise, x):
+        raise MemoryError()
+    failing_blocks(monkeypatch, exhausted)
+    path = write_config(tmp_path, stream_doc(tmp_path / "out" / "run"))
+    assert main(["simulate", path]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: MemoryError\n"
+    assert_nothing_written(tmp_path)
+
+
+def test_non_finite_chunk_writes_nothing(tmp_path, capsys, monkeypatch):
+    def poisoned(start, noise, x):
+        return start, noise, np.full_like(x, np.nan)
+    failing_blocks(monkeypatch, poisoned)
+    path = write_config(tmp_path, stream_doc(tmp_path / "out" / "run"))
+    assert main(["simulate", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: time series contains non-finite samples\n"
+    assert_nothing_written(tmp_path)
+
+
+def test_simulate_memory_is_flat_in_duration(tmp_path):
+    """A full-rate simulate with a PSD peaks alike at 2e5 and 8e5 samples:
+    the trajectory, the Welch estimate and the variance are streamed, and no
+    whole-record array is made.  numpy reports its buffers to tracemalloc."""
+    import tracemalloc
+
+    def peak(samples):
+        out = tmp_path / f"out{samples}"
+        doc = simulate_doc(out)
+        doc["simulation"].update(duration=f"{samples // 5000} s", record_decimation=1,
+                                 psd_segment_length=4096)
+        path = write_config(tmp_path, doc, f"{samples}.json")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", path]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50_000)               # first use loads the filter kernel: not the run's
+    short, long = peak(200_000), peak(800_000)
+    assert abs(long - short) < 1 << 20, (short, long)

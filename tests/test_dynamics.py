@@ -556,3 +556,34 @@ def test_search_memory_is_flat_in_duration():
     short, long = peak(20.0), peak(80.0)
     record_growth = 8 * (80.0 - 20.0) / 2e-5 / 100
     assert long <= short + record_growth + 256 * 1024
+
+
+@pytest.mark.parametrize("decimation", [1, 7])
+def test_streamed_psd_is_estimate_psd_bit_for_bit(monkeypatch, decimation):
+    """Blocks of 4096, segments of 3000 with hops of 1500, and decimation 7 do
+    not align, so segments straddle chunks: the Welch estimate fed the run's
+    chunks in its one pass is ``estimate_psd`` of the collected record bit for
+    bit, and the chunks are ``simulate``'s samples."""
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    cfg = replace(CONFIG, record_decimation=decimation)
+    run = dynamics.Run(SPHERE, TRAP, cfg)
+    welch = dynamics.Welch(3000, run.sample_interval, run.size)
+    samples = np.concatenate(list(run.chunks(welch)))
+    np.testing.assert_array_equal(bits(samples), bits(simulate(SPHERE, TRAP, cfg).samples))
+    streamed = welch.estimate()
+    whole = estimate_psd(TimeSeries(run.sample_interval, samples), 3000)
+    assert streamed.n_segments == whole.n_segments == (samples.size - 3000) // 1500 + 1
+    np.testing.assert_array_equal(bits(streamed.psd), bits(whole.psd))
+    np.testing.assert_array_equal(bits(streamed.frequency), bits(whole.frequency))
+
+
+def test_running_variance_is_np_var_to_rounding():
+    """Merged chunk by chunk from ``skip`` on, ragged chunks and a skip that
+    ends inside one included: np.var of the same samples within 1e-12."""
+    x = 3e-8 + 1e-9 * np.random.default_rng(8).standard_normal(100_003)
+    for skip in (0, 5, 4096, 50_001):
+        variance = dynamics.RunningVariance(skip)
+        for chunk in np.array_split(x, 29):
+            variance.take(chunk)
+        assert variance.value == pytest.approx(float(np.var(x[skip:])), rel=1e-12, abs=0.0)
+    assert math.isnan(dynamics.RunningVariance(10).value)

@@ -20,6 +20,8 @@ DEMOS = ROOT / "demos"
 KEPT_API = {
     "fit_lorentzian": "fits a simulated PSD; demos/langevin_psd.py and acceptance "
                       "criterion 06 use it",
+    "search_impulses": "the impulse search as one library call; `levkit simulate` "
+                       "runs the same Run pass while it writes the trajectory",
     "casimir_background_sphere_plane": "the Casimir background a Yukawa signal at "
                                        "the same gap is judged against",
     "dm_yukawa_point_potential": "the DM-nucleon potential whose Born cross section "
