@@ -39,14 +39,12 @@ from .sensor import (  # noqa: F401
 )
 from .dynamics import (  # noqa: F401
     ImpulseEvent,
-    ImpulseSearch,
     IntegrationError,
     SimulationConfig,
     ThresholdEstimateError,
     TimeSeries,
     estimate_psd,
     fit_lorentzian,
-    search_impulses,
     simulate,
 )
 from .newforces import (  # noqa: F401

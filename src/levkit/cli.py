@@ -11,7 +11,6 @@ config produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -60,12 +59,6 @@ def _provenance(command: str, cfg=None) -> dict:
     return prov
 
 
-def _csv_header(prov: dict) -> dict:
-    """Provenance as '# key = value' text; the config echo as one line of JSON."""
-    return {key: val if isinstance(val, str) else json.dumps(val, sort_keys=True)
-            for key, val in prov.items()}
-
-
 def _out_dir(cfg, override=None) -> Path:
     if override is not None:
         return Path(override)
@@ -99,7 +92,7 @@ def cmd_noise_budget(args) -> int:
     data = [freqs, *([p[lb] for p in per] for lb in labels), totals, accel_ng]
 
     out = _out_dir(cfg, args.outdir) / "noise_budget.csv"
-    write_csv(out, _csv_header(_provenance("noise-budget", cfg)).items(), cols, [data])
+    write_csv(out, _provenance("noise-budget", cfg).items(), cols, [data])
 
     f0 = cfg.trap.resonant_frequency
     total0 = cfg.noise.total_asd(f0)
@@ -129,11 +122,10 @@ def cmd_simulate(args) -> int:
     out_dir = _out_dir(cfg, args.outdir)
 
     prov = _provenance("simulate", cfg)
-    header = _csv_header(prov)
     traj_path = out_dir / "trajectory.csv"
     # The one pass runs inside the trajectory's write, the search and the PSD
     # with it, so a run that fails anywhere leaves no output.
-    run.to_csv(traj_path, header.items(), *readers)
+    run.to_csv(traj_path, prov.items(), *readers)
     print(f"wrote {traj_path}")
 
     mass = cfg.sphere.mass
@@ -146,7 +138,7 @@ def cmd_simulate(args) -> int:
     if welch is not None:
         psd = welch.estimate()
         psd_path = out_dir / "psd.csv"
-        write_csv(psd_path, header.items(), ("frequency_hz", "displacement_psd_m2_per_hz"),
+        write_csv(psd_path, prov.items(), ("frequency_hz", "displacement_psd_m2_per_hz"),
                   [(psd.frequency, psd.psd)])
         print(f"wrote {psd_path} ({psd.n_segments} segments)")
 
@@ -170,7 +162,7 @@ def _write_curve(curve, out_dir: Path, case: str, cfg):
     csv_path = out_dir / f"exclusion_{case}.csv"
     json_path = out_dir / f"exclusion_{case}.json"
     prov = _provenance(f"exclusion {case}", cfg)
-    curve.to_csv(csv_path, _csv_header(prov))
+    curve.to_csv(csv_path, prov)
     # The curve JSON's own provenance carries the code version and the plan.
     write_json(json_path, {**curve.to_json_dict(), "command": prov["command"],
                            "levkit_threads": prov["levkit_threads"]})
@@ -237,7 +229,7 @@ def cmd_axion(args) -> int:
         rows.append((fa, m_a_ev, f_gw_hz))
         print(f"f_a = {fa!r} GeV: m_a = {m_a_ev!r} eV, f_gw = {f_gw_hz!r} Hz")
     if args.output is not None:
-        write_csv(args.output, _csv_header(_provenance("axion")).items(),
+        write_csv(args.output, _provenance("axion").items(),
                   ("f_a_gev", "m_a_ev", "f_gw_hz"), [list(zip(*rows))])
         print(f"wrote {args.output}")
     return EXIT_OK

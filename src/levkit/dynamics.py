@@ -33,8 +33,8 @@ when it is built, then ``Run.chunks`` streams the recorded (decimated)
 samples a block at a time.  Readers take each chunk as it passes: the
 trajectory CSV writer (``Run.to_csv``), the streaming Welch estimate
 (``Welch``, which ``estimate_psd`` also runs on a whole series) and the
-post-transient variance (``RunningVariance``).  ``simulate`` and
-``search_impulses`` are collectors of the same pass.
+post-transient variance (``RunningVariance``).  ``simulate`` collects the
+same pass into a ``TimeSeries``.
 
 Impulse search: a ``Run`` given a false-alarm rate draws its thermal noise
 once, at full rate; an overlap-save matched filter turns each noise block
@@ -105,14 +105,6 @@ class TimeSeries:
         if not np.all(np.isfinite(arr)):
             raise DomainError("time series contains non-finite samples")
         object.__setattr__(self, "samples", arr)
-
-    def to_csv(self, path, provenance: Optional[dict] = None):
-        """Two-column CSV (time_s, displacement_m) with '#' provenance header.
-
-        Sample i is at time i * sample_interval; see ``writer.write_series``.
-        """
-        write_series(path, (provenance or {}).items(), _TRAJECTORY_COLUMNS,
-                     self.sample_interval, (self.samples,))
 
 
 _TRAJECTORY_COLUMNS = ("time_s", "displacement_m")
@@ -199,25 +191,24 @@ class _LinearTrap:
         self._noise_filter = _displacement_filter(m_step, kick @ drift @ unit_velocity)
         self._impulse_filter = _displacement_filter(m_step, m_step @ unit_velocity)
 
-    def blocks(self, injected: Sequence[ImpulseEvent] = ()):
+    def blocks(self, injected: Sequence[ImpulseEvent], steps: Sequence[int]):
         """The run from x = v = 0 in consecutive full-rate blocks of ``_BLOCK`` steps.
 
         Yields ``(start, noise, x)``: the block's first step, its thermal
         displacement (zeros at zero temperature) and its displacement with the
         impulses' response added, each impulse adding q/m to the velocity at
-        its nearest step.  Both filters carry their state from block to block,
-        so the samples are those of one whole-record pass, bit for bit, with
-        one exception.  The impulse filter runs only on a block that holds a
-        kick or starts from a nonzero state, and once its state is subnormal
-        in every component at a block's end it is set to zero; a skipped block
-        yields ``x`` as ``noise`` itself.  So where one pass would leave a
-        subnormal limit cycle, a zero-temperature run is exactly +0.0 from the
-        next block on; with noise, only a sample with |noise| <= 2^-969 m
-        could differ.  After the last block the noise is checked for energy
-        growth.
+        its step in ``steps``, which is ``kick_steps(injected)``.  Both
+        filters carry their state from block to block, so the samples are
+        those of one whole-record pass, bit for bit, with one exception.  The
+        impulse filter runs only on a block that holds a kick or starts from a
+        nonzero state, and once its state is subnormal in every component at a
+        block's end it is set to zero; a skipped block yields ``x`` as
+        ``noise`` itself.  So where one pass would leave a subnormal limit
+        cycle, a zero-temperature run is exactly +0.0 from the next block on;
+        with noise, only a sample with |noise| <= 2^-969 m could differ.
+        After the last block the noise is checked for energy growth.
         """
         linear_filter = _linear_filter()
-        steps = self.kick_steps(injected)
         rng = None
         if self.config.bath_temperature > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
@@ -292,22 +283,19 @@ def _displacement_filter(m_step: np.ndarray, column: np.ndarray) -> tuple:
 
 
 class _Span:
-    """Every ``step``-th sample of the steps [start, stop) of a run streamed in
-    blocks, copied into one compact array as the blocks pass."""
+    """The samples of the steps [start, stop) of a run streamed in blocks,
+    copied into one array as the blocks pass."""
 
-    def __init__(self, start: int, stop: int, step: int = 1):
-        self.start, self.stop, self.step = start, stop, step
-        self.values = np.empty(len(range(start, stop, step)))
+    def __init__(self, start: int, stop: int):
+        self.start, self.stop = start, stop
+        self.values = np.empty(stop - start)
 
     def take(self, first: int, block: np.ndarray):
         """Copy what ``block``, whose first sample is step ``first``, holds of the span."""
         lo = max(self.start, first)
-        lo += (self.start - lo) % self.step
         hi = min(self.stop, first + block.size)
         if lo < hi:
-            chunk = block[lo - first: hi - first: self.step]
-            at = (lo - self.start) // self.step
-            self.values[at: at + chunk.size] = chunk
+            self.values[lo - self.start: hi - self.start] = block[lo - first: hi - first]
 
 
 class Run:
@@ -315,10 +303,26 @@ class Run:
 
     Building it makes every check that depends only on the configuration:
     the trap's time step and stability, each impulse inside the simulated
-    span and, given a ``false_alarm_rate``, the impulse search's checks (see
-    ``search_impulses``); without one, the 100-relaxation-time floor unless
+    span and, given a ``false_alarm_rate``, the impulse search's checks
+    below; without one, the 100-relaxation-time floor unless
     ``allow_short_run``.  So a run that fails these draws no sample.
     ``chunks`` is the pass itself; ``series`` and ``to_csv`` read it.
+
+    Given a ``false_alarm_rate`` (FAR, per second), the run is also the
+    impulse search, and the pass sets ``threshold`` and ``amplitudes``.  The
+    threshold is the empirical (1 - FAR * dt) quantile of |filter output| on
+    the thermal noise alone, drawn once at full rate; no Gaussian assumption.
+    It requires at least 1e4 filter correlation times (~1/gamma_eff) of
+    simulated noise.  The impulses' response is added to the same blocks,
+    and each amplitude is the largest |filter output| at the five full-rate
+    lags around its impulse, whatever ``record_decimation`` is; only the
+    recorded series is decimated.  An impulse whose lags reach into the last
+    template length of the record, which the threshold drops, is a
+    ``DomainError``.  The search holds O(template + N p) floats for N samples
+    and false-alarm probability p = FAR * dt per sample, plus one template
+    length per injected impulse: never the whole full-rate record.
+    ``series`` adds the N / ``record_decimation`` recorded samples;
+    ``to_csv`` writes them as the pass goes instead.
     """
 
     def __init__(self, sphere: Sphere, trap: TrapState, config: SimulationConfig,
@@ -336,6 +340,7 @@ class Run:
         self._injected = tuple(injected)
         self._model = model = _LinearTrap(sphere, trap, config)
         self._decimation = config.record_decimation
+        self._steps = steps = model.kick_steps(self._injected)
         self._noise_threshold = None
         self._reads = []
         if false_alarm_rate is None:
@@ -343,10 +348,8 @@ class Run:
                 raise DomainError(
                     "duration shorter than 100 relaxation times; set allow_short_run to override"
                 )
-            model.kick_steps(self._injected)
         else:
             self._template = template = model.template()
-            self._steps = steps = model.kick_steps(self._injected)
             # The threshold keeps the lags whose correlation has the whole
             # template inside the record; an amplitude is read only from lags
             # it keeps.
@@ -376,7 +379,7 @@ class Run:
         non-finite sample is a ``DomainError``.
         """
         step = self._decimation
-        for start, noise, x in self._model.blocks(self._injected):
+        for start, noise, x in self._model.blocks(self._injected, self._steps):
             if self._noise_threshold is not None:
                 self._noise_threshold.take(noise)
             for read in self._reads:
@@ -603,47 +606,6 @@ def fit_lorentzian(psd_est: PsdEstimate, mass: float,
     )
     return LorentzianFit(f0=float(popt[1]), gamma=abs(float(popt[2])),
                          force_psd=float(math.exp(popt[0])))
-
-
-@dataclass(frozen=True)
-class ImpulseSearch:
-    """What ``search_impulses`` found in one simulated run."""
-
-    series: TimeSeries       # the recorded trajectory, impulses included
-    threshold: Quantity      # momentum whose filter response clears the false-alarm rate
-    amplitudes: tuple        # filter amplitude of each injected impulse, kg m/s
-
-
-def search_impulses(
-    sphere: Sphere,
-    trap: TrapState,
-    config: SimulationConfig,
-    injected: Sequence[ImpulseEvent],
-    false_alarm_rate: float,
-) -> ImpulseSearch:
-    """Simulate one run and pick the injected impulses out of its thermal noise.
-
-    The thermal motion is simulated once, at full rate, in the one pass of a
-    ``Run``.  The threshold is the empirical (1 - FAR * dt) quantile of
-    |filter output| on that noise alone; no Gaussian assumption.  It requires
-    at least 1e4 filter correlation times (~1/gamma_eff) of simulated noise.
-    The impulses' response is added to the same blocks, and each amplitude is
-    the largest |filter output| at the five full-rate lags around its
-    impulse, whatever ``record_decimation`` is.  Only the returned series is
-    decimated.  An impulse whose lags reach into the last template length of
-    the record, which the threshold drops, is a ``DomainError``; it and every
-    other check that depends only on the record length, the template and the
-    false-alarm rate are raised before anything is simulated.
-
-    Memory is O(template + N p + N / record_decimation) floats for N samples
-    and false-alarm probability p = FAR * dt per sample, plus one template
-    length per injected impulse: never the whole full-rate record.  The last
-    term is the returned series; ``levkit simulate`` writes it as the pass
-    goes instead.
-    """
-    run = Run(sphere, trap, config, injected, false_alarm_rate)
-    series = run.series()
-    return ImpulseSearch(series=series, threshold=run.threshold, amplitudes=run.amplitudes)
 
 
 class _NoiseThreshold(_Segments):

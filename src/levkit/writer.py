@@ -63,6 +63,9 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
               chunks: Iterable[Sequence[Sequence[float]]]):
     """'# key = value' header lines, a '# columns = ...' line, then the rows.
 
+    A header value that is not a ``str`` is written as one line of JSON with
+    sorted keys, so a config echo reads back with ``json.loads``.
+
     Each of ``chunks`` holds one sliceable sequence of numbers per column, all
     of one length; its row i is the i-th value of each.  The chunks are read
     in order, once, inside the temp file's lifetime, so an error raised while
@@ -71,6 +74,8 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
     """
     with atomic_open(path) as fh:
         for key, value in header:
+            if not isinstance(value, str):
+                value = json.dumps(value, sort_keys=True)
             fh.write(f"# {key} = {value}\n")
         fh.write("# columns = " + ",".join(columns) + "\n")
         for chunk in chunks:

@@ -14,7 +14,6 @@ from levkit.dynamics import (
     TimeSeries,
     estimate_psd,
     fit_lorentzian,
-    search_impulses,
     simulate,
     total_damping,
 )
@@ -35,9 +34,16 @@ def imp_config(g_fb, seed=777):
                             bath_temperature=300.0, feedback_gain=g_fb)
 
 
+def search(trap, config, injected=(), false_alarm_rate=1.0):
+    """An impulse search on ``IMP_SPHERE``: its ``Run``, and the recorded series
+    from the one pass that sets the run's threshold and amplitudes."""
+    run = dynamics.Run(IMP_SPHERE, trap, config, injected, false_alarm_rate)
+    return run, run.series()
+
+
 def threshold(trap, config, false_alarm_rate=1.0):
     """The impulse threshold of a noise-only search, kg m/s."""
-    return search_impulses(IMP_SPHERE, trap, config, (), false_alarm_rate).threshold.value
+    return search(trap, config, (), false_alarm_rate)[0].threshold.value
 
 
 def trap_template(sphere, trap, config):
@@ -161,7 +167,7 @@ def test_detection_efficiency_above_threshold():
     noisy = SimulationConfig(time_step=cfg.time_step, duration=cfg.duration,
                              rng_seed=4242, bath_temperature=300.0,
                              feedback_gain=995.0)
-    found = search_impulses(IMP_SPHERE, IMP_TRAP, noisy, events, 1.0)
+    found, _ = search(IMP_TRAP, noisy, events)
     hits = sum(1 for amp in found.amplitudes if amp > q_min)
     assert hits / len(events) > 0.95
 
@@ -175,7 +181,8 @@ def test_threshold_golden():
 
 def test_search_draws_noise_and_template_once(monkeypatch):
     """One search: one discretised trap, one pass over its blocks, one template,
-    two transfer functions, and no call of simulate (so no zero-temperature run)."""
+    two transfer functions, the impulses' steps found once, and no call of
+    simulate (so no zero-temperature run)."""
     calls = []
 
     def counted(owner, name):
@@ -187,13 +194,13 @@ def test_search_draws_noise_and_template_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(dynamics, "simulate")
-    for name in ("__init__", "blocks", "template"):
+    for name in ("__init__", "blocks", "kick_steps", "template"):
         counted(dynamics._LinearTrap, name)
     counted(dynamics, "_displacement_filter")
     kick = ImpulseEvent(time=10.0, momentum_transfer=1e-18, direction=1)
-    search_impulses(IMP_SPHERE, IMP_TRAP, imp_config(995.0), [kick], 1.0)
+    search(IMP_TRAP, imp_config(995.0), [kick])
     assert sorted(calls) == ["__init__", "_displacement_filter", "_displacement_filter",
-                             "blocks", "template"]
+                             "blocks", "kick_steps", "template"]
 
 
 TRAPS = [
@@ -272,10 +279,10 @@ def test_impulse_in_the_dropped_lags_rejected_before_simulating(monkeypatch):
     last = (n - size - 3) * cfg.time_step
     late = ImpulseEvent(time=last + cfg.time_step, momentum_transfer=1e-18, direction=1)
     with pytest.raises(DomainError, match="last usable time"):
-        search_impulses(IMP_SPHERE, IMP_TRAP, cfg, [late], 1.0)
+        search(IMP_TRAP, cfg, [late])
     assert drawn == []
     ok = ImpulseEvent(time=last, momentum_transfer=1e-18, direction=1)
-    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, [ok], 1.0)
+    found, _ = search(IMP_TRAP, cfg, [ok])
     assert drawn == [1] and found.amplitudes[0] > 0.0
 
 
@@ -300,10 +307,15 @@ def test_impulse_outside_span_rejected():
         simulate(SPHERE, TRAP, CONFIG, injected=[kick])
 
 
+def write_trajectory(path, header, sample_interval, samples):
+    """A trajectory CSV as ``Run.to_csv`` writes one, of a whole series."""
+    writer.write_series(path, header, dynamics._TRAJECTORY_COLUMNS, sample_interval,
+                        (samples,))
+
+
 def test_timeseries_csv_round_trip(tmp_path):
-    series = TimeSeries(sample_interval=0.5, samples=np.array([1.0, -2.25, 3.5e-7]))
     path = tmp_path / "ts.csv"
-    series.to_csv(path, provenance={"run": "demo"})
+    write_trajectory(path, [("run", "demo")], 0.5, np.array([1.0, -2.25, 3.5e-7]))
     lines = path.read_text().splitlines()
     assert lines[0] == "# run = demo"
     data = [line.split(",") for line in lines if not line.startswith("#")]
@@ -318,7 +330,7 @@ def test_timeseries_csv_rows_across_chunks(tmp_path, monkeypatch, n):
     dt = 0.1
     x = np.random.default_rng(n).standard_normal(n)
     path = tmp_path / "ts.csv"
-    TimeSeries(sample_interval=dt, samples=x).to_csv(path)
+    write_trajectory(path, [], dt, x)
     rows = "".join(f"{t!r},{v!r}\n" for t, v in zip((dt * np.arange(n)).tolist(), x.tolist()))
     assert path.read_text() == "# columns = time_s,displacement_m\n" + rows
 
@@ -329,11 +341,10 @@ def test_timeseries_csv_memory_is_flat_in_rows(tmp_path):
     import tracemalloc
 
     def peak(n):
-        series = TimeSeries(sample_interval=1e-4,
-                            samples=np.random.default_rng(0).standard_normal(n))
+        samples = np.random.default_rng(0).standard_normal(n)
         tracemalloc.start()
         try:
-            series.to_csv(tmp_path / "ts.csv")
+            write_trajectory(tmp_path / "ts.csv", [], 1e-4, samples)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,15 +425,15 @@ def test_streamed_search_matches_whole_record_reference(monkeypatch, block, deci
     monkeypatch.setattr(dynamics, "_check_energy_growth",
                         lambda early, late: windows.append((early, late)) or check(early, late))
     monkeypatch.setattr(dynamics, "_BLOCK", block)
-    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, events, false_alarm_rate)
+    found, series = search(IMP_TRAP, cfg, events, false_alarm_rate)
     relax = 50                                     # ceil(1 / (gamma_eff dt))
     [(early, late)] = windows
     np.testing.assert_array_equal(bits(early), bits(noise[2 * relax: 5 * relax]))
     np.testing.assert_array_equal(bits(late), bits(noise[-3 * relax:]))
     assert found.threshold.value == pytest.approx(q_ref, rel=1e-12, abs=0.0)
     assert found.amplitudes == amp_ref
-    np.testing.assert_array_equal(bits(found.series.samples), bits(x[::decimation]))
-    assert found.series.sample_interval == decimation * cfg.time_step
+    np.testing.assert_array_equal(bits(series.samples), bits(x[::decimation]))
+    assert series.sample_interval == decimation * cfg.time_step
     simulated = simulate(IMP_SPHERE, IMP_TRAP, cfg, injected=events)
     np.testing.assert_array_equal(bits(simulated.samples), bits(x[::decimation]))
 
@@ -448,10 +459,10 @@ def test_streamed_search_skips_blocks_whose_response_has_decayed(monkeypatch):
         return kernel(b, a, samples, axis, *state)
     monkeypatch.setattr(dynamics, "_linear_filter", lambda: counted)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
-    found = search_impulses(IMP_SPHERE, IMP_TRAP, cfg, events, 1.0)
+    found, series = search(IMP_TRAP, cfg, events)
     blocks = math.ceil(1_000_000 / 4096)
     assert len(events) <= len(filtered) < blocks // 2
-    np.testing.assert_array_equal(bits(found.series.samples), bits(x))
+    np.testing.assert_array_equal(bits(series.samples), bits(x))
     assert found.amplitudes == amp_ref
     assert found.threshold.value == pytest.approx(q_ref, rel=1e-12, abs=0.0)
 
@@ -547,7 +558,7 @@ def test_search_memory_is_flat_in_duration():
         cfg = replace(imp_config(995.0), duration=duration, record_decimation=100)
         tracemalloc.start()
         try:
-            search_impulses(IMP_SPHERE, IMP_TRAP, cfg, (), 1.0)
+            search(IMP_TRAP, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

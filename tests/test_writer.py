@@ -11,9 +11,10 @@ from levkit.writer import write_csv, write_json, write_series
 
 def test_csv_layout(tmp_path):
     path = tmp_path / "sub" / "t.csv"
-    write_csv(path, [("run", "demo"), ("warning", "w")], ["a", "b"],
-              [(np.array([0.1, 2.0]), [3e-7, -4.5])])
-    assert path.read_text() == ("# run = demo\n# warning = w\n# columns = a,b\n"
+    write_csv(path, [("run", "demo"), ("warning", "w"), ("config", {"b": [1.5], "a": "x"})],
+              ["a", "b"], [(np.array([0.1, 2.0]), [3e-7, -4.5])])
+    assert path.read_text() == ("# run = demo\n# warning = w\n"
+                                '# config = {"a": "x", "b": [1.5]}\n# columns = a,b\n'
                                 "0.1,3e-07\n2.0,-4.5\n")
 
 
