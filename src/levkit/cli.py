@@ -163,9 +163,7 @@ def _write_curve(curve, out_dir: Path, case: str, cfg):
     json_path = out_dir / f"exclusion_{case}.json"
     prov = _provenance(f"exclusion {case}", cfg)
     curve.to_csv(csv_path, prov)
-    # The curve JSON's own provenance carries the code version and the plan.
-    write_json(json_path, {**curve.to_json_dict(), "command": prov["command"],
-                           "levkit_threads": prov["levkit_threads"]})
+    write_json(json_path, {**prov, **curve.to_json_dict()})
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
 

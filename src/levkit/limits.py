@@ -13,14 +13,12 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__ as _code_version
 from .quantities import (
     C_LIGHT,
     Dimension,
@@ -50,7 +48,7 @@ from .newforces import (
 )
 from .writer import write_csv
 
-CURVE_SCHEMA = "levkit-curve/1"
+CURVE_SCHEMA = "levkit-curve/2"
 POISSON_LIMIT_COUNTS = 3.0   # expected events for a zero-background ~95% CL
 HBARC_EV_CM = 1.973269804e-5  # hbar c in eV cm, for natural-unit cross sections
 SECONDS_PER_DAY = 86400.0
@@ -74,8 +72,10 @@ class Capacitor:
 class HaloModel:
     """Truncated Maxwellian dark-matter halo, boosted to the Earth frame.
 
-    Defaults (local density 0.3 GeV/cm^3, v0 220 km/s, escape 550 km/s,
-    Earth speed 230 km/s) are config choices recorded in provenance.
+    Defaults: local density 0.3 GeV/cm^3, v0 220 km/s, escape 550 km/s,
+    Earth speed 230 km/s.  An output's config echo records the halo only when
+    the config has a ``halo`` section; otherwise these are the defaults of
+    the recorded ``levkit_version``.
     """
 
     density_gev_cm3: float = 0.3
@@ -132,6 +132,10 @@ class SearchPlan:
             raise DomainError("significance must be positive")
         if self.array_size < 1:
             raise DomainError("array size must be >= 1")
+        if self.exposure_sphere_days < 0.0:
+            raise DomainError("exposure must be >= 0")
+        if self.measurement_frequency is not None and self.measurement_frequency <= 0.0:
+            raise DomainError("measurement frequency must be positive")
 
     @property
     def frequency(self) -> float:
@@ -147,25 +151,6 @@ class SearchPlan:
             self.noise, self.frequency, self.integration_time
         ).value
 
-    def provenance(self) -> dict:
-        geo = None
-        if self.geometry is not None:
-            geo = {"type": type(self.geometry).__name__, **asdict(self.geometry)}
-        return {
-            "code_version": _code_version,
-            "sphere": asdict(self.sphere),
-            "trap": asdict(self.trap),
-            "noise_contributions": [label for label, _ in self.noise.contributions],
-            "noise_total_asd_at_f": self.noise.total_asd(self.frequency),
-            "measurement_frequency_hz": self.frequency,
-            "integration_time_s": self.integration_time,
-            "significance": self.significance,
-            "array_size": self.array_size,
-            "exposure_sphere_days": self.exposure_sphere_days,
-            "geometry": geo,
-            "halo": asdict(self.halo),
-        }
-
 
 @dataclass(frozen=True)
 class ExclusionCurve:
@@ -174,7 +159,6 @@ class ExclusionCurve:
     abscissa_kind: str                 # "lambda_m" | "mediator_mass_ev" | "dm_mass_ev"
     abscissa: np.ndarray
     coupling: np.ndarray
-    provenance: dict
     coupling_label: str = "coupling"
     secondary_abscissa_kind: Optional[str] = None
     secondary_abscissa: Optional[np.ndarray] = None
@@ -204,7 +188,6 @@ class ExclusionCurve:
             "coupling_label": self.coupling_label,
             "abscissa": list(self.abscissa),
             "coupling": list(self.coupling),
-            "provenance": self.provenance,
             "warnings": list(self.warnings),
         }
         if self.secondary_abscissa is not None:
@@ -213,10 +196,8 @@ class ExclusionCurve:
         return doc
 
     def to_csv(self, path, header: Optional[dict] = None):
-        """'#'-headed CSV: ``header`` lines first, then the schema and provenance."""
+        """'#'-headed CSV: ``header`` lines first, then the schema and warnings."""
         lines = [*(header or {}).items(), ("schema", CURVE_SCHEMA)]
-        lines += [(key, json.dumps(val, sort_keys=True))
-                  for key, val in sorted(self.provenance.items())]
         lines += [("warning", warning) for warning in self.warnings]
         columns = [self.abscissa_kind, self.coupling_label]
         arrays = [self.abscissa, self.coupling]
@@ -246,14 +227,13 @@ def _signal_force(plan: SearchPlan, lam: float) -> float:
     raise DomainError("ISL projection needs an attractor geometry in the plan")
 
 
-def _curve(plan: SearchPlan, case: str, kind: str, label: str, abscissa, coupling,
-           kept, omitted: str, secondary=None, **extras) -> ExclusionCurve:
+def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
+           secondary=None) -> ExclusionCurve:
     """The curve through the kept points in increasing abscissa.
 
     Each point the ``kept`` mask drops adds one warning: ``omitted`` with the
     point's abscissa, as a Python float, in place of ``{}``.  ``secondary`` is
-    an optional (kind, values) pair masked like the abscissa, and ``extras``
-    follow the plan's provenance and the case.
+    an optional (kind, values) pair masked like the abscissa.
     """
     x = np.asarray(abscissa, dtype=float)
     order = np.argsort(x, kind="stable")
@@ -265,7 +245,6 @@ def _curve(plan: SearchPlan, case: str, kind: str, label: str, abscissa, couplin
         abscissa_kind=kind,
         abscissa=x[kept],
         coupling=np.asarray(coupling, dtype=float)[order][kept],
-        provenance={**plan.provenance(), "case": case, **extras},
         coupling_label=label,
         secondary_abscissa_kind=secondary_kind,
         secondary_abscissa=secondary_values,
@@ -279,7 +258,7 @@ def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve
     kept = signal > 0.0
     if not kept.any():
         raise DomainError("no usable grid points: signal force vanished everywhere")
-    return _curve(plan, "isl", "lambda_m", "alpha_min", lambdas,
+    return _curve("lambda_m", "alpha_min", lambdas,
                   plan.min_force() / np.where(kept, signal, np.inf), kept,
                   "zero signal force at lambda = {} m; point omitted")
 
@@ -317,10 +296,9 @@ def coulomb_projection(
         chis.append(math.sqrt(f_min / force_per_chi2) if force_per_chi2 > 0.0 else math.inf)
     mass_ev = [convert_range_to_mediator_mass(Quantity(lam, Dimension.LENGTH)).value / EV
                for lam in lambdas]
-    return _curve(plan, "coulomb", "lambda_m", "chi_min", lambdas, chis, np.isfinite(chis),
+    return _curve("lambda_m", "chi_min", lambdas, chis, np.isfinite(chis),
                   "leakage force vanished at lambda = {} m; point omitted",
-                  secondary=("mediator_mass_ev", mass_ev), capacitor=asdict(capacitor),
-                  polarizing_field_v_per_m=polarizing_field)
+                  secondary=("mediator_mass_ev", mass_ev))
 
 
 def millicharge_sensitivity(plan: SearchPlan, field_v_per_m: float) -> Quantity:
@@ -408,11 +386,8 @@ def dm_projection(
     if q_min.dimension is not Dimension.MOMENTUM:
         raise DomainError("q_min must be a Quantity[momentum]")
     limits = [dm_alpha_limit(plan, q_min.value, m, mediator_mass_ev) for m in dm_masses_ev]
-    return _curve(plan, "dm", "dm_mass_ev", "alpha_n_limit", dm_masses_ev, limits,
-                  np.isfinite(limits),
-                  "threshold above kinematic maximum at dm_mass_ev = {}; point censored",
-                  q_min_kg_m_per_s=q_min.value, mediator_mass_ev=mediator_mass_ev,
-                  poisson_limit_counts=POISSON_LIMIT_COUNTS)
+    return _curve("dm_mass_ev", "alpha_n_limit", dm_masses_ev, limits, np.isfinite(limits),
+                  "threshold above kinematic maximum at dm_mass_ev = {}; point censored")
 
 
 AXION_MASS_SCALE_EV = 5.7e-3    # m_a at f_a = 1e9 GeV

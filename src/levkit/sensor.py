@@ -183,9 +183,10 @@ def min_detectable_force(noise: NoiseModel, frequency: float, integration_time: 
     """
     if integration_time <= 0.0:
         raise DomainError("integration time must be positive")
-    return Quantity(
-        noise.total_asd(frequency) / math.sqrt(integration_time), Dimension.FORCE
-    )
+    asd = noise.total_asd(frequency)
+    if asd == 0.0:
+        raise DomainError(f"noise floor is zero at {frequency!r} Hz: no sensitivity to project")
+    return Quantity(asd / math.sqrt(integration_time), Dimension.FORCE)
 
 
 def induced_dipole(sphere: Sphere, field: float) -> Quantity:

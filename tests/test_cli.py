@@ -163,10 +163,10 @@ def test_exclusion_isl_curve_files(tmp_path):
                    "lambda_max": "100 um", "points_per_decade": 5}
     assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_OK
     curve = json.loads((tmp_path / "out" / "exclusion_isl.json").read_text())
-    assert curve["schema"] == "levkit-curve/1"
+    assert curve["schema"] == "levkit-curve/2"
     assert curve["coupling_label"] == "alpha_min"
     csv_text = (tmp_path / "out" / "exclusion_isl.csv").read_text()
-    assert "# schema = levkit-curve/1" in csv_text
+    assert "# schema = levkit-curve/2" in csv_text
 
 
 def test_exclusion_isl_without_geometry_is_config_error(tmp_path, capsys):
@@ -251,12 +251,33 @@ def test_string_boolean_is_config_error(tmp_path, capsys):
     assert "simulation.allow_short_run" in capsys.readouterr().err
 
 
-def test_negative_halo_speed_is_config_error(tmp_path):
+@pytest.mark.parametrize("case, section, key, value", [
+    ("dm", "halo", "v_escape", "-550 km/s"),
+    ("millicharge", "plan", "exposure_sphere_days", "-1 days"),
+    ("millicharge", "plan", "measurement_frequency", "-5 Hz"),
+    ("dm", "plan", "measurement_frequency", "0 Hz"),
+], ids=["halo-speed", "exposure", "frequency", "zero-frequency"])
+def test_non_physical_search_input_is_config_error(tmp_path, case, section, key, value):
     doc = base_doc(tmp_path / "out")
     doc["plan"] = {"integration_time": "1e5 s", "exposure_sphere_days": "1 days",
-                   "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV"}
-    doc["halo"] = {"v_escape": "-550 km/s"}
-    assert main(["exclusion", "dm", write_config(tmp_path, doc)]) == EXIT_CONFIG
+                   "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV",
+                   "drive_field": "1 kV/mm"}
+    doc.setdefault(section, {})[key] = value
+    assert main(["exclusion", case, write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["millicharge", "isl"])
+def test_zero_noise_floor_is_config_error(tmp_path, capsys, case):
+    doc = base_doc(tmp_path / "out")
+    doc["noise"] = {"include_thermal": False, "technical_force_asd": "0 N/Hz^0.5"}
+    doc["geometry"] = {"type": "plane_slab", "thickness": "20 um",
+                       "density_contrast": "19300 kg/m^3", "distance": "6 um"}
+    doc["plan"] = {"integration_time": "1e4 s", "drive_field": "1 kV/mm",
+                   "lambda_min": "1 um", "lambda_max": "100 um"}
+    assert main(["exclusion", case, write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert "noise floor is zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["noise-budget", "normalize-config"])
@@ -289,7 +310,16 @@ def test_curve_csv_starts_with_cli_provenance(tmp_path):
     lines = (tmp_path / "out" / "exclusion_dm.csv").read_text().splitlines()
     assert [line.split(" = ")[0] for line in lines[:5]] == [
         "# levkit_version", "# command", "# levkit_threads", "# config", "# schema"]
-    assert json.loads(lines[3].split(" = ", 1)[1])["plan"]["exposure_sphere_days"] == "86400.0 s"
+    header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
+    # One encoding: a string is written raw, so no header value is a JSON string.
+    assert not any(value.startswith('"') for value in header.values())
+    config = json.loads(header["config"])
+    assert config["plan"]["exposure_sphere_days"] == "86400.0 s"
+    # The JSON carries the same provenance as top-level keys.
+    curve = json.loads((tmp_path / "out" / "exclusion_dm.json").read_text())
+    keys = ("levkit_version", "command", "levkit_threads", "config")
+    assert {key: curve[key] for key in keys} == {**{key: header[key] for key in keys},
+                                                 "config": config}
 
 
 def run_python(code, env=None):

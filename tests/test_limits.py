@@ -65,32 +65,29 @@ def test_log_grid_density():
 
 def test_exclusion_curve_validation():
     with pytest.raises(DomainError):
-        ExclusionCurve("lambda_m", np.array([2.0, 1.0]), np.array([1.0, 1.0]), {})
+        ExclusionCurve("lambda_m", np.array([2.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
-        ExclusionCurve("lambda_m", np.array([1.0, 2.0]), np.array([1.0, -1.0]), {})
+        ExclusionCurve("lambda_m", np.array([1.0, 2.0]), np.array([1.0, -1.0]))
 
 
 def test_exclusion_curve_json_round_trip():
-    curve = ExclusionCurve("lambda_m", np.array([1e-6, 1e-5]),
-                           np.array([1e-3, 1e-4]), {"case": "demo"},
+    curve = ExclusionCurve("lambda_m", np.array([1e-6, 1e-5]), np.array([1e-3, 1e-4]),
                            coupling_label="alpha_min", warnings=("note",))
     back = json.loads(json_text(curve.to_json_dict()))
     assert back["schema"] == CURVE_SCHEMA
     assert np.array_equal(back["abscissa"], curve.abscissa)
     assert np.array_equal(back["coupling"], curve.coupling)
-    assert back["provenance"] == {"case": "demo"}
     assert back["warnings"] == ["note"]
 
 
 def test_exclusion_curve_csv(tmp_path):
     curve = ExclusionCurve("lambda_m", np.array([1e-6]), np.array([0.125]),
-                           {"case": "demo"})
+                           warnings=("note",))
     path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    text = path.read_text()
-    assert "# schema = levkit-curve/1" in text
-    assert '# case = "demo"' in text
-    assert "1e-06,0.125" in text
+    curve.to_csv(path, {"command": "demo", "config": {"b": 1, "a": "x"}})
+    assert path.read_text().splitlines() == [
+        "# command = demo", '# config = {"a": "x", "b": 1}', "# schema = levkit-curve/2",
+        "# warning = note", "# columns = lambda_m,coupling", "1e-06,0.125"]
 
 
 SLAB = PlaneSlab(thickness=20e-6, density_contrast=19300.0, distance=6e-6)
@@ -141,7 +138,6 @@ def test_isl_projection_omits_points_whose_signal_underflows():
             "zero signal force at lambda = 1e-06 m; point omitted",
             "zero signal force at lambda = 1.2e-06 m; point omitted",
         )
-        assert curve.provenance["case"] == "isl"
 
 
 def test_coulomb_projection_omission_keeps_mass_axis_aligned():
@@ -155,8 +151,6 @@ def test_coulomb_projection_omission_keeps_mass_axis_aligned():
         for lam, mass_ev in zip(curve.abscissa, curve.secondary_abscissa):
             assert mass_ev == pytest.approx(HBAR_C / (lam * EV), rel=1e-12)
         assert curve.warnings == ("leakage force vanished at lambda = 1e-06 m; point omitted",)
-        assert curve.provenance["case"] == "coulomb"
-        assert curve.provenance["capacitor"]["voltage"] == 100.0
 
 
 def test_coulomb_projection_sqrt_inversion():

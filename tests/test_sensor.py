@@ -125,6 +125,8 @@ def test_min_detectable_force_scaling():
     assert f2 == pytest.approx(1e-19)
     with pytest.raises(DomainError):
         min_detectable_force(model, 100.0, 0.0)
+    with pytest.raises(DomainError, match="noise floor is zero"):
+        min_detectable_force(NoiseModel.flat("tech", 0.0), 100.0, 1.0)
 
 
 def test_induced_dipole_clausius_mossotti(sphere_10um):
