@@ -25,7 +25,7 @@ from levkit import (
 from levkit.quantities import Dimension, Quantity
 
 trap = TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=300.0)
-noise = NoiseModel.flat("technical", 1e-18)
+noise = NoiseModel({"technical": 1e-18})
 
 # --- Yukawa deviation from the inverse-square law --------------------------
 fingers = FingerArray(finger_width=10e-6, finger_depth=100e-6,

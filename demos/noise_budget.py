@@ -1,8 +1,8 @@
 """Walk through the force-noise budget of a levitated microsphere sensor.
 
 Builds a 10 um silica sphere in a soft trap, stacks thermal, quantum, and
-technical noise contributions, and prints the resulting force and
-acceleration sensitivities at a few frequencies.
+technical noise contributions, and prints the resulting white force and
+acceleration sensitivities.
 
 Run:  python3 demos/noise_budget.py
 """
@@ -29,21 +29,18 @@ sql = sql_force_asd(sphere, trap)
 print(f"thermal force ASD: {thermal.value:.3e} N/rtHz")
 print(f"SQL force ASD:     {sql.value:.3e} N/rtHz")
 
-noise = (NoiseModel()
-         .with_contribution("thermal", lambda f: thermal.value)
-         .with_contribution("sql", lambda f: sql.value)
-         .with_contribution("technical", lambda f: 1e-18))
+noise = NoiseModel({"thermal": thermal.value, "sql": sql.value, "technical": 1e-18})
 
-print("\nfrequency   contributions (N/rtHz)                total        accel")
-for f in (10.0, 100.0, 1000.0):
-    parts = noise.contribution_asds(f)
-    total = noise.total_asd(f)
-    ng = acceleration_asd_ng(Quantity(total, Dimension.FORCE_ASD), sphere)
-    cols = "  ".join(f"{k}={v:.2e}" for k, v in parts.items())
-    print(f"{f:8.1f}   {cols}  {total:.2e}  {ng:7.1f} ng/rtHz")
+# Every contribution is white, so one set of levels holds at every frequency.
+total = noise.total_asd
+ng = acceleration_asd_ng(Quantity(total, Dimension.FORCE_ASD), sphere)
+print("\nwhite force-noise levels (N/rtHz), at every frequency:")
+for label, level in noise.levels.items():
+    print(f"  {label:9s} {level:.2e}")
+print(f"  total     {total:.2e}  ({ng:.1f} ng/rtHz)")
 
 for tau in (1.0, 1e4):
-    f_min = min_detectable_force(noise, trap.resonant_frequency, tau)
+    f_min = min_detectable_force(noise, tau)
     print(f"\nminimum detectable force after {tau:g} s: {f_min.value:.3e} N")
 
 # Cold damping: T_eff drops, gamma_eff rises, and their product -- hence the

@@ -80,26 +80,23 @@ def _frequency_grid(cfg) -> np.ndarray:
 def cmd_noise_budget(args) -> int:
     cfg = load_config(args.config)
     cfg.require("sphere", "trap", "noise")
-    freqs = _frequency_grid(cfg).tolist()
-    labels = [label for label, _ in cfg.noise.contributions]
-    cols = (["frequency_hz"] + [f"{lb}_force_asd_n_rthz" for lb in labels]
+    freqs = _frequency_grid(cfg)
+    levels = cfg.noise.levels
+    cols = (["frequency_hz"] + [f"{lb}_force_asd_n_rthz" for lb in levels]
             + ["total_force_asd_n_rthz", "total_acceleration_ng_rthz"])
 
-    per = [cfg.noise.contribution_asds(f) for f in freqs]
-    totals = [cfg.noise.total_asd(f) for f in freqs]
-    accel_ng = [acceleration_asd_ng(Quantity(total, Dimension.FORCE_ASD), cfg.sphere)
-                for total in totals]
-    data = [freqs, *([p[lb] for p in per] for lb in labels), totals, accel_ng]
+    # Every contribution is white: each column but the frequency is constant.
+    total = cfg.noise.total_asd
+    accel = acceleration_asd_ng(Quantity(total, Dimension.FORCE_ASD), cfg.sphere)
+    data = [freqs, *(np.full(freqs.size, v) for v in (*levels.values(), total, accel))]
 
     out = _out_dir(cfg, args.outdir) / "noise_budget.csv"
     write_csv(out, _provenance("noise-budget", cfg).items(), cols, [data])
 
     f0 = cfg.trap.resonant_frequency
-    total0 = cfg.noise.total_asd(f0)
-    accel0 = acceleration_asd_ng(Quantity(total0, Dimension.FORCE_ASD), cfg.sphere)
     print(f"wrote {out}")
-    print(f"at resonance ({f0!r} Hz): force ASD {total0!r} N/Hz^0.5, "
-          f"acceleration ASD {accel0!r} ng/Hz^0.5")
+    print(f"at resonance ({f0!r} Hz): force ASD {total!r} N/Hz^0.5, "
+          f"acceleration ASD {accel!r} ng/Hz^0.5")
     return EXIT_OK
 
 

@@ -87,14 +87,19 @@ def format_unit_string(si_value: float, dimension: Dimension) -> str:
 
 _Records = namedtuple("_Records", "section")
 
-# Bare (dimensionless) kinds: (accepts the JSON value?, what was expected).
-_BARE = {
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v), "a finite bare number (dimensionless)"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
+# Bare (dimensionless) kinds and what each expects.
+_BARE = {bool: "true or false", int: "an integer",
+         float: "a finite bare number (dimensionless)", str: "a string"}
+
+
+def _is_bare(kind, raw) -> bool:
+    """Whether the JSON value is of bare kind ``kind``; a boolean is no number."""
+    if isinstance(raw, bool) and kind is not bool:
+        return False
+    if kind is float:
+        return isinstance(raw, (int, float)) and math.isfinite(raw)
+    return isinstance(raw, kind)
+
 
 # (section, key, kind, required, default).  A kind is a Dimension, a type of
 # _BARE, a unit token (the value is held in that unit, not SI) or _Records.
@@ -156,7 +161,6 @@ _FIELDS = (
     ("plan", "significance", float, False, SearchPlan.significance),
     ("plan", "array_size", int, False, SearchPlan.array_size),
     ("plan", "exposure_sphere_days", "days", False, SearchPlan.exposure_sphere_days),
-    ("plan", "measurement_frequency", Dimension.FREQUENCY, False, None),
     ("plan", "drive_field", Dimension.ELECTRIC_FIELD, False, None),
     ("plan", "polarizing_field", Dimension.ELECTRIC_FIELD, False, None),
     ("plan", "lambda_min", Dimension.LENGTH, False, None),
@@ -217,9 +221,8 @@ def _parse_value(kind, raw: Any, path: str):
             raise ConfigError(f"{path}: expected a list of objects, got {raw!r}")
         return tuple(_parse_section(kind.section, item, f"{path}[{i}]")
                      for i, item in enumerate(raw))
-    accepts, expected = _BARE[kind]
-    if not accepts(raw):
-        raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
+    if not _is_bare(kind, raw):
+        raise ConfigError(f"{path}: expected {_BARE[kind]}, got {raw!r}")
     return kind(raw)
 
 
@@ -262,16 +265,16 @@ def _build(cls, values: dict):
 def _noise_model(sec: dict, sphere: Optional[Sphere], trap: Optional[TrapState]):
     if sphere is None or trap is None:
         raise ConfigError("noise: requires sphere and trap sections")
-    levels = []
+    levels = {}
     if sec["include_thermal"]:
-        levels.append(("thermal", thermal_force_asd(sphere, trap).value))
+        levels["thermal"] = thermal_force_asd(sphere, trap).value
     if sec["include_sql"]:
-        levels.append(("sql", sql_force_asd(sphere, trap).value))
+        levels["sql"] = sql_force_asd(sphere, trap).value
     if "technical_force_asd" in sec:
-        levels.append(("technical", sec["technical_force_asd"]))
+        levels["technical"] = sec["technical_force_asd"]
     if not levels:
         raise ConfigError("noise: at least one contribution must be enabled")
-    return NoiseModel([(label, lambda f, _l=level: _l) for label, level in levels])
+    return NoiseModel(levels)
 
 
 @dataclass

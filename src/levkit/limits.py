@@ -122,7 +122,6 @@ class SearchPlan:
     significance: float = 1.0               # sigma; 1 = background-free convention
     array_size: int = 1
     exposure_sphere_days: float = 0.0       # per sphere; total = this * array_size
-    measurement_frequency: Optional[float] = None  # Hz; default trap resonance
     halo: HaloModel = field(default_factory=HaloModel)
 
     def __post_init__(self):
@@ -134,22 +133,10 @@ class SearchPlan:
             raise DomainError("array size must be >= 1")
         if self.exposure_sphere_days < 0.0:
             raise DomainError("exposure must be >= 0")
-        if self.measurement_frequency is not None and self.measurement_frequency <= 0.0:
-            raise DomainError("measurement frequency must be positive")
-
-    @property
-    def frequency(self) -> float:
-        return (
-            self.measurement_frequency
-            if self.measurement_frequency is not None
-            else self.trap.resonant_frequency
-        )
 
     def min_force(self, significance: Optional[float] = None) -> float:
         sig = self.significance if significance is None else significance
-        return sig * min_detectable_force(
-            self.noise, self.frequency, self.integration_time
-        ).value
+        return sig * min_detectable_force(self.noise, self.integration_time).value
 
 
 @dataclass(frozen=True)
@@ -273,6 +260,8 @@ def coulomb_projection(
     induced dipole in ``polarizing_field`` against the leakage-field
     gradient.
     """
+    if polarizing_field < 0.0:
+        raise DomainError(f"polarizing field must be >= 0, got {polarizing_field!r} V/m")
     f_min = plan.min_force()
     charge = abs(plan.sphere.net_charge) * E_CHARGE
     use_dipole = charge == 0.0
@@ -338,6 +327,8 @@ def dm_rate_above_threshold(
         raise DomainError("impulse threshold must be positive")
     if dm_mass_ev <= 0.0:
         raise DomainError("dark-matter mass must be positive")
+    if mediator_mass_ev < 0.0:
+        raise DomainError(f"mediator mass must be >= 0, got {mediator_mass_ev!r} eV")
     g = alpha_n * nucleon_count
     q_min = q_min_si * C_LIGHT / EV          # eV (natural units)
     mu = mediator_mass_ev

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Mapping
 
 from .quantities import (
     AMU,
@@ -109,40 +109,23 @@ class TrapState:
 
 
 class NoiseModel:
-    """Quadrature sum of labelled force-ASD contributions.
+    """Labelled white force-noise levels (N/sqrt(Hz)), added in quadrature.
 
-    Each contribution maps frequency (Hz) to a force ASD (N/sqrt(Hz)) and
-    must be non-negative wherever queried.
+    Every contribution is the same at all frequencies, so the floor is one
+    number, ``total_asd``: sqrt of the sum of the squared levels, taken in
+    the order the levels were given.  Two models are equal when their levels
+    are.
     """
 
-    def __init__(self, contributions: Sequence[Tuple[str, Callable[[float], float]]] = ()):
-        self._contributions = tuple(contributions)
+    def __init__(self, levels: Mapping[str, float]):
+        self.levels = dict(levels)
+        for label, level in self.levels.items():
+            if not (math.isfinite(level) and level >= 0.0):
+                raise DomainError(f"noise level {label!r} must be finite and >= 0, got {level!r}")
+        self.total_asd = math.sqrt(sum(v * v for v in self.levels.values()))
 
-    @property
-    def contributions(self):
-        return self._contributions
-
-    def with_contribution(self, label: str, asd: Callable[[float], float]) -> "NoiseModel":
-        return NoiseModel(self._contributions + ((label, asd),))
-
-    @classmethod
-    def flat(cls, label: str, asd_level: float) -> "NoiseModel":
-        if asd_level < 0.0:
-            raise DomainError("noise ASD must be non-negative")
-        return cls(((label, lambda f, _a=asd_level: _a),))
-
-    def contribution_asds(self, frequency: float) -> dict:
-        out = {}
-        for label, fn in self._contributions:
-            v = float(fn(frequency))
-            if v < 0.0 or not math.isfinite(v):
-                raise DomainError(f"noise contribution {label!r} invalid at {frequency} Hz: {v}")
-            out[label] = v
-        return out
-
-    def total_asd(self, frequency: float) -> float:
-        """sqrt of the quadrature-summed PSD at one frequency, N/sqrt(Hz)."""
-        return math.sqrt(sum(v * v for v in self.contribution_asds(frequency).values()))
+    def __eq__(self, other):
+        return isinstance(other, NoiseModel) and self.levels == other.levels
 
 
 def thermal_force_asd(sphere: Sphere, trap: TrapState) -> Quantity:
@@ -176,16 +159,16 @@ def acceleration_asd_ng(force_asd: Quantity, sphere: Sphere) -> float:
     return acceleration_asd(force_asd, sphere).value / G_STANDARD * 1e9
 
 
-def min_detectable_force(noise: NoiseModel, frequency: float, integration_time: float) -> Quantity:
+def min_detectable_force(noise: NoiseModel, integration_time: float) -> Quantity:
     """Amplitude-SNR-1 force after integrating for tau seconds: ASD / sqrt(tau).
 
     Significance factors are applied by the limits layer, not here.
     """
     if integration_time <= 0.0:
         raise DomainError("integration time must be positive")
-    asd = noise.total_asd(frequency)
+    asd = noise.total_asd
     if asd == 0.0:
-        raise DomainError(f"noise floor is zero at {frequency!r} Hz: no sensitivity to project")
+        raise DomainError("noise floor is zero: no sensitivity to project")
     return Quantity(asd / math.sqrt(integration_time), Dimension.FORCE)
 
 

@@ -68,7 +68,7 @@ BENCH_TRAP = TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=
 
 def bench_plan(**kw):
     return SearchPlan(sphere=BENCH_SPHERE, trap=BENCH_TRAP,
-                      noise=NoiseModel.flat("technical", 1e-18),
+                      noise=NoiseModel({"technical": 1e-18}),
                       integration_time=1e4, **kw)
 
 
@@ -271,7 +271,7 @@ def test_criterion_09_projection_properties():
     # monotone in noise floor
     def plan_with(asd, **kw):
         return SearchPlan(sphere=BENCH_SPHERE, trap=BENCH_TRAP,
-                          noise=NoiseModel.flat("technical", asd),
+                          noise=NoiseModel({"technical": asd}),
                           integration_time=1e4, **kw)
     quiet = isl_projection(plan_with(1e-18, geometry=slab), lambdas)
     loud = isl_projection(plan_with(5e-18, geometry=slab), lambdas)
@@ -292,7 +292,7 @@ def test_criterion_09_projection_properties():
 
     # square-root inversion exact and dual-axis consistency 1e-12
     charged = SearchPlan(sphere=Sphere(radius=5e-6, net_charge=100),
-                         trap=BENCH_TRAP, noise=NoiseModel.flat("technical", 1e-18),
+                         trap=BENCH_TRAP, noise=NoiseModel({"technical": 1e-18}),
                          integration_time=1e4)
     curve = coulomb_projection(charged, lambdas, cap)
     from levkit.quantities import E_CHARGE

@@ -254,14 +254,18 @@ def test_string_boolean_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("case, section, key, value", [
     ("dm", "halo", "v_escape", "-550 km/s"),
     ("millicharge", "plan", "exposure_sphere_days", "-1 days"),
-    ("millicharge", "plan", "measurement_frequency", "-5 Hz"),
-    ("dm", "plan", "measurement_frequency", "0 Hz"),
-], ids=["halo-speed", "exposure", "frequency", "zero-frequency"])
+    ("dm", "plan", "mediator_mass", "-0.1 eV"),
+    ("coulomb", "plan", "polarizing_field", "-1 kV/mm"),
+    ("dm", "noise", "technical_force_asd", "-1 N/Hz^0.5"),
+], ids=["halo-speed", "exposure", "mediator-mass", "polarizing-field", "technical-asd"])
 def test_non_physical_search_input_is_config_error(tmp_path, case, section, key, value):
     doc = base_doc(tmp_path / "out")
+    doc["sphere"]["net_charge"] = 1000
+    doc["capacitor"] = {"voltage": "10 kV", "plate_spacing": "1 mm", "standoff": "100 um"}
     doc["plan"] = {"integration_time": "1e5 s", "exposure_sphere_days": "1 days",
                    "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV",
-                   "drive_field": "1 kV/mm"}
+                   "drive_field": "1 kV/mm", "lambda_min": "10 um", "lambda_max": "10 mm",
+                   "points_per_decade": 2}
     doc.setdefault(section, {})[key] = value
     assert main(["exclusion", case, write_config(tmp_path, doc)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()

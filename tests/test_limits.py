@@ -32,7 +32,7 @@ TRAP = TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=300.0)
 
 
 def flat_plan(asd=1e-18, tau=1e4, **kw):
-    return SearchPlan(sphere=SPHERE, trap=TRAP, noise=NoiseModel.flat("tech", asd),
+    return SearchPlan(sphere=SPHERE, trap=TRAP, noise=NoiseModel({"tech": asd}),
                       integration_time=tau, **kw)
 
 
@@ -143,7 +143,7 @@ def test_isl_projection_omits_points_whose_signal_underflows():
 def test_coulomb_projection_omission_keeps_mass_axis_aligned():
     cap = Capacitor(voltage=100.0, plate_spacing=1e-3, standoff=1e-3)
     charged = SearchPlan(sphere=Sphere(radius=5e-6, net_charge=100), trap=TRAP,
-                         noise=NoiseModel.flat("tech", 1e-18), integration_time=1e4)
+                         noise=NoiseModel({"tech": 1e-18}), integration_time=1e4)
     for lambdas in ([1e-6, 1e-5, 1e-4], [1e-4, 1e-6, 1e-5]):
         curve = coulomb_projection(charged, lambdas, cap)
         assert curve.abscissa.tolist() == [1e-5, 1e-4]
@@ -158,7 +158,7 @@ def test_coulomb_projection_sqrt_inversion():
     from levkit.newforces import CouplingKind, YukawaCoupling, capacitor_leakage_field
     cap = Capacitor(voltage=1e4, plate_spacing=1e-3, standoff=100e-6)
     charged = SearchPlan(sphere=Sphere(radius=5e-6, net_charge=100), trap=TRAP,
-                         noise=NoiseModel.flat("tech", 1e-18), integration_time=1e4)
+                         noise=NoiseModel({"tech": 1e-18}), integration_time=1e4)
     curve = coulomb_projection(charged, [1e-4], cap)
     chi = float(curve.coupling[0])
     field = capacitor_leakage_field(

@@ -103,30 +103,29 @@ def test_acceleration_asd_dimension_check(sphere_10um):
 
 
 def test_noise_model_quadrature_sum():
-    model = (NoiseModel()
-             .with_contribution("a", lambda f: 3e-18)
-             .with_contribution("b", lambda f: 4e-18))
-    assert model.total_asd(123.0) == pytest.approx(5e-18, rel=1e-15)
-    asds = model.contribution_asds(123.0)
-    assert set(asds) == {"a", "b"}
+    model = NoiseModel({"a": 3e-18, "b": 4e-18})
+    assert model.total_asd == pytest.approx(5e-18, rel=1e-15)
+    assert list(model.levels) == ["a", "b"]
+    assert model == NoiseModel({"a": 3e-18, "b": 4e-18})
+    assert model != NoiseModel({"a": 3e-18, "c": 4e-18})
 
 
 def test_noise_model_rejects_invalid_contribution():
-    model = NoiseModel.flat("ok", 1e-18).with_contribution("bad", lambda f: -1.0)
-    with pytest.raises(DomainError):
-        model.total_asd(10.0)
+    for level in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="'bad'"):
+            NoiseModel({"ok": 1e-18, "bad": level})
 
 
 def test_min_detectable_force_scaling():
-    model = NoiseModel.flat("tech", 1e-18)
-    f1 = min_detectable_force(model, 100.0, 1.0).value
-    f2 = min_detectable_force(model, 100.0, 100.0).value
+    model = NoiseModel({"tech": 1e-18})
+    f1 = min_detectable_force(model, 1.0).value
+    f2 = min_detectable_force(model, 100.0).value
     assert f1 == pytest.approx(1e-18)
     assert f2 == pytest.approx(1e-19)
     with pytest.raises(DomainError):
-        min_detectable_force(model, 100.0, 0.0)
+        min_detectable_force(model, 0.0)
     with pytest.raises(DomainError, match="noise floor is zero"):
-        min_detectable_force(NoiseModel.flat("tech", 0.0), 100.0, 1.0)
+        min_detectable_force(NoiseModel({"tech": 0.0}), 1.0)
 
 
 def test_induced_dipole_clausius_mossotti(sphere_10um):

@@ -13,6 +13,10 @@ count for both.  Each such member is listed in ``KEPT_API`` as
 ``Class.method``, its reason opening with the caller that reaches it:
 ``module.py:Qualified.name`` (or a whole module, such as a demo), which must
 read the name and must lie outside the class.
+
+Every name a package module imports, ``oracles.py`` included, must be read
+in that module.  ``from __future__`` imports and the relative re-exports of
+``levkit/__init__.py`` are exempt.
 """
 
 import ast
@@ -153,3 +157,27 @@ def test_a_method_name_two_classes_define_is_kept_per_class_with_its_caller():
                    if isinstance(node, ast.ClassDef) and node.name == owner), Counter())
         assert _references(caller)[name] > own[name], \
             f"{key}: {spec} does not read {name} outside {owner}"
+
+
+def unread_imports():
+    """"module:line name" of each imported name its package module never reads."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = _references(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "__future__"
+                    or path.name == "__init__.py" and node.level > 0):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if not reads[name]:
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == [], "imported but never read"
