@@ -224,31 +224,38 @@ def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab
 _RANGE_CUTOFF = 45.0
 
 
-def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
-                 shifts: np.ndarray, n_per_panel: int):
-    """Lateral quadrature nodes and weights over the dense strips.
+@functools.lru_cache(maxsize=1)
+def _strip_panels(width: float, n_pairs: int, distance: float, lam: float, s_max: float):
+    """Left edges and half-widths of the panels over the dense strips.
 
     The dense strips are [2 k w, (2 k + 1) w] for -n_pairs <= k < n_pairs.
     Each is cut to the lateral reach at which the distance from a point
     ``distance`` away exceeds the e^-45 suppression radius, widened by the
-    largest pattern shift, and split into panels no wider than 5 lambda.
-    The Gauss rule is mapped onto every panel at once; nodes run in strip,
-    panel and node order.
+    largest pattern shift, and split into panels no wider than 5 lambda, all
+    at once by ``np.linspace``'s own arithmetic (edge j is j step + lo, the
+    last is hi).  Cached, so the coarse and fine rules share one call.
     """
-    cut = _RANGE_CUTOFF * lam
+    x_cut = math.sqrt((distance + _RANGE_CUTOFF * lam) ** 2 - distance**2) + s_max
+    x0 = 2.0 * np.arange(-n_pairs, n_pairs) * width
+    lo, hi = np.maximum(x0, -x_cut), np.minimum(x0 + width, x_cut)
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    num = np.maximum(1, np.ceil((hi - lo) / (5.0 * lam))).astype(int)
+    s = np.repeat(np.arange(num.size), num)            # the strip of each panel
+    j = np.arange(s.size) - (np.cumsum(num) - num)[s]  # its index in the strip
+    step, lo, hi = ((hi - lo) / num)[s], lo[s], hi[s]
+    left = j * step + lo
+    half = 0.5 * (np.where(j + 1 == num[s], hi, (j + 1) * step + lo) - left)
+    left.flags.writeable = half.flags.writeable = False
+    return left[:, None], half[:, None]
+
+
+def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
+                 shifts: np.ndarray, n_per_panel: int):
+    """Lateral Gauss nodes and weights, in strip, panel and node order."""
     s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    x_cut = math.sqrt((distance + cut) ** 2 - distance**2) + s_max
-    edges = []
-    for k in range(-n_pairs, n_pairs):
-        x0 = 2.0 * k * width
-        lo = max(x0, -x_cut)
-        hi = min(x0 + width, x_cut)
-        if lo < hi:
-            edges.append(np.linspace(lo, hi, max(1, math.ceil((hi - lo) / (5.0 * lam))) + 1))
-    left = np.concatenate([e[:-1] for e in edges])
-    half = 0.5 * (np.concatenate([e[1:] for e in edges]) - left)[:, None]
+    left, half = _strip_panels(width, n_pairs, distance, lam, s_max)
     x, w = _legendre_rule(n_per_panel)
-    return (left[:, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    return (left + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
