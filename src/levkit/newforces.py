@@ -299,18 +299,28 @@ def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray,
     return kern @ x_weights
 
 
-def _point_kernel(sphere: Sphere, geom, phases: np.ndarray):
-    """The point-force kernel of a modulated geometry and its pattern shifts.
+def _point_kernel(sphere: Sphere, geom, n_phase: int):
+    """The point-force kernel of a modulated geometry, its distinct pattern
+    shifts, and the index that expands them to the n_phase drive phases.
 
-    Raises GeometryError if the sphere reaches the attractor and DomainError
-    for a geometry that is not modulated.
+    A finger's shift A sin(2 pi k/n) equals the one at phase (n/2 - k) mod n,
+    so for even n each pair is evaluated once, at its smaller k (33 shifts
+    for n = 64); ``sin`` alone would round the two differently.  An odd n
+    and a capillary, whose shifts 2 L k/n are distinct, keep all n.  Raises
+    GeometryError if the sphere reaches the attractor and DomainError for a
+    geometry that is not modulated.
     """
     if geom.distance <= sphere.radius:
         raise GeometryError("sphere overlaps the attractor")
+    k = np.arange(n_phase)
     if isinstance(geom, FingerArray):
-        return _finger_point_force, geom.drive_amplitude * np.sin(2.0 * math.pi * phases)
+        if n_phase % 2 == 0:
+            k = np.minimum(k, (n_phase // 2 - k) % n_phase)
+        k, index = np.unique(k, return_inverse=True)
+        return (_finger_point_force,
+                geom.drive_amplitude * np.sin(2.0 * math.pi * (k / n_phase)), index)
     if isinstance(geom, FluidCapillary):
-        return _capillary_point_force, 2.0 * geom.droplet_length * phases
+        return _capillary_point_force, 2.0 * geom.droplet_length * (k / n_phase), k
     raise DomainError(f"unsupported modulated geometry: {type(geom).__name__}")
 
 
@@ -339,8 +349,10 @@ def yukawa_force_modulated(
     """Fourier amplitude of the Yukawa force at a harmonic of the drive.
 
     The force waveform over one drive period is evaluated by quadrature at
-    >= 64 phase samples; the quadrature is refined once and a relative
-    error estimate above 1e-3 raises QuadratureError.
+    n_phase >= 64 phase samples; the quadrature is refined once and a
+    relative error estimate above 1e-3 raises QuadratureError.  A finger
+    array with even n_phase evaluates the kernel once per pair of phases
+    with equal shifts, k and (n/2 - k) mod n (``_point_kernel``).
     """
     _require_kind(coupling, CouplingKind.ISL_ALPHA)
     if harmonic < 1:
@@ -348,9 +360,9 @@ def yukawa_force_modulated(
     if n_phase < 64:
         raise DomainError("need at least 64 phase samples")
     lam = coupling.range_m
-    kernel, shifts = _point_kernel(sphere, geom, np.arange(n_phase) / n_phase)
-    coarse = kernel(geom, lam, shifts, n_per_panel=8)
-    fine = kernel(geom, lam, shifts, n_per_panel=16)
+    kernel, shifts, index = _point_kernel(sphere, geom, n_phase)
+    coarse = kernel(geom, lam, shifts, n_per_panel=8)[index]
+    fine = kernel(geom, lam, shifts, n_per_panel=16)[index]
 
     prefactor = _prefactor(sphere, coupling, geom)
     amp_fine = prefactor * _harmonic_amplitude(fine, harmonic)

@@ -373,6 +373,26 @@ def test_regen_figures_leaves_scipy_unloaded(regen_figures):
 # float.hex of every alpha_min of the shipped finger ISL curve, as
 # numpy 2.4.6 and scipy 1.17.1 compute it.
 FINGER_ISL_ALPHA_HEX = [
+    "0x1.cab71f26fa527p+24", "0x1.a47f3c001b760p+23", "0x1.9e2f8e2edb6a5p+22",
+    "0x1.b419a8f9f004fp+21", "0x1.e89dbff0e703ep+20", "0x1.221db6375f32cp+20",
+    "0x1.6bd3aef33016ap+19", "0x1.e03eb06e446c3p+18", "0x1.4c8eb03f66358p+18",
+    "0x1.e1baf15960476p+17", "0x1.6bc5e96ae46afp+17", "0x1.1d761109a4814p+17",
+    "0x1.cffbf61779e15p+16", "0x1.852742558ee30p+16", "0x1.4fa94543e3f1fp+16",
+    "0x1.28b75eb49a38fp+16", "0x1.0beaf6cf03d98p+16", "0x1.ecaee91625065p+15",
+    "0x1.cbff6b1ef6b79p+15", "0x1.b303f4704b263p+15", "0x1.9fc74d2076881p+15",
+    "0x1.90e01e104cb19p+15", "0x1.8545d5ab772e8p+15", "0x1.7c341790ea8dcp+15",
+    "0x1.75176ed7ab2c8p+15", "0x1.6f8002f36a183p+15", "0x1.6b1845f743526p+15",
+    "0x1.679e4fdde23e2p+15", "0x1.64df0f49499d6p+15", "0x1.62b2c18ba7bdcp+15",
+    "0x1.60fa529b67452p+15", "0x1.5f9d63eac68cdp+15", "0x1.5e88cd18f1c76p+15",
+    "0x1.5dad76f88d832p+15", "0x1.5cff7b2c3954ap+15", "0x1.5c757abfcd1c9p+15",
+    "0x1.5c0825e2c6395p+15", "0x1.5bb1f50ce9b4fp+15", "0x1.5b6f13f494cc7p+15",
+    "0x1.5b3d7431e41a1p+15", "0x1.5b1cea09598e1p+15",
+]
+
+# The same curve with the finger kernel evaluated at all 64 drive phases
+# rather than once per mirrored pair k, (32 - k) mod 64, whose shifts differ
+# only by the rounding of sin.
+FINGER_ISL_ALPHA_HEX_ALL_PHASES = [
     "0x1.cab71f26fa529p+24", "0x1.a47f3c001b762p+23", "0x1.9e2f8e2edb6a5p+22",
     "0x1.b419a8f9f0050p+21", "0x1.e89dbff0e703ep+20", "0x1.221db6375f32cp+20",
     "0x1.6bd3aef33016cp+19", "0x1.e03eb06e446c5p+18", "0x1.4c8eb03f6635ap+18",
@@ -395,6 +415,16 @@ def test_regen_figures_finger_isl_curve_golden(regen_figures):
     text = (regen_figures[0] / "isl_finger_20um" / "exclusion_isl.csv").read_text()
     rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
     assert [float(alpha).hex() for _, alpha in rows] == FINGER_ISL_ALPHA_HEX
+
+
+def test_regen_figures_finger_isl_curve_matches_all_phase_kernel(regen_figures):
+    """Evaluating one shift per mirrored phase pair moves no alpha by more
+    than the rounding of the drive shift: 1e-13 relative."""
+    text = (regen_figures[0] / "isl_finger_20um" / "exclusion_isl.csv").read_text()
+    alphas = [float(line.split(",")[1]) for line in text.splitlines()
+              if not line.startswith("#")]
+    reference = [float.fromhex(h) for h in FINGER_ISL_ALPHA_HEX_ALL_PHASES]
+    np.testing.assert_allclose(alphas, reference, rtol=1e-13, atol=0.0)
 
 
 def test_missing_scipy_extension_is_runtime_exit(tmp_path, capsys, monkeypatch):

@@ -187,9 +187,9 @@ def test_modulated_waveform_parseval():
     sphere = Sphere(radius=2.5e-6)
     # The force over one drive period at 256 phases, from the point kernel
     # that yukawa_force_modulated samples.
-    kernel, shifts = newforces._point_kernel(sphere, FINGERS, np.arange(256) / 256)
+    kernel, shifts, index = newforces._point_kernel(sphere, FINGERS, 256)
     wave = (newforces._prefactor(sphere, isl(10e-6), FINGERS)
-            * kernel(FINGERS, 10e-6, shifts, n_per_panel=16))
+            * kernel(FINGERS, 10e-6, shifts, n_per_panel=16)[index])
     ac_power = float(np.mean((wave - np.mean(wave)) ** 2))
     total = 0.0
     for h in range(1, 9):
@@ -197,6 +197,44 @@ def test_modulated_waveform_parseval():
                                      n_phase=256).value
         total += amp**2 / 2.0
     assert total == pytest.approx(ac_power, rel=0.02)
+
+
+@pytest.mark.parametrize("geom, n_phase, n_shifts", [
+    (FINGERS, 64, 33), (FINGERS, 256, 129), (FINGERS, 65, 65), (CAPILLARY, 64, 64)])
+def test_kernel_evaluated_once_per_distinct_shift(monkeypatch, geom, n_phase, n_shifts):
+    """A finger's mirrored phases k and (n/2 - k) mod n share one kernel
+    evaluation at even n; an odd n and a capillary evaluate every phase."""
+    name = ("_finger_point_force" if isinstance(geom, FingerArray)
+            else "_capillary_point_force")
+    kernel = getattr(newforces, name)
+    calls = []
+
+    def spy(geom, lam, shifts, n_per_panel):
+        calls.append((n_per_panel, shifts.size))
+        return kernel(geom, lam, shifts, n_per_panel)
+
+    monkeypatch.setattr(newforces, name, spy)
+    yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), geom, n_phase=n_phase)
+    assert calls == [(8, n_shifts), (16, n_shifts)]
+
+
+@pytest.mark.parametrize("n_phase", [64, 256, 65])
+@pytest.mark.parametrize("harmonic", [1, 2])
+def test_paired_shifts_match_all_phase_amplitude(n_phase, harmonic):
+    """Each phase reuses a shift equal to its own up to the rounding of sin,
+    and the harmonic amplitude from the distinct shifts equals the one from
+    the kernel evaluated at every drive phase."""
+    sphere, lam = Sphere(radius=2.5e-6), 10e-6
+    shifts = FINGERS.drive_amplitude * np.sin(2.0 * math.pi * (np.arange(n_phase) / n_phase))
+    _, distinct, index = newforces._point_kernel(sphere, FINGERS, n_phase)
+    np.testing.assert_allclose(distinct[index], shifts, rtol=0.0,
+                               atol=4.0 * np.finfo(float).eps * FINGERS.drive_amplitude)
+    wave = newforces._finger_point_force(FINGERS, lam, shifts, n_per_panel=16)
+    reference = (newforces._prefactor(sphere, isl(lam), FINGERS)
+                 * newforces._harmonic_amplitude(wave, harmonic))
+    paired = yukawa_force_modulated(sphere, isl(lam), FINGERS, harmonic=harmonic,
+                                    n_phase=n_phase).value
+    assert paired == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.2e-6, 10e-6, 1e-3])
