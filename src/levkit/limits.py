@@ -225,6 +225,9 @@ def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
     x = np.asarray(abscissa, dtype=float)
     order = np.argsort(x, kind="stable")
     x, kept = x[order], np.asarray(kept, dtype=bool)[order]
+    if not kept.any():
+        raise DomainError(f"no usable grid points: {label} is undefined at all "
+                          f"{x.size} {kind} values")
     secondary_kind, secondary_values = secondary or (None, None)
     if secondary_values is not None:
         secondary_values = np.asarray(secondary_values, dtype=float)[order][kept]
@@ -243,8 +246,6 @@ def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve
     """Minimum detectable Yukawa alpha vs range for the plan's attractor."""
     signal = np.array([_signal_force(plan, lam) for lam in lambdas])
     kept = signal > 0.0
-    if not kept.any():
-        raise DomainError("no usable grid points: signal force vanished everywhere")
     return _curve("lambda_m", "alpha_min", lambdas,
                   plan.min_force() / np.where(kept, signal, np.inf), kept,
                   "zero signal force at lambda = {} m; point omitted")

@@ -190,6 +190,44 @@ def test_form_factor_overflow_is_a_config_error_naming_the_limit(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def _slab_isl_doc(outdir):
+    """An ISL search whose signal force exp(-d/lambda) underflows at every
+    range: a slab 1 mm away probed from 1 to 1.2 um."""
+    doc = base_doc(outdir)
+    doc["geometry"] = {"type": "plane_slab", "thickness": "100 um",
+                       "density_contrast": "10000 kg/m^3", "distance": "1 mm"}
+    doc["plan"] = {"integration_time": "1e6 s", "lambda_min": "1 um",
+                   "lambda_max": "1.2 um"}
+    return doc
+
+
+def _shipped_doc(name, outdir, **plan):
+    doc = json.loads((_config_dir() / name).read_text())
+    doc["output"]["directory"] = str(outdir)
+    doc["plan"].update(plan)
+    return doc
+
+
+@pytest.mark.parametrize("case, make_doc, label, kind", [
+    ("isl", _slab_isl_doc, "alpha_min", "lambda_m"),
+    ("dm", lambda out: _shipped_doc("dm_recoil_10um.json", out, q_min="1e-10 kg*m/s"),
+     "alpha_n_limit", "dm_mass_ev"),
+    ("coulomb", lambda out: _shipped_doc("coulomb_charged_20um.json", out,
+                                         lambda_min="1 nm", lambda_max="10 nm"),
+     "chi_min", "lambda_m"),
+], ids=["isl", "dm", "coulomb"])
+def test_curve_with_every_point_omitted_is_config_error(tmp_path, capsys, case, make_doc,
+                                                        label, kind):
+    """A curve with no point left has nothing to write: exit 2, no output."""
+    out = tmp_path / "out"
+    assert main(["exclusion", case, write_config(tmp_path, make_doc(out))]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: no usable grid points: {label} is "
+                                   f"undefined at all ")
+    assert captured.err.endswith(f" {kind} values\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_exclusion_dm_curve(tmp_path):
     doc = base_doc(tmp_path / "out")
     doc["plan"] = {"integration_time": "1e5 s",
