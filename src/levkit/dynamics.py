@@ -44,7 +44,8 @@ added, both at full rate.  ``record_decimation`` thins only the recorded
 trajectory.  The pass holds O(template + N p) floats for N samples at
 false-alarm probability p per sample (plus one template length per injected
 impulse), and a few blocks of samples: nothing grows with N but the held
-filter outputs.
+filter outputs.  The filter's part is four buffers of one FFT length, the
+next power of two >= 4 template lengths and at least ``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
 
 # Samples per block of a streamed run; also the least FFT length of the
 # search's overlap-save filter, which is raised to the next power of two
-# >= 8 template lengths when the template is longer.
-_BLOCK = 2**17
+# >= 4 template lengths when the template is longer.  The filter holds four
+# buffers of about one FFT length of doubles each (see ``_NoiseThreshold``).
+_BLOCK = 2**15
 
 
 def _linear_filter():
@@ -616,13 +618,17 @@ class _NoiseThreshold(_Segments):
     overlap-save (Oppenheim & Schafer, Discrete-Time Signal Processing,
     sec. 8.7): segments of ``size`` samples, each overlapping the previous
     one by M - 1 for a template of M samples, give size - M + 1 lags apiece
-    from one FFT product with the template's cached spectrum.  The last M
-    lags, where the template overruns the record, are dropped.  Of the kept
-    outputs at most 2 (ceil(lags * p) + 2) plus one hop are held, always
-    including the ceil(lags * p) + 2 largest, which is enough for
-    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  The
-    spectrum product has one buffer, and each segment's outputs are made in
-    place after the held ones, so the FFTs allocate nothing.
+    from one FFT product with the template's cached spectrum.  ``size`` is
+    the next power of two >= 4 M, and at least ``_BLOCK``, so at least three
+    quarters of each FFT are kept lags.  The last M lags, where the template
+    overruns the record, are dropped.  Of the kept outputs at most
+    2 (ceil(lags * p) + 2) plus one hop are held, always including the
+    ceil(lags * p) + 2 largest, which is enough for ``_top_quantile`` to give
+    ``np.quantile`` of all of them exactly.  Four buffers of about ``size``
+    doubles each are all the filter holds: the segment, the template's
+    spectrum, the spectrum product, and the held outputs with room for one
+    segment's, which the inverse FFT writes into.  So the FFTs make no array,
+    though each rfft takes about two FFT lengths of numpy's scratch.
     """
 
     def __init__(self, template: np.ndarray, n: int, p_exceed: float):
@@ -642,9 +648,12 @@ class _NoiseThreshold(_Segments):
             )
         self.quantile = 1.0 - p_exceed
         self.keep = math.ceil(tail_count) + 2
-        size = max(_BLOCK, 1 << (8 * template.size - 1).bit_length())
+        size = max(_BLOCK, 1 << (4 * template.size - 1).bit_length())
         super().__init__(size, template.size - 1)
-        self.spectrum = np.conj(np.fft.rfft(template, size))
+        self.segment[:template.size] = template
+        self.segment[template.size:] = 0.0
+        self.spectrum = np.fft.rfft(self.segment, out=np.empty(size // 2 + 1, complex))
+        np.conjugate(self.spectrum, out=self.spectrum)
         self.product = np.empty_like(self.spectrum)
         self.first_lag = 0       # the lag of the segment's first sample
         # |outputs|, unnormalized: the largest so far, then the newer ones,

@@ -795,3 +795,35 @@ def test_simulate_memory_is_flat_in_duration(tmp_path):
     peak(50_000)               # first use loads the filter kernel: not the run's
     short, long = peak(200_000), peak(800_000)
     assert abs(long - short) < 1 << 20, (short, long)
+
+
+def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
+    """An impulse search peaks alike at 1e6 and 4e6 steps, and under twelve
+    FFT lengths of doubles (it reads 9.5 with blocks as long as the FFT): the
+    filter's four FFT-length buffers, a few blocks of samples and the held
+    outputs, with nothing the size of the record."""
+    import tracemalloc
+    from levkit import dynamics
+
+    sizes = []
+
+    class Recorded(dynamics._NoiseThreshold):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(self.segment.size)
+    monkeypatch.setattr(dynamics, "_NoiseThreshold", Recorded)
+
+    def peak(duration):
+        out = tmp_path / f"out{duration}"
+        path = write_config(tmp_path, impulse_doc(out, 100, f"{duration} s"), f"{duration}.json")
+        tracemalloc.start()
+        try:
+            assert main(["simulate", path]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)                   # first use loads the filter kernel: not the run's
+    short, long = peak(20), peak(80)
+    assert abs(long - short) < 1 << 20, (short, long)
+    assert max(short, long) < 12 * 8 * sizes[-1], (short, long, sizes[-1])

@@ -500,12 +500,34 @@ def test_threshold_of_a_record_shorter_than_one_segment_ignores_stale_memory():
     the threshold."""
     rng = np.random.default_rng(6)
     template = np.hanning(500)
-    noise = rng.standard_normal(50_000)
+    segment = dynamics._NoiseThreshold(template, 10**6, 0.01).segment
+    noise = rng.standard_normal(segment.size // 2)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
     noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.01)
     assert noise.size < noise_threshold.segment.size
     noise_threshold.segment[:] = np.nan
     noise_threshold.take(noise)
+    assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_fft_length_is_four_template_lengths_and_at_least_one_block(monkeypatch):
+    """The FFT is the next power of two >= 4 template lengths, never shorter
+    than a block: 500 samples (2000) take the block of 2^15, and 3000 samples
+    (12000) with blocks of 4096 take 16384.  There the threshold is still the
+    whole-record FFT filter's within 1e-12, and the spectrum built in its own
+    buffer is np.conj(np.fft.rfft(template, size)) bit for bit."""
+    assert dynamics._NoiseThreshold(np.hanning(500), 10**6, 0.01).segment.size == 2**15
+    monkeypatch.setattr(dynamics, "_BLOCK", 4096)
+    template = np.hanning(3000) * np.sin(0.05 * np.arange(3000))
+    noise = np.random.default_rng(9).standard_normal(200_000)
+    reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
+    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.01)
+    size = noise_threshold.segment.size
+    assert size == 16384
+    spectrum = np.conj(np.fft.rfft(template, size))
+    np.testing.assert_array_equal(noise_threshold.spectrum.view(np.int64), spectrum.view(np.int64))
+    for chunk in np.array_split(noise, 7):
+        noise_threshold.take(chunk)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
