@@ -37,15 +37,19 @@ post-transient variance (``RunningVariance``).  ``simulate`` collects the
 same pass into a ``TimeSeries``.
 
 Impulse search: a ``Run`` given a false-alarm rate draws its thermal noise
-once, at full rate; an overlap-save matched filter turns each noise block
-into filter outputs, of which only the largest are kept for the threshold,
-and the impulse amplitudes are read from the same record with the impulses
-added, both at full rate.  ``record_decimation`` thins only the recorded
-trajectory.  The pass holds O(template + N p) floats for N samples at
+once, at full rate; the matched filter turns each noise segment into filter
+outputs, of which only the largest are kept for the threshold, and the
+impulse amplitudes are read from the same record with the impulses added,
+both at full rate.  ``record_decimation`` thins only the recorded
+trajectory.  The template is the impulse response of the trap's own
+two-pole filter, so the filter is that recursion run over the reversed
+segment, less its tail past the template, which a second pass of the
+recursion takes off with the first pass's rounding (``_NoiseThreshold``);
+no FFT is taken.  The pass holds O(template + N p) floats for N samples at
 false-alarm probability p per sample (plus one template length per injected
 impulse), and a few blocks of samples: nothing grows with N but the held
-filter outputs.  The filter's part is four buffers of one FFT length, the
-next power of two >= 4 template lengths and at least ``_BLOCK``.
+filter outputs.  The filter's part is about five buffers of one segment,
+max(4 template lengths, ``_BLOCK``) samples.
 """
 
 from __future__ import annotations
@@ -86,6 +90,13 @@ class SimulationConfig:
     def __post_init__(self):
         if self.time_step <= 0.0 or self.duration <= 0.0:
             raise DomainError("time step and duration must be positive")
+        # Steps are numbered, and their times found, in doubles: beyond 2^53 two
+        # steps can share a number.  Checked before any array is sized by it.
+        steps = self.duration / self.time_step
+        if not steps <= 2.0**53:
+            raise DomainError(
+                f"simulation.duration / simulation.time_step = {steps:.3g} steps; "
+                f"at most 2^53 = {2.0**53:.3g}")
         if self.rng_seed < 0:
             raise DomainError(f"rng seed must be >= 0, got {self.rng_seed!r}")
         if self.bath_temperature < 0.0:
@@ -133,10 +144,10 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
     return trap.effective_damping + config.feedback_gain
 
 
-# Samples per block of a streamed run; also the least FFT length of the
-# search's overlap-save filter, which is raised to the next power of two
-# >= 4 template lengths when the template is longer.  The filter holds four
-# buffers of about one FFT length of doubles each (see ``_NoiseThreshold``).
+# Samples per block of a streamed run; also the least segment length of the
+# search's matched filter, which is 4 template lengths when the template is
+# longer.  The filter holds a few buffers of about one segment of doubles
+# each (see ``_NoiseThreshold``).
 _BLOCK = 2**15
 
 
@@ -186,8 +197,19 @@ class _LinearTrap:
         drift = np.array([[1.0, h / 2.0], [0.0, 1.0]])
         decay = np.array([[1.0, 0.0], [0.0, math.exp(-gamma_total * h)]])
         m_step = kick @ drift @ decay @ drift @ kick
-        if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
+        eigenvalues = np.linalg.eigvals(m_step)
+        radius = max(abs(eigenvalues))
+        if radius > 1.0 + 1e-12:
             raise IntegrationError("unstable step: one-step map has spectral radius > 1")
+        # Steps per relaxation time of the energy, which the energy-growth check
+        # reads: 1/gamma_total for an underdamped trap, whose complex pair of
+        # eigenvalues has modulus exp(-gamma_total h / 2).  An overdamped trap's
+        # are real, and its energy relaxes as the slower mode's square,
+        # radius^(2k): -1 / (2 ln radius) steps.
+        if np.iscomplexobj(eigenvalues):
+            self._relax = math.ceil(1.0 / (gamma_total * h))
+        else:
+            self._relax = math.ceil(-0.5 / math.log(radius)) if radius < 1.0 else math.inf
 
         unit_velocity = np.array([0.0, 1.0])
         self._noise_filter = _displacement_filter(m_step, kick @ drift @ unit_velocity)
@@ -215,7 +237,7 @@ class _LinearTrap:
         if self.config.bath_temperature > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
         # The energy-growth check reads 2..5 relaxation times and the last 3.
-        relax = int(math.ceil(1.0 / (self.gamma_total * self.dt)))
+        relax = self._relax
         windows = ()
         if rng is not None and self.n >= 10 * relax:
             windows = (_Span(2 * relax, 5 * relax), _Span(self.n - 3 * relax, self.n))
@@ -264,13 +286,15 @@ class _LinearTrap:
                 raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
         return steps
 
-    def template(self) -> np.ndarray:
-        """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
+    def template(self, extra: int = 0) -> np.ndarray:
+        """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total
+        and then ``extra`` samples more."""
         length = 10.0 / self.gamma_total
-        kicks = np.zeros(int(round(length / self.dt)))
-        if kicks.size == 0:
+        size = int(round(length / self.dt))
+        if size == 0:
             raise DomainError(f"matched-filter template of 10/gamma_total = {length} s "
                               f"is shorter than half a time step ({self.dt} s)")
+        kicks = np.zeros(size + extra)
         kicks[0] = 1.0 / self.mass
         return _linear_filter()(*self._impulse_filter, kicks, -1)
 
@@ -351,7 +375,9 @@ class Run:
                     "duration shorter than 100 relaxation times; set allow_short_run to override"
                 )
         else:
-            self._template = template = model.template()
+            # The template continued by two samples gives the filter's tail.
+            response = model.template(extra=2)
+            self._template = template = response[:-2]
             # The threshold keeps the lags whose correlation has the whole
             # template inside the record; an amplitude is read only from lags
             # it keeps.
@@ -361,8 +387,8 @@ class Run:
                     raise DomainError(
                         f"impulse at t = {ev.time} s is inside the last filter template "
                         f"length of the record; the last usable time is {last * model.dt} s")
-            self._noise_threshold = _NoiseThreshold(template, model.n,
-                                                    false_alarm_rate * model.dt)
+            self._noise_threshold = _NoiseThreshold(response, model._impulse_filter[1],
+                                                    model.n, false_alarm_rate * model.dt)
             # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
             self._reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
         self.sample_interval = config.time_step * config.record_decimation
@@ -610,32 +636,54 @@ def fit_lorentzian(psd_est: PsdEstimate, mass: float,
                          force_psd=float(math.exp(popt[0])))
 
 
+def _filter_into(num: np.ndarray, den: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """``_linear_filter(num, den, x, -1)`` from zero state, written into ``out``.
+
+    The kernel returns a new array; taken in pieces of 2^13 samples, with the
+    state carried (the same samples, bit for bit), each is small enough for
+    the allocator to reuse, where one of a whole segment would be fresh pages
+    to fault in on every segment.
+    """
+    linear_filter = _linear_filter()
+    state = np.zeros(den.size - 1)
+    for start in range(0, x.size, 2**13):
+        stop = start + 2**13
+        out[start: stop], state = linear_filter(num, den, x[start: stop], -1, state)
+
+
 class _NoiseThreshold(_Segments):
     """The (1 - p) quantile of |matched-filter output| on a noise record fed in blocks.
 
-    The filter output at lag j is sum_k x[j+k] template[k] / |template|^2,
-    calibrated so that a clean impulse q reads q.  It is computed by
-    overlap-save (Oppenheim & Schafer, Discrete-Time Signal Processing,
-    sec. 8.7): segments of ``size`` samples, each overlapping the previous
-    one by M - 1 for a template of M samples, give size - M + 1 lags apiece
-    from one FFT product with the template's cached spectrum.  ``size`` is
-    the next power of two >= 4 M, and at least ``_BLOCK``, so at least three
-    quarters of each FFT are kept lags.  The last M lags, where the template
-    overruns the record, are dropped.  Of the kept outputs at most
-    2 (ceil(lags * p) + 2) plus one hop are held, always including the
-    ceil(lags * p) + 2 largest, which is enough for ``_top_quantile`` to give
-    ``np.quantile`` of all of them exactly.  Four buffers of about ``size``
-    doubles each are all the filter holds: the segment, the template's
-    spectrum, the spectrum product, and the held outputs with room for one
-    segment's, which the inverse FFT writes into.  So the FFTs make no array,
-    though each rfft takes about two FFT lengths of numpy's scratch.
+    The filter output at lag j is sum_{k<M} x[j+k] h[k] / |h|^2 for the
+    template h of M samples, calibrated so that a clean impulse q reads q.
+    The template is the impulse response of the trap's own two-pole filter
+    (denominator A = [1, a1, a2]), so on the time-reversed record the
+    correlation is that filter's output less its tail past M samples, which
+    is a second filter on A read M samples later: the truncated IIR filter
+    of A. Wang and J. O. Smith, IEEE Trans. Signal Process. 45, 1415 (1997).
+    The numerators come from h continued by two samples, ``response``:
+    B = [h0, h1 + a1 h0, h2 + a1 h1 + a2 h0] for the whole response, and
+    T = [h[M], h[M+1] + a1 h[M]] for the tail.  ``correlate`` runs B/A over
+    each segment, then 1/A over that output's residual, which holds the tail
+    and the rounding of the first pass (see there).  Segments of ``size`` =
+    max(``_BLOCK``, 4 M) samples, each overlapping the previous one by M - 1,
+    give size - M + 1 lags apiece, and both passes start each segment from
+    zero, so no rounding carries from one segment into the next.  The last M
+    lags, where the template overruns the record, are dropped.  Of the kept
+    outputs at most 2 (ceil(lags * p) + 2) plus one segment's are held,
+    always including the ceil(lags * p) + 2 largest, which is enough for
+    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  The
+    filter holds the segment, the held outputs and three buffers of one
+    segment for ``correlate``'s passes; it takes no FFT.
     """
 
-    def __init__(self, template: np.ndarray, n: int, p_exceed: float):
+    def __init__(self, response: np.ndarray, den: np.ndarray, n: int, p_exceed: float):
+        m = response.size - 2
+        template = response[:m]
         self.norm = float(np.dot(template, template))
         if self.norm <= 0.0:
             raise DomainError("degenerate matched-filter template")
-        self.lags = n - template.size
+        self.lags = n - m
         if self.lags <= 0:
             raise ThresholdEstimateError("series shorter than the filter template")
         if p_exceed >= 1.0:
@@ -648,13 +696,12 @@ class _NoiseThreshold(_Segments):
             )
         self.quantile = 1.0 - p_exceed
         self.keep = math.ceil(tail_count) + 2
-        size = max(_BLOCK, 1 << (4 * template.size - 1).bit_length())
-        super().__init__(size, template.size - 1)
-        self.segment[:template.size] = template
-        self.segment[template.size:] = 0.0
-        self.spectrum = np.fft.rfft(self.segment, out=np.empty(size // 2 + 1, complex))
-        np.conjugate(self.spectrum, out=self.spectrum)
-        self.product = np.empty_like(self.spectrum)
+        h, (_, a1, a2) = response, den
+        self.den = den
+        self.whole = np.array([h[0], h[1] + a1 * h[0], h[2] + a1 * h[1] + a2 * h[0]])
+        self.tail = (h[m], h[m + 1] + a1 * h[m])
+        size = max(_BLOCK, 4 * m)
+        super().__init__(size, m - 1)
         self.first_lag = 0       # the lag of the segment's first sample
         # |outputs|, unnormalized: the largest so far, then the newer ones,
         # then room for one segment's outputs.  Cut back to the largest
@@ -662,6 +709,42 @@ class _NoiseThreshold(_Segments):
         # for by at least ``keep`` appended values.
         self.top = np.empty(2 * self.keep + size)
         self.held = 0
+        # ``correlate``'s first pass, its residual, and each term added to it.
+        self.passes = np.empty((3, size))
+
+    def correlate(self, x: np.ndarray, out: np.ndarray):
+        """sum_{k<M} x[j+k] h[k] for the lags j < ``out.size``, written into ``out``.
+
+        ``x`` holds at least ``out.size`` + M - 1 samples; r is ``x``
+        reversed, on which lag j is sample n = x.size - 1 - j.  The first
+        pass y = B/A r, from zero state, is the whole response's correlation.
+        Its residual A y - B r + T r[n - M] is the tail, entering M samples
+        later, plus the first pass's own rounding, which the direct form
+        amplifies where the poles are near z = 1 (2.6e-12 of the outputs'
+        RMS at M = 1e5 on a 100 Hz trap at 0.1 ms).  A y is taken as
+        (1 - z^-1)^2 y + (a1 + 2) y[n-1] + (a2 - 1) y[n-2], whose terms are
+        small where y is smooth, so the residual itself rounds little.  The
+        second pass 1/A over it, subtracted from y, leaves the truncated
+        correlation.  The last lag, n = M - 1, has no tail.
+        """
+        reverse = x[::-1]
+        size, m = x.size, self.overlap + 1
+        (_, a1, a2), (b0, b1, b2), (t0, t1) = self.den, self.whole, self.tail
+        whole, residual, term = self.passes[:, :size]
+        _filter_into(self.whole, self.den, reverse, whole)
+        np.subtract(whole[1:], whole[:-1], out=term[1:])
+        term[0] = whole[0]
+        np.subtract(term[1:], term[:-1], out=residual[1:])
+        residual[0] = term[0]
+        for delay, coefficient, source in (
+                (1, a1 + 2.0, whole), (2, a2 - 1.0, whole),
+                (0, -b0, reverse), (1, -b1, reverse), (2, -b2, reverse),
+                (m, t0, reverse), (m + 1, t1, reverse)):
+            if delay < size and coefficient:     # h0 = 0: a kick moves nothing in its step
+                np.multiply(source[:size - delay], coefficient, out=term[delay:])
+                residual[delay:] += term[delay:]
+        _filter_into(np.ones(1), self.den, residual, term)
+        np.subtract(whole[::-1][:out.size], term[::-1][:out.size], out=out)
 
     def _segment(self):
         """Keep the largest outputs of the segment's lags; the next starts one hop on."""
@@ -673,19 +756,16 @@ class _NoiseThreshold(_Segments):
                 cut = self.held - self.keep
                 self.top[:self.keep] = np.partition(self.top[:self.held], cut)[cut:]
                 self.held = self.keep
-            np.fft.rfft(self.segment, out=self.product)
-            np.multiply(self.product, self.spectrum, out=self.product)
-            out = np.fft.irfft(self.product, size, out=self.top[self.held: self.held + size])
-            np.abs(out[:count], out=out[:count])
+            out = self.top[self.held: self.held + count]
+            self.correlate(self.segment[:self.filled], out)
+            np.abs(out, out=out)
             self.held += count
         self.first_lag += hop
 
     def threshold(self) -> float:
         """The quantile, once the whole record has been taken, kg m/s."""
         if self.first_lag < self.lags:
-            # A partial last segment: its kept lags read only samples it holds,
-            # but the FFT reads the whole segment, so the rest must be defined.
-            self.segment[self.filled:] = 0.0
+            # A partial last segment: the filters read only the samples it holds.
             self._segment()
         return _top_quantile(self.top[:self.held] / self.norm, self.lags, self.quantile)
 

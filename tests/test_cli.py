@@ -503,15 +503,17 @@ def impulse_doc(outdir, decimation=1, duration="20 s"):
 @pytest.mark.parametrize("search", [True, False])
 def test_simulate_leaves_scipy_signal_stats_and_linalg_unloaded(tmp_path, search):
     """Simulating, with or without the impulse search, runs scipy.signal's
-    filter kernel without importing scipy.signal and what it pulls in."""
+    filter kernel without importing scipy.signal and what it pulls in.  The
+    search's matched filter is that kernel too: with no PSD asked for, the
+    run never imports numpy.fft, its module or its scratch."""
     doc = impulse_doc(tmp_path / "out", decimation=10)
     if not search:
         del doc["simulation"]["false_alarm_rate"]
     cfg = write_config(tmp_path, doc)
     code = ("import sys; from levkit.cli import main; "
             f"assert main(['simulate', {cfg!r}]) == 0; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.linalg', "
+            "'numpy.fft') if m in sys.modules))")
     out = run_python(code).splitlines()
     assert out[-1] == "[]"
     assert (tmp_path / "out" / "detections.json").exists() == search
@@ -530,7 +532,8 @@ def amplitudes(detections):
 
 def test_search_matches_fft_filter_golden(tmp_path):
     """Threshold and amplitudes as the full-record FFT filter gave them: the
-    amplitudes bit for bit, the overlap-save threshold within 1e-12."""
+    amplitudes bit for bit, the streamed recursive filter's threshold within
+    1e-12."""
     found = run_search(tmp_path, 1)
     assert found["threshold_kg_m_s"] == pytest.approx(1.396742048371855e-19,
                                                       rel=1e-12, abs=0.0)
@@ -599,6 +602,38 @@ def test_template_shorter_than_a_time_step_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: matched-filter template of 10/gamma_total = ")
     assert "(2e-05 s)" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("duration", "1e300 s"), ("time_step", "1e-300 s")])
+def test_unallocatable_step_count_is_config_error(tmp_path, capsys, key, value):
+    """More than 2^53 steps, from a huge duration or a tiny time step: exit 2
+    naming both keys, before the search sizes its held outputs or template."""
+    out = tmp_path / "out"
+    doc = impulse_doc(out)
+    doc["simulation"][key] = value
+    if key == "time_step":
+        doc["simulation"]["duration"] = "1000 s"
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: simulation.duration / simulation.time_step = ")
+    assert "at most 2^53" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_overdamped_trap_passes_the_energy_growth_check(tmp_path, capsys):
+    """f0 = 10 Hz under 1000 1/s of damping relaxes at about omega0^2 / gamma,
+    250 times slower than 1/gamma: the energy-growth windows are placed by the
+    one-step map's slower eigenvalue, so the equilibrium is not read as growth."""
+    out = tmp_path / "out"
+    doc = simulate_doc(out)
+    doc["sphere"] = {"radius": "5 um", "density": "1850 kg/m^3"}
+    doc["trap"] = {"resonant_frequency": "10 Hz", "damping_rate": "1 1/s",
+                   "temperature": "300 K"}
+    doc["simulation"] = {"time_step": "0.001 s", "duration": "100 s", "rng_seed": 1,
+                         "bath_temperature": "300 K", "feedback_gain": "999 1/s"}
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("temperature", ["300 K", "0 K"])
@@ -799,9 +834,10 @@ def test_simulate_memory_is_flat_in_duration(tmp_path):
 
 def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
     """An impulse search peaks alike at 1e6 and 4e6 steps, and under twelve
-    FFT lengths of doubles (it reads 9.5 with blocks as long as the FFT): the
-    filter's four FFT-length buffers, a few blocks of samples and the held
-    outputs, with nothing the size of the record."""
+    filter segments of doubles (it reads 10.5 with blocks as long as the
+    segment, 2^15 samples for the 500-sample template): the segment, the
+    filter's three passes over it, the held outputs with room for one
+    segment's and a few blocks of samples, with nothing the size of the record."""
     import tracemalloc
     from levkit import dynamics
 

@@ -51,11 +51,18 @@ def trap_template(sphere, trap, config):
     return dynamics._LinearTrap(sphere, trap, config).template()
 
 
+def trap_filter(sphere, trap, config):
+    """What the search's ``_NoiseThreshold`` takes: the template continued by
+    two samples, and the denominator of the filter whose response it is."""
+    model = dynamics._LinearTrap(sphere, trap, config)
+    return model.template(extra=2), model._impulse_filter[1]
+
+
 def matched_filter_outputs(samples, template):
     """Reference filter: the whole record correlated with the template by one FFT.
 
     Calibrated in momentum units, so a clean impulse q reads q at its sample.
-    The search streams the same correlation by overlap-save.
+    The search streams the same correlation as the trap's truncated IIR filter.
     """
     from scipy import signal
 
@@ -174,7 +181,7 @@ def test_detection_efficiency_above_threshold():
 
 def test_threshold_golden():
     """The full-rate threshold as the whole-record FFT filter of the noise gave it;
-    the overlap-save filter rounds differently, within 1e-12."""
+    the streamed recursive filter rounds differently, within 1e-12."""
     assert threshold(IMP_TRAP, imp_config(995.0)) == pytest.approx(
         1.396742048371855e-19, rel=1e-12, abs=0.0)
 
@@ -407,9 +414,9 @@ def test_streamed_search_matches_whole_record_reference(monkeypatch, block, deci
                                                         false_alarm_rate):
     """Many block boundaries, blocks shorter than the 500-sample template, a
     record (1e6 steps) that is no multiple of the block, and one block longer
-    than the record, so a single partial FFT segment: the noise windows, the
-    record and the amplitudes are the whole-record ones bit for bit, and the
-    overlap-save threshold is within 1e-12 of the whole-record FFT filter's.
+    than the record, so a single partial filter segment: the noise windows,
+    the record and the amplitudes are the whole-record ones bit for bit, and
+    the streamed threshold is within 1e-12 of the whole-record FFT filter's.
     At 5000 false alarms per second (p = 0.1) the quantile rests on the bulk
     of the outputs, so a wrong lag anywhere in the record moves it."""
     cfg = replace(imp_config(995.0), record_decimation=decimation)
@@ -495,40 +502,84 @@ def test_cold_run_ends_the_decayed_response_at_a_block_boundary(monkeypatch):
 
 
 def test_threshold_of_a_record_shorter_than_one_segment_ignores_stale_memory():
-    """A record shorter than the FFT length is one partial segment.  The FFT
-    reads all of it, so what the segment's memory held before must not reach
-    the threshold."""
+    """A record shorter than one segment is one partial segment.  The filters
+    run from the segment's end, so what its memory held past the record must
+    not reach the threshold."""
     rng = np.random.default_rng(6)
-    template = np.hanning(500)
-    segment = dynamics._NoiseThreshold(template, 10**6, 0.01).segment
+    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
+    template = response[:-2]
+    segment = dynamics._NoiseThreshold(response, den, 10**6, 0.01).segment
     noise = rng.standard_normal(segment.size // 2)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
-    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.01)
+    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.01)
     assert noise.size < noise_threshold.segment.size
     noise_threshold.segment[:] = np.nan
     noise_threshold.take(noise)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
-def test_fft_length_is_four_template_lengths_and_at_least_one_block(monkeypatch):
-    """The FFT is the next power of two >= 4 template lengths, never shorter
-    than a block: 500 samples (2000) take the block of 2^15, and 3000 samples
-    (12000) with blocks of 4096 take 16384.  There the threshold is still the
-    whole-record FFT filter's within 1e-12, and the spectrum built in its own
-    buffer is np.conj(np.fft.rfft(template, size)) bit for bit."""
-    assert dynamics._NoiseThreshold(np.hanning(500), 10**6, 0.01).segment.size == 2**15
+def test_segment_is_four_template_lengths_and_at_least_one_block(monkeypatch):
+    """A segment is max(block, 4 template lengths) samples, with no rounding
+    to a power of two, and overlaps the one before by a template length less
+    one: the 500-sample template takes the block of 2^15, and a 3000-sample
+    one with blocks of 4096 takes 12000.  There the threshold, over segments
+    that straddle the chunks fed, is still the whole-record FFT filter's
+    within 1e-12."""
+    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
+    assert response.size - 2 == 500
+    assert dynamics._NoiseThreshold(response, den, 10**6, 0.01).segment.size == 2**15
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
-    template = np.hanning(3000) * np.sin(0.05 * np.arange(3000))
+    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(161.67))
+    template = response[:-2]
+    assert template.size == 3000
     noise = np.random.default_rng(9).standard_normal(200_000)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
-    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.01)
-    size = noise_threshold.segment.size
-    assert size == 16384
-    spectrum = np.conj(np.fft.rfft(template, size))
-    np.testing.assert_array_equal(noise_threshold.spectrum.view(np.int64), spectrum.view(np.int64))
+    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.01)
+    assert noise_threshold.segment.size == 12000 and noise_threshold.overlap == 2999
     for chunk in np.array_split(noise, 7):
         noise_threshold.take(chunk)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+# The search's trap at its own time step (M = 500), the benchmark's
+# impulse-search trap (M = 1e4), the paper's 100 Hz trap at its 0.4 ms time
+# step with gamma = 0.25 1/s (M = 1e5), and the same trap at 0.1 ms with
+# gamma = 1/s (M = 1e5), where the first pass alone is off by 2.5e-12 of the RMS.
+IIR_TRAPS = [
+    (IMP_SPHERE, IMP_TRAP, imp_config(995.0)),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+     replace(CONFIG, time_step=1e-4, feedback_gain=9.0)),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=0.25, temperature=300.0),
+     replace(CONFIG, time_step=4e-4)),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+     replace(CONFIG, time_step=1e-4)),
+]
+
+
+@pytest.mark.parametrize("sphere, trap, config", IIR_TRAPS)
+def test_truncated_iir_outputs_are_direct_correlations(sphere, trap, config):
+    """On one segment of the trap's own noise, the two recursive passes give
+    sum_k x[j+k] h[k] as np.dot does, within 1e-12 of the outputs' RMS, at 200
+    random lags and at the first, the last (which has no tail) and the one
+    before it; asked for fewer lags, the same values."""
+    response, den = trap_filter(sphere, trap, config)
+    template = response[:-2]
+    noise_threshold = dynamics._NoiseThreshold(response, den, 10**12, 0.0)
+    size = noise_threshold.segment.size
+    assert size == max(dynamics._BLOCK, 4 * template.size)
+    model = dynamics._LinearTrap(sphere, trap, replace(config, duration=size * config.time_step))
+    x = np.concatenate([noise for _, noise, _ in model.blocks((), [])])
+    assert x.size == size
+    out = np.empty(size - template.size + 1)
+    noise_threshold.correlate(x, out)
+    rng = np.random.default_rng(4)
+    lags = [0, out.size - 2, out.size - 1, *rng.integers(0, out.size, 200)]
+    direct = np.array([np.dot(x[j: j + template.size], template) for j in lags])
+    rms = np.sqrt(np.mean(out**2))
+    assert np.max(np.abs(out[lags] - direct)) <= 1e-12 * rms
+    fewer = np.empty(out.size // 3)
+    noise_threshold.correlate(x, fewer)
+    np.testing.assert_array_equal(bits(fewer), bits(out[:fewer.size]))
 
 
 def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
@@ -537,7 +588,8 @@ def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
     stay a small multiple of the record instead of one held top per segment
     (about 29 records here, with ~280 segments of 4096)."""
     rng = np.random.default_rng(5)
-    template = np.hanning(500)
+    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
+    template = response[:-2]
     noise = rng.standard_normal(1_000_000)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.9)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
@@ -545,7 +597,7 @@ def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
     partition = np.partition
     monkeypatch.setattr(np, "partition",
                         lambda a, kth: partitioned.append(a.size) or partition(a, kth))
-    noise_threshold = dynamics._NoiseThreshold(template, noise.size, 0.1)
+    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.1)
     for chunk in np.array_split(noise, 37):
         noise_threshold.take(chunk)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
