@@ -68,8 +68,6 @@ def parse_unit_string(raw: Any, dimension: Dimension, path: str) -> float:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"{path}: {parts[0]!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: non-finite value {parts[0]!r}")
     unit = parts[1]
     if unit not in _UNITS:
         raise ConfigError(f"{path}: unknown unit {unit!r}")
@@ -77,6 +75,8 @@ def parse_unit_string(raw: Any, dimension: Dimension, path: str) -> float:
     if dim is not dimension:
         raise ConfigError(f"{path}: unit {unit!r} has dimension {dim.value}, "
                           f"expected {dimension.value}")
+    if not math.isfinite(value * factor):
+        raise ConfigError(f"{path}: {raw!r} is not finite in SI units")
     return value * factor
 
 

@@ -754,7 +754,8 @@ class _NoiseThreshold(_Segments):
         if count > 0:
             if self.held + size > self.top.size:
                 cut = self.held - self.keep
-                self.top[:self.keep] = np.partition(self.top[:self.held], cut)[cut:]
+                self.top[:self.held].partition(cut)
+                self.top[:self.keep] = self.top[cut:self.held]
                 self.held = self.keep
             out = self.top[self.held: self.held + count]
             self.correlate(self.segment[:self.filled], out)
@@ -763,11 +764,12 @@ class _NoiseThreshold(_Segments):
         self.first_lag += hop
 
     def threshold(self) -> float:
-        """The quantile, once the whole record has been taken, kg m/s."""
+        """The quantile, kg m/s, of the whole record; consumes the held outputs."""
         if self.first_lag < self.lags:
             # A partial last segment: the filters read only the samples it holds.
             self._segment()
-        return _top_quantile(self.top[:self.held] / self.norm, self.lags, self.quantile)
+        top = self.top[:self.held]
+        return _top_quantile(np.divide(top, self.norm, out=top), self.lags, self.quantile)
 
 
 def _top_quantile(top: np.ndarray, n: int, q: float) -> float:
@@ -777,9 +779,9 @@ def _top_quantile(top: np.ndarray, n: int, q: float) -> float:
     include both order statistics that the linear rule interpolates.  The
     arithmetic is numpy's own: virtual index (n - 1) q, and the two-sided
     lerp of numpy's private ``_lerp``, so the result is bit-equal to
-    ``np.quantile``.
+    ``np.quantile``.  Sorts ``top`` in place.
     """
-    top = np.sort(top)
+    top.sort()
     virtual = (n - 1) * q
     if virtual >= n - 1:
         return float(top[-1])

@@ -191,12 +191,17 @@ def sphere_form_factor(x) -> float:
 
 
 @functools.cache
-def _legendre_rule(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _legendre_rule():
+    """The 16-node Gauss-Legendre rule on [-1, 1] and the embedded rule that
+    estimates its error, as in J. Berntsen and T. O. Espelid, ACM TOMS 17, 233
+    (1991): the interpolatory rule on the 8 even-index nodes, exact to degree
+    7 with all weights positive, and zero weight on the others."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    embedded = np.zeros(16)
+    embedded[::2] = np.linalg.solve(np.polynomial.legendre.legvander(x[::2], 7).T,
+                                    np.eye(8)[0] * 2.0)
+    x.flags.writeable = w.flags.writeable = embedded.flags.writeable = False
+    return x, w, embedded
 
 
 def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab) -> Quantity:
@@ -224,17 +229,18 @@ def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab
 _RANGE_CUTOFF = 45.0
 
 
-@functools.lru_cache(maxsize=1)
-def _strip_panels(width: float, n_pairs: int, distance: float, lam: float, s_max: float):
-    """Left edges and half-widths of the panels over the dense strips.
+def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts: np.ndarray):
+    """Lateral nodes, Gauss weights and embedded weights (``_legendre_rule``),
+    in strip, panel and node order.
 
     The dense strips are [2 k w, (2 k + 1) w] for -n_pairs <= k < n_pairs.
     Each is cut to the lateral reach at which the distance from a point
     ``distance`` away exceeds the e^-45 suppression radius, widened by the
     largest pattern shift, and split into panels no wider than 5 lambda, all
     at once by ``np.linspace``'s own arithmetic (edge j is j step + lo, the
-    last is hi).  Cached, so the coarse and fine rules share one call.
+    last is hi).
     """
+    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
     x_cut = math.sqrt((distance + _RANGE_CUTOFF * lam) ** 2 - distance**2) + s_max
     x0 = 2.0 * np.arange(-n_pairs, n_pairs) * width
     lo, hi = np.maximum(x0, -x_cut), np.minimum(x0 + width, x_cut)
@@ -243,23 +249,13 @@ def _strip_panels(width: float, n_pairs: int, distance: float, lam: float, s_max
     s = np.repeat(np.arange(num.size), num)            # the strip of each panel
     j = np.arange(s.size) - (np.cumsum(num) - num)[s]  # its index in the strip
     step, lo, hi = ((hi - lo) / num)[s], lo[s], hi[s]
-    left = j * step + lo
-    half = 0.5 * (np.where(j + 1 == num[s], hi, (j + 1) * step + lo) - left)
-    left.flags.writeable = half.flags.writeable = False
-    return left[:, None], half[:, None]
+    left = (j * step + lo)[:, None]
+    half = 0.5 * (np.where(j + 1 == num[s], hi, (j + 1) * step + lo)[:, None] - left)
+    x, w, embedded = _legendre_rule()
+    return (left + half * (x + 1.0)).ravel(), (half * w).ravel(), (half * embedded).ravel()
 
 
-def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float,
-                 shifts: np.ndarray, n_per_panel: int):
-    """Lateral Gauss nodes and weights, in strip, panel and node order."""
-    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    left, half = _strip_panels(width, n_pairs, distance, lam, s_max)
-    x, w = _legendre_rule(n_per_panel)
-    return (left + half * (x + 1.0)).ravel(), (half * w).ravel()
-
-
-def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
-                        n_per_panel: int) -> np.ndarray:
+def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray):
     """Normal force per (G alpha drho m) on a point at the sphere center.
 
     Fingers are infinite along y, so each area element acts as a line mass
@@ -271,32 +267,31 @@ def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray,
         2 [K0(sqrt(dx^2 + d^2)/lambda) - K0(sqrt(dx^2 + z_top^2)/lambda)]
 
     and only the lateral (x) integral is done by quadrature.  Returns one
-    value per lateral pattern shift.
+    value per lateral pattern shift, from the Gauss and the embedded rule.
     """
     k0 = _scipy.extension("special", "_special_ufuncs").k0
     d = geom.distance
-    x_nodes, x_weights = _strip_nodes(geom.finger_width, geom.n_finger_pairs, d, lam,
-                                      shifts, n_per_panel)
+    x_nodes, x_weights, embedded = _strip_nodes(geom.finger_width, geom.n_finger_pairs,
+                                                d, lam, shifts)
     z_top = d + min(geom.finger_depth, _RANGE_CUTOFF * lam)
     dx2 = (x_nodes[None, :] + shifts[:, None]) ** 2
     kern = 2.0 * (k0(np.sqrt(dx2 + d**2) / lam) - k0(np.sqrt(dx2 + z_top**2) / lam))
-    return kern @ x_weights
+    return kern @ x_weights, kern @ embedded
 
 
-def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray,
-                           n_per_panel: int) -> np.ndarray:
-    """Axial-distance force per (G alpha drho m) at the sphere center.
+def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray):
+    """Both rules' axial-distance force per (G alpha drho m) at the sphere center.
 
     Thin-capillary model: the fluid column is a line mass of linear density
     drho * cross_section; only the dense-fluid droplets carry the contrast.
     """
     d = geom.distance
-    x_nodes, x_weights = _strip_nodes(geom.droplet_length, geom.n_droplet_pairs, d, lam,
-                                      shifts, n_per_panel)
+    x_nodes, x_weights, embedded = _strip_nodes(geom.droplet_length, geom.n_droplet_pairs,
+                                                d, lam, shifts)
     dx = x_nodes[None, :] + shifts[:, None]
     r = np.sqrt(dx**2 + d**2)
     kern = geom.cross_section * (d / r) * (1.0 / r**2 + 1.0 / (lam * r)) * np.exp(-r / lam)
-    return kern @ x_weights
+    return kern @ x_weights, kern @ embedded
 
 
 def _point_kernel(sphere: Sphere, geom, n_phase: int):
@@ -348,9 +343,9 @@ def yukawa_force_modulated(
 ) -> Quantity:
     """Fourier amplitude of the Yukawa force at a harmonic of the drive.
 
-    The force waveform over one drive period is evaluated by quadrature at
-    n_phase >= 64 phase samples; the quadrature is refined once and a
-    relative error estimate above 1e-3 raises QuadratureError.  A finger
+    The force waveform over one drive period is evaluated at n_phase >= 64
+    phase samples by 16 Gauss nodes per panel; a relative error estimate above
+    1e-3 from the rule embedded in them raises QuadratureError.  A finger
     array with even n_phase evaluates the kernel once per pair of phases
     with equal shifts, k and (n/2 - k) mod n (``_point_kernel``).
     """
@@ -361,14 +356,13 @@ def yukawa_force_modulated(
         raise DomainError("need at least 64 phase samples")
     lam = coupling.range_m
     kernel, shifts, index = _point_kernel(sphere, geom, n_phase)
-    coarse = kernel(geom, lam, shifts, n_per_panel=8)[index]
-    fine = kernel(geom, lam, shifts, n_per_panel=16)[index]
+    fine, embedded = (values[index] for values in kernel(geom, lam, shifts))
 
     prefactor = _prefactor(sphere, coupling, geom)
     amp_fine = prefactor * _harmonic_amplitude(fine, harmonic)
-    amp_coarse = prefactor * _harmonic_amplitude(coarse, harmonic)
+    amp_embedded = prefactor * _harmonic_amplitude(embedded, harmonic)
     scale = max(abs(amp_fine), abs(prefactor) * float(np.max(np.abs(fine)) + 1e-300))
-    err = abs(amp_fine - amp_coarse) / scale if scale > 0.0 else 0.0
+    err = abs(amp_fine - amp_embedded) / scale if scale > 0.0 else 0.0
     if err > 1e-3:
         raise QuadratureError(
             f"modulated-force quadrature not converged: relative error estimate {err:.2e}",

@@ -68,6 +68,8 @@ class Sphere:
     @property
     def nucleon_count(self) -> int:
         """Total nucleon number, mass / amu rounded to nearest integer."""
+        if not math.isfinite(self.mass / AMU):
+            raise DomainError(f"sphere.density {self.density!r} kg/m^3: nucleon count overflows")
         n = int(round(self.mass / AMU))
         if n <= 0:
             raise DomainError("sphere too light: nucleon count rounds to zero")

@@ -228,6 +228,31 @@ def test_curve_with_every_point_omitted_is_config_error(tmp_path, capsys, case, 
     assert captured.out == "" and not out.exists()
 
 
+def _dense_sphere(name, out):
+    doc = _shipped_doc(name, out)
+    doc["sphere"]["density"] = "1e300 kg/m^3"
+    return doc
+
+
+@pytest.mark.parametrize("case, make_doc, message", [
+    ("dm", lambda out: _dense_sphere("dm_recoil_10um.json", out),
+     "sphere.density 1e+300 kg/m^3: nucleon count overflows"),
+    ("millicharge", lambda out: _dense_sphere("millicharge_10um.json", out),
+     "sphere.density 1e+300 kg/m^3: nucleon count overflows"),
+    ("dm", lambda out: _shipped_doc("dm_recoil_10um.json", out, dm_mass_max="1e300 TeV"),
+     "plan.dm_mass_max: '1e300 TeV' is not finite in SI units"),
+], ids=["dm-density", "millicharge-density", "dm-mass-max"])
+def test_overflowing_value_is_config_error_naming_the_key(tmp_path, capsys, case, make_doc,
+                                                          message):
+    """A value whose SI form or nucleon count is not finite: exit 2 with its
+    key named, not an OverflowError."""
+    out = tmp_path / "out"
+    assert main(["exclusion", case, write_config(tmp_path, make_doc(out))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_exclusion_dm_curve(tmp_path):
     doc = base_doc(tmp_path / "out")
     doc["plan"] = {"integration_time": "1e5 s",

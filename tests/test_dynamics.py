@@ -584,9 +584,9 @@ def test_truncated_iir_outputs_are_direct_correlations(sphere, trap, config):
 
 def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
     """At p = 0.1 the held outputs are a tenth of the record.  They are cut back
-    by np.partition only once they have doubled, so the values partitioned
-    stay a small multiple of the record instead of one held top per segment
-    (about 29 records here, with ~280 segments of 4096)."""
+    by partitioning them in place only once they have doubled, so the values
+    partitioned stay a small multiple of the record instead of one held top
+    per segment (about 29 records here, with ~280 segments of 4096)."""
     rng = np.random.default_rng(5)
     response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
     template = response[:-2]
@@ -594,10 +594,16 @@ def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.9)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
     partitioned = []
-    partition = np.partition
-    monkeypatch.setattr(np, "partition",
-                        lambda a, kth: partitioned.append(a.size) or partition(a, kth))
+
+    class Held(np.ndarray):
+        """The held outputs, recording the size of each partition of them."""
+
+        def partition(self, kth):
+            partitioned.append(self.size)
+            super().partition(kth)
+
     noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.1)
+    noise_threshold.top = noise_threshold.top.view(Held)
     for chunk in np.array_split(noise, 37):
         noise_threshold.take(chunk)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)

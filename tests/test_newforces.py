@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from scipy.special import k1
 
 from levkit import _scipy, newforces, oracles
-from levkit.cli import EXIT_RUNTIME, main
+from levkit.cli import EXIT_RUNTIME, _config_dir, main
+from levkit.config import load_config, parse_config
+from levkit.limits import log_grid
 from levkit.quantities import DomainError, HBAR_C
 from levkit.sensor import Sphere
 from levkit.newforces import (
@@ -189,7 +191,7 @@ def test_modulated_waveform_parseval():
     # that yukawa_force_modulated samples.
     kernel, shifts, index = newforces._point_kernel(sphere, FINGERS, 256)
     wave = (newforces._prefactor(sphere, isl(10e-6), FINGERS)
-            * kernel(FINGERS, 10e-6, shifts, n_per_panel=16)[index])
+            * kernel(FINGERS, 10e-6, shifts)[0][index])
     ac_power = float(np.mean((wave - np.mean(wave)) ** 2))
     total = 0.0
     for h in range(1, 9):
@@ -209,13 +211,13 @@ def test_kernel_evaluated_once_per_distinct_shift(monkeypatch, geom, n_phase, n_
     kernel = getattr(newforces, name)
     calls = []
 
-    def spy(geom, lam, shifts, n_per_panel):
-        calls.append((n_per_panel, shifts.size))
-        return kernel(geom, lam, shifts, n_per_panel)
+    def spy(geom, lam, shifts):
+        calls.append(shifts.size)
+        return kernel(geom, lam, shifts)
 
     monkeypatch.setattr(newforces, name, spy)
     yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), geom, n_phase=n_phase)
-    assert calls == [(8, n_shifts), (16, n_shifts)]
+    assert calls == [n_shifts]
 
 
 @pytest.mark.parametrize("n_phase", [64, 256, 65])
@@ -229,7 +231,7 @@ def test_paired_shifts_match_all_phase_amplitude(n_phase, harmonic):
     _, distinct, index = newforces._point_kernel(sphere, FINGERS, n_phase)
     np.testing.assert_allclose(distinct[index], shifts, rtol=0.0,
                                atol=4.0 * np.finfo(float).eps * FINGERS.drive_amplitude)
-    wave = newforces._finger_point_force(FINGERS, lam, shifts, n_per_panel=16)
+    wave, _ = newforces._finger_point_force(FINGERS, lam, shifts)
     reference = (newforces._prefactor(sphere, isl(lam), FINGERS)
                  * newforces._harmonic_amplitude(wave, harmonic))
     paired = yukawa_force_modulated(sphere, isl(lam), FINGERS, harmonic=harmonic,
@@ -243,10 +245,10 @@ def test_finger_depth_integral_matches_quadrature(lam):
     of the strip kernel 2 z K1(b/lam)/(lam b) on panels no wider than 5 lam,
     at lam << d, lam ~ depth and lam >> depth."""
     shifts = FINGERS.drive_amplitude * np.sin(2.0 * math.pi * np.arange(8) / 8)
-    closed = newforces._finger_point_force(FINGERS, lam, shifts, n_per_panel=16)
+    closed, _ = newforces._finger_point_force(FINGERS, lam, shifts)
 
-    x_nodes, x_weights = newforces._strip_nodes(
-        FINGERS.finger_width, FINGERS.n_finger_pairs, FINGERS.distance, lam, shifts, 16)
+    x_nodes, x_weights, _ = newforces._strip_nodes(
+        FINGERS.finger_width, FINGERS.n_finger_pairs, FINGERS.distance, lam, shifts)
     d = FINGERS.distance
     z_top = d + min(FINGERS.finger_depth, 45.0 * lam)
     edges = np.linspace(d, z_top, max(1, math.ceil((z_top - d) / (5.0 * lam))) + 1)
@@ -261,9 +263,11 @@ def test_finger_depth_integral_matches_quadrature(lam):
     np.testing.assert_allclose(closed, quadrature, rtol=1e-10, atol=0.0)
 
 
-def _reference_strip_nodes(width, n_pairs, distance, lam, shifts, n_per_panel):
-    """The lateral rule built one strip, one panel and one Gauss map at a time."""
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+def _reference_strip_nodes(width, n_pairs, distance, lam, shifts, n_per_panel, w=None):
+    """The lateral rule built one strip, one panel and one Gauss map at a time,
+    with the Gauss weights or, given, weights ``w`` on the same nodes."""
+    x, gauss = np.polynomial.legendre.leggauss(n_per_panel)
+    w = gauss if w is None else w
 
     def gauss_nodes(a, b):
         half = 0.5 * (b - a)
@@ -310,40 +314,106 @@ def _strip_cases():
                rng.uniform(-2.0, 2.0, int(rng.integers(0, 8))) * width)
 
 
-@pytest.mark.parametrize("n_per_panel", [8, 16])
-def test_strip_nodes_match_per_panel_reference(n_per_panel):
-    """Mapping the rule onto all panels at once changes no node or weight bit."""
+def test_strip_nodes_match_per_panel_reference():
+    """Mapping the rule onto all panels at once changes no node or weight bit,
+    nor any embedded weight against the same map of the rule's own."""
+    embedded = newforces._legendre_rule()[2]
     for width, pairs, distance, lam, shifts in _strip_cases():
-        nodes, weights = newforces._strip_nodes(width, pairs, distance, lam, shifts,
-                                                n_per_panel)
+        nodes, weights, embedded_weights = newforces._strip_nodes(width, pairs, distance,
+                                                                  lam, shifts)
         ref_nodes, ref_weights = _reference_strip_nodes(width, pairs, distance, lam,
-                                                        shifts, n_per_panel)
+                                                        shifts, 16)
+        _, ref_embedded = _reference_strip_nodes(width, pairs, distance, lam, shifts, 16,
+                                                 embedded)
         np.testing.assert_array_equal(nodes, ref_nodes)
         np.testing.assert_array_equal(weights, ref_weights)
+        np.testing.assert_array_equal(embedded_weights, ref_embedded)
 
 
-def _skew_coarse_rule(monkeypatch):
-    """Make the 8-node finger rule disagree with the 16-node one by 10 %."""
-    exact = newforces._finger_point_force
+def test_embedded_rule_is_positive_and_exact_to_degree_seven():
+    """The error estimate's rule: the even-index Gauss nodes only, every
+    weight there positive, x^k integrated exactly for k <= 7 and not k = 8."""
+    x, _, embedded = newforces._legendre_rule()
+    assert np.all(embedded[1::2] == 0.0) and np.min(embedded[::2]) > 0.04
+    for k in range(9):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert (abs(embedded @ x**k - exact) < 1e-14) == (k <= 7), k
 
-    def skewed(geom, lam, shifts, n_per_panel):
-        out = exact(geom, lam, shifts, n_per_panel)
-        return out * 1.1 if n_per_panel == 8 else out
 
-    monkeypatch.setattr(newforces, "_finger_point_force", skewed)
+def _relative_error_estimate(sphere, coupling, geom, fine, other):
+    """``yukawa_force_modulated``'s estimate, at harmonic 1, of the waveform
+    ``fine`` by its difference from ``other``."""
+    prefactor = newforces._prefactor(sphere, coupling, geom)
+    amp_fine = prefactor * newforces._harmonic_amplitude(fine, 1)
+    amp_other = prefactor * newforces._harmonic_amplitude(other, 1)
+    scale = max(abs(amp_fine), abs(prefactor) * float(np.max(np.abs(fine)) + 1e-300))
+    return abs(amp_fine - amp_other) / scale
+
+
+def _gate_cases():
+    """(sphere, coupling, geometry): criterion 07's modulated grid, the shipped
+    finger curve and the benchmark's capillary curve, at every lambda."""
+    yield from oracles.geometry_regression_grid()[1]
+    finger = load_config(_config_dir() / "isl_finger_20um.json")
+    capillary = parse_config({
+        "schema": "levkit-config/1",
+        "sphere": {"radius": "7.5 um", "density": "1850 kg/m^3"},
+        "geometry": {"type": "fluid_capillary", "inner_diameter": "10 um",
+                     "droplet_length": "40 um", "density_a": "3000 kg/m^3",
+                     "density_b": "800 kg/m^3", "distance": "12 um",
+                     "modulation_frequency": "50 Hz", "n_droplet_pairs": 40},
+        "plan": {"integration_time": "1 s", "lambda_min": "1 um", "lambda_max": "10 mm",
+                 "points_per_decade": 20}})
+    for cfg, n_lam in ((finger, 41), (capillary, 81)):
+        plan = cfg.plan_section
+        lams = log_grid(plan["lambda_min"], plan["lambda_max"], plan["points_per_decade"])
+        assert lams.size == n_lam
+        for lam in lams:
+            yield cfg.sphere, isl(lam), cfg.geometry
+
+
+def test_embedded_estimate_is_at_least_the_eight_node_rules(monkeypatch):
+    """The error estimate from the rule embedded in the 16 Gauss nodes is no
+    smaller, at any point of the three grids, than the estimate from a
+    separate 8-node Gauss rule per panel, which it replaced."""
+    def eight_node_rule(*args):
+        nodes, weights = _reference_strip_nodes(*args, 8)
+        return nodes, weights, weights       # only the kernel's first value is read
+
+    for sphere, coupling, geom in _gate_cases():
+        kernel, shifts, index = newforces._point_kernel(sphere, geom, 64)
+        fine, embedded = (values[index] for values in kernel(geom, coupling.range_m, shifts))
+        with monkeypatch.context() as patch:
+            patch.setattr(newforces, "_strip_nodes", eight_node_rule)
+            eight = kernel(geom, coupling.range_m, shifts)[0][index]
+        estimate = _relative_error_estimate(sphere, coupling, geom, fine, embedded)
+        assert estimate >= _relative_error_estimate(sphere, coupling, geom, fine, eight), (
+            geom, coupling.range_m)
+        assert estimate < 1e-3
+
+
+def _skew_embedded_rule(monkeypatch):
+    """Make the embedded rule's weights 10 % too large."""
+    x, w, embedded = newforces._legendre_rule()
+    monkeypatch.setattr(newforces, "_legendre_rule", lambda: (x, w, 1.1 * embedded))
 
 
 def test_unconverged_quadrature_raises_with_estimate(monkeypatch):
-    _skew_coarse_rule(monkeypatch)
+    _skew_embedded_rule(monkeypatch)
+    sphere = Sphere(radius=2.5e-6)
     with pytest.raises(QuadratureError) as info:
-        yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), FINGERS)
+        yukawa_force_modulated(sphere, isl(10e-6), FINGERS)
     err = info.value.error_estimate
     assert err > 1e-3
     assert f"relative error estimate {err:.2e}" in str(info.value)
+    # The estimate the gate test above recomputes is the one raised.
+    kernel, shifts, index = newforces._point_kernel(sphere, FINGERS, 64)
+    fine, skewed = (values[index] for values in kernel(FINGERS, 10e-6, shifts))
+    assert err == _relative_error_estimate(sphere, isl(10e-6), FINGERS, fine, skewed)
 
 
 def test_unconverged_quadrature_is_runtime_exit(monkeypatch, tmp_path, capsys):
-    _skew_coarse_rule(monkeypatch)
+    _skew_embedded_rule(monkeypatch)
     doc = {
         "schema": "levkit-config/1",
         "sphere": {"radius": "2.5 um"},
