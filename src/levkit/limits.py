@@ -87,6 +87,9 @@ class HaloModel:
         if not all(x > 0.0 for x in (self.density_gev_cm3, self.v0, self.v_escape,
                                      self.v_earth)):
             raise DomainError("halo density and speeds must be positive")
+        if not math.isfinite(self.v0 * self.v0 * self.v0):
+            raise DomainError(f"halo.v0 {self.v0!r} m/s: the speed distribution's "
+                              "normalization overflows")
 
     def speed_pdf(self, v: np.ndarray) -> np.ndarray:
         """Earth-frame speed distribution, normalized to unit integral. v in m/s."""
@@ -330,6 +333,8 @@ def dm_rate_above_threshold(
         raise DomainError("dark-matter mass must be positive")
     if mediator_mass_ev < 0.0:
         raise DomainError(f"mediator mass must be >= 0, got {mediator_mass_ev!r} eV")
+    if not math.isfinite(mediator_mass_ev * mediator_mass_ev):
+        raise DomainError(f"plan.mediator_mass {mediator_mass_ev!r} eV: its square overflows")
     g = alpha_n * nucleon_count
     q_min = q_min_si * C_LIGHT / EV          # eV (natural units)
     mu = mediator_mass_ev

@@ -5,15 +5,19 @@ destination only once it is complete, so a reader never sees a partial file
 and a failed write leaves nothing behind: no temp file, and none of the
 directories the write created for it.  The finished file gets the mode
 the process umask gives a new file (0644 under umask 022), not the temp
-file's 0600.  Numbers are written as ``repr`` of Python floats, the shortest
-text that reads back to the same double, so reruns are byte-identical.
+file's 0600.  Every CSV number is written as ``repr(float(x))`` would write
+it, the shortest text that reads back to the same double, so reruns are
+byte-identical.
 
 CSV rows come from the caller as chunks, which may be made one at a time by
-a generator, and are formatted and written at most ``_CHUNK_ROWS`` rows at a
-time.  So writing holds the caller's current chunk plus one chunk's Python
-floats and strings (about 150 B per cell, some 1.3 MB for two columns),
-whatever the row count.  ``write_series`` writes a sampled series that way
-from chunks of samples alone, making each chunk's times as it goes.
+a generator.  Their cells are copied into a block of ``_CHUNK_ROWS`` rows,
+joining small chunks and cutting large ones, and each block is formatted at
+once by ``_reprtext.BlockText``, which writes each number as ``repr`` does
+with numpy instead of one Python call per number.  The block, the
+formatter's scratch and the block's text take about 200 B per cell, some
+0.4 MB for two columns, whatever the row count and however the rows are
+chunked.  ``write_series`` writes a sampled series that way from chunks of
+samples alone, making each piece's times as it goes.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-# Rows formatted per chunk: a chunk's strings stay near 1 MB, and the
-# per-chunk overhead is small next to the float reprs.
-_CHUNK_ROWS = 1 << 12
+# Rows formatted at once.  Every block costs some 200 numpy calls, so much
+# smaller blocks are slower; the block's scratch grows with it.
+_CHUNK_ROWS = 1 << 10
 
 
 @contextlib.contextmanager
@@ -69,21 +73,36 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
     Each of ``chunks`` holds one sliceable sequence of numbers per column, all
     of one length; its row i is the i-th value of each.  The chunks are read
     in order, once, inside the temp file's lifetime, so an error raised while
-    one is made leaves no output.  A chunk is formatted and written
-    ``_CHUNK_ROWS`` rows at a time.
+    one is made leaves no output.  Their rows are copied into blocks of
+    ``_CHUNK_ROWS`` rows, and each block is formatted and written whole.
     """
+    # Imported on first use: compiling it would add some 4 ms to the start-up
+    # of every levkit command, which need not write a CSV.
+    from ._reprtext import BlockText
+
+    block = np.empty((_CHUNK_ROWS, len(columns)))
+    formatter = BlockText(len(columns))
     with atomic_open(path) as fh:
         for key, value in header:
             if not isinstance(value, str):
                 value = json.dumps(value, sort_keys=True)
             fh.write(f"# {key} = {value}\n")
         fh.write("# columns = " + ",".join(columns) + "\n")
+        filled = 0
         for chunk in chunks:
-            for start in range(0, len(chunk[0]), _CHUNK_ROWS):
-                # repr of a list of floats is the repr of each float joined by ", ".
-                cells = [repr(np.asarray(col[start:start + _CHUNK_ROWS], dtype=float).tolist())
-                         [1:-1].split(", ") for col in chunk]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            size = len(chunk[0])
+            start = 0
+            while start < size:
+                take = min(size - start, _CHUNK_ROWS - filled)
+                for j, col in enumerate(chunk):
+                    block[filled:filled + take, j] = col[start:start + take]
+                filled += take
+                start += take
+                if filled == _CHUNK_ROWS:
+                    fh.write(formatter.text(block))
+                    filled = 0
+        if filled:
+            fh.write(formatter.text(block[:filled]))
 
 
 def write_series(path, header: Iterable[Tuple[str, object]], columns: Sequence[str],

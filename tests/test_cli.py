@@ -234,6 +234,11 @@ def _dense_sphere(name, out):
     return doc
 
 
+def _fast_halo(doc):
+    doc["halo"]["v0"] = "1e300 km/s"
+    return doc
+
+
 @pytest.mark.parametrize("case, make_doc, message", [
     ("dm", lambda out: _dense_sphere("dm_recoil_10um.json", out),
      "sphere.density 1e+300 kg/m^3: nucleon count overflows"),
@@ -241,11 +246,15 @@ def _dense_sphere(name, out):
      "sphere.density 1e+300 kg/m^3: nucleon count overflows"),
     ("dm", lambda out: _shipped_doc("dm_recoil_10um.json", out, dm_mass_max="1e300 TeV"),
      "plan.dm_mass_max: '1e300 TeV' is not finite in SI units"),
-], ids=["dm-density", "millicharge-density", "dm-mass-max"])
+    ("dm", lambda out: _shipped_doc("dm_recoil_10um.json", out, mediator_mass="1e300 eV"),
+     "plan.mediator_mass 1e+300 eV: its square overflows"),
+    ("dm", lambda out: _fast_halo(_shipped_doc("dm_recoil_10um.json", out)),
+     "halo.v0 1e+303 m/s: the speed distribution's normalization overflows"),
+], ids=["dm-density", "millicharge-density", "dm-mass-max", "dm-mediator-mass", "dm-halo-v0"])
 def test_overflowing_value_is_config_error_naming_the_key(tmp_path, capsys, case, make_doc,
                                                           message):
-    """A value whose SI form or nucleon count is not finite: exit 2 with its
-    key named, not an OverflowError."""
+    """A value whose SI form, nucleon count, square or cube is not finite:
+    exit 2 with its key named, not an OverflowError."""
     out = tmp_path / "out"
     assert main(["exclusion", case, write_config(tmp_path, make_doc(out))]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -85,3 +85,37 @@ def test_series_times_are_made_per_chunk(tmp_path, monkeypatch):
     times = (0.1 * np.arange(x.size)).tolist()
     assert path.read_text() == "# columns = t,x\n" + "".join(
         f"{t!r},{v!r}\n" for t, v in zip(times, x.tolist()))
+
+
+def _neighbours(values, ulps):
+    """Each of ``values`` and the ``ulps`` doubles either side of it."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+@pytest.mark.filterwarnings("error")
+def test_csv_numbers_are_repr_byte_for_byte(tmp_path):
+    """Every number is written as repr writes it, byte for byte, whether the
+    vectorised formatter certifies it or leaves it to repr, with no warning
+    from the values it leaves."""
+    rng = np.random.default_rng(20181)
+    powers_of_2 = 2.0 ** np.arange(-1074, 1024)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.225073858507201e-308, 1e-310, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308, -2.2250738585072014e-308]
+    values = np.concatenate([
+        rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64),
+        _neighbours(powers_of_2[1:-1], 1), powers_of_2[:1], powers_of_2[-1:],
+        _neighbours(rng.integers(1, 2**52, 1000).view(np.float64), 0),   # subnormals
+        special,
+        _neighbours([1e-4, 1e-5, 1e15, 1e16], 200),
+        # Doubles at and beside 10**j, whose scaled digits can round up to
+        # the next power of ten.
+        _neighbours([float(f"1e{j}") for j in range(-30, 21)], 3),
+        1e-4 * np.arange(100_000), 0.04 * np.arange(100_000),
+    ])
+    values = values[:values.size // 2 * 2].reshape(-1, 2)
+    path = tmp_path / "numbers.csv"
+    write_csv(path, [], ["a", "b"], [values.T])
+    expected = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
+    assert path.read_text() == "# columns = a,b\n" + expected
