@@ -1,7 +1,7 @@
 """CSV text of doubles, each written as ``repr(float(x))`` writes it.
 
 ``BlockText`` formats a block of rows at a time with numpy, in scratch that
-every block of one file reuses, about 130 B per cell.  Its shortest
+every block of one file reuses, about 125 B per cell.  Its shortest
 round-trip digits follow Ryu (U. Adams, PLDI 2018):
 
 - scale |x| to y = |x| 10**k with 17 or 18 digits before the point, and
@@ -11,90 +11,124 @@ round-trip digits follow Ryu (U. Adams, PLDI 2018):
 
 y is held as an integer-valued double p plus a remainder r exact to about
 1e-14: a Dekker product of |x| and 10**k, with 10**k as the sum of two
-doubles.  A cell is certified only if the interval's ends and, when two
-multiples are inside, their midpoint lie more than ``_EPS`` from an integer
-or from y.  Every other cell is written by ``repr`` itself, as is every
+doubles.  k, those doubles and the interval's half-width all follow from
+the binary exponent of |x|, so one table row per exponent holds them.  A
+cell is certified only if the interval's ends lie more than ``_EPS`` from
+an integer, and y more than ``_EPS`` / 2 steps from the midpoint of two
+multiples.  Every other cell is written by ``repr`` itself, as is every
 cell that is zero, subnormal, not finite or outside [1.01e-28, 9.9e16).
 
-Each cell is laid out in a fixed field of ``_FIELD`` bytes in which every
-byte that is not part of the text is NUL; deleting the NULs leaves the rows.
-The field, as 12 little-endian 4-byte words:
+The chosen integer, cut to its first 17 digits S (an 18th is always 0),
+becomes Z = S + (9 (S // 10**m) + 1) 10**m: S with a digit 1 put in m
+digits from its end.  It stands where the text has its '.' (m = 17 -
+decpt, decpt being where repr puts the point), after the first digit in
+exponent form (m = 16), or, unshown, ahead of S below 1 (m = 17).  Each
+cell is laid out in a fixed field of ``_FIELD`` bytes in which every byte
+that is not part of the text is 0 or 1; deleting those bytes leaves the
+rows:
 
-- word 0: the delimiter before the cell (',' or newline, none before a
-  block's first cell), two NULs, then '-' for a negative value;
-- words 1-4: the integer digits, right-aligned (one digit in exponent form);
-- word 5: three NULs, then '.';
-- words 6-10: the fraction digits, right-aligned, with their leading zeros;
-- word 11: in exponent form, 'e', the exponent's sign and its two digits.
+- byte 0: '-' for a negative value;
+- bytes 1-5: '0.000', the leading zeros of a positional number below 1;
+- bytes 6-23: Z's 18 digits as byte values 0-9, from a table of 4-digit
+  groups (and of 2 digits for Z's first two);
+- bytes 24-27: in exponent form, 'e', the exponent's sign and two digits;
+- byte 28: the delimiter after the cell, ',' or newline.
 
-The digits come from a table of 4-digit groups as byte values 0-9.  The
-template row for the cell's (integer digits, fraction digits) adds '0' to
-the digit bytes the text shows and puts the '.', so a digit byte it does not
-show stays NUL.
+The field starts as the template row for decpt, Z's trailing zeros and the
+sign, and Z's digits are added to it: the row holds '0' over each digit the
+text shows, '.' less 1 over the digit 1 when the text shows a point, and
+NUL elsewhere, so that a digit not shown stays 0 or 1.
 
 The tables are built, and the cells formatted, with few kinds of numpy loop:
-float arithmetic and comparisons, int64 multiply, add, negate and divide,
-casts between the two, takes and masked copies.  Each other kind maps
-another 64 kB of numpy's code into the process, as much as the scratch
-itself.
+float arithmetic and comparisons, boolean and and not, int64 multiply,
+add, floor-divide and minimum, uint32 add, casts between float, int64 and
+bool, takes and masked puts.  Each other kind maps another 64 kB of numpy's
+code into the process, about a third of the scratch itself.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-_FIELD = 48
-_INT_END = 20                # one past the last integer digit
-_DOT = 23
-_FRAC_END = 44               # one past the last fraction digit
+_FIELD = 32
+_DIGITS = 6                  # byte of Z's first digit
+_DELIMITER = 28
 _EPS = 1e-7                  # certified margin, in units of y's last digit
 _LOG10_2 = 0.30102999566398120
+_E_MIN, _E_MAX = 930, 1079   # biased binary exponents of [1.01e-28, 9.9e16)
+_DECPT_MIN = -28             # decpt, where repr puts the point, is -27 to 18
 
 
 class _Tables:
-    """The formatter's constant tables (about 80 kB)."""
+    """The formatter's constant tables (about 140 kB)."""
 
     def __init__(self):
-        # 10**k for k = 0..44 as the sum hi + lo of two doubles, exact since
-        # 5**44 < 2**103, and hi split into two 26-bit halves (Veltkamp).
-        exact = [10 ** k for k in range(45)]
-        self.hi = np.array([float(p) for p in exact])
-        self.lo = np.array([float(p - int(float(p))) for p in exact])
-        self.hi_head = _split_head(self.hi)
-        self.hi_tail = self.hi - self.hi_head
-        # Half an ulp of a double, by its exponent bits (1 to 2046).
-        self.half_ulp = np.multiply(np.arange(2048), 1 << 52).view(np.float64) * 2.0 ** -53
-        # 10**min(s, 18) for s = 0..20, as a divisor or a factor.
-        self.pow10 = np.array([10 ** min(s, 18) for s in range(21)], dtype=np.int64)
-        # The digits of 0..9999 as byte values, one 4-byte word each.
+        # Per binary exponent E: k, 10**k as hi + lo (exact since 5**44 <
+        # 2**103), hi split into 26-bit halves (Veltkamp), half an ulp of a
+        # double times hi, and 2**(E - 1023), the power of two below.
+        e = range(_E_MIN - 1023, _E_MAX + 1 - 1023)
+        k = [16 - math.floor(j * _LOG10_2) for j in e]
+        exact = [10 ** j for j in k]
+        hi = np.array([float(p) for p in exact])
+        head = _split_head(hi)
+        power_of_2 = np.array([math.ldexp(1.0, j) for j in e])
+        self.ten_k = np.stack([hi, head, hi - head, [float(p - int(float(p))) for p in exact]],
+                              axis=1)
+        self.gap = np.stack([power_of_2 * 2.0 ** -53 * hi, power_of_2], axis=1)
+        # decpt - _DECPT_MIN for 17 digits before the point: 17 - k.
+        self.decpt_index = np.array([17 - _DECPT_MIN - j for j in k])
+        # Factors for the multiples of 100 and of 10 at or below an integer.
+        self.tenths, self.tens = np.array([[0.01], [0.1]]), np.array([[100.0], [10.0]])
+        # 10**m for the point m digits from the end, by decpt: 17 - decpt
+        # for a positional number, 17 (the point before S) below 1 and 16
+        # (after S's first digit) in exponent form.
+        self.point = np.array([10 ** (17 - d if 0 < d < 17 else 17 if -4 < d < 1 else 16)
+                               for d in range(_DECPT_MIN, 19)], dtype=np.int64)
+        # The digits of 0..9999 as byte values in a 4-byte word, and above it
+        # twice the group's trailing zeros (of 99 for 0), then 10000 + t:
+        # the two digits of t < 100 in the word's last bytes.
         digit = np.arange(10, dtype=np.uint8)
-        self.groups = np.stack([np.repeat(digit, 1000), np.tile(np.repeat(digit, 100), 10),
-                                np.tile(np.repeat(digit, 10), 100), np.tile(digit, 1000)],
-                               axis=1).view("<u4").ravel()
-        # Word 11 by decimal-point position + 64: repr's exponent form is
-        # for positions below -3 or above 16; the others have none.
-        self.exponent = np.frombuffer(b"".join(
-            b"e%+03d" % (decpt - 1) if decpt < -3 or decpt > 16 else bytes(4)
-            for decpt in range(-64, 64)), np.uint8).view("<u4")
-        # Template row 21 n_int + n_frac.  n_int = 0 is the exponent form,
-        # whose integer is one digit and which has no '.' without a fraction;
-        # a positional number shows at least one digit either side.
-        ints = [bytes(_INT_END - m) + b"0" * m for m in [1, *range(1, 17)]]
-        fracs = [[bytes(_DOT - _INT_END) + (b"." if m or positional else b"\0")
-                  + bytes(_FRAC_END - _DOT - 1 - m) + b"0" * m + bytes(_FIELD - _FRAC_END)
-                  for m in ([max(n, 1) for n in range(21)] if positional else range(21))]
-                 for positional in (False, True)]
-        self.template = np.frombuffer(b"".join(
-            int_part + frac_part for n_int, int_part in enumerate(ints)
-            for frac_part in fracs[n_int > 0]), np.uint8).reshape(-1, _FIELD)
+        groups = np.zeros((10100, 8), np.uint8)
+        groups[:10000, :4] = np.stack([np.repeat(digit, 1000), np.tile(np.repeat(digit, 100), 10),
+                                       np.tile(np.repeat(digit, 10), 100), np.tile(digit, 1000)],
+                                      axis=1)
+        groups[10000:, 2:4] = groups[:100, 2:4]
+        for zeros in range(4):
+            groups[:10000:10 ** zeros, 4] = 2 * zeros
+        groups[0, 4] = 2 * 99
+        self.groups = groups.view("<i8").ravel()
+        # Template row 2 (17 (decpt - _DECPT_MIN) + t) + 1 if negative, where
+        # Z's last nonzero digit is 17 - t.  The point is always shown in a
+        # positional number, and in exponent form only before a further digit.
+        rows = []
+        for decpt in range(_DECPT_MIN, 19):
+            head, tail = bytes(_DIGITS), bytes(_FIELD - _DIGITS - 18)
+            if decpt < -3 or decpt > 16:
+                tail = b"e%+03d" % (decpt - 1) + tail[4:]
+            elif decpt < 1:
+                head = bytes(1) + b"0." + b"0" * -decpt + head[3 - decpt:]
+            for last in range(17, 0, -1):
+                if decpt < -3 or decpt > 16:
+                    first, point, shown = 0, 1, last > 1
+                elif decpt < 1:
+                    first, point, shown = 1, 0, False
+                else:
+                    first, point, shown, last = 0, decpt, True, max(last, decpt + 1)
+                digits = bytearray(bytes(first) + b"0" * (last + 1 - first) + bytes(17 - last))
+                digits[point] = ord(".") - 1 if shown else 0
+                rows.append(head + digits + tail)
+        template = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, _FIELD).repeat(2, axis=0)
+        template[1::2, 0] = ord("-")
+        self.template = template
 
 
-def _split_head(v, out=None):
+def _split_head(v):
     """The high 26 bits of each double in ``v`` (Veltkamp's split)."""
-    t = np.multiply(v, 134217729.0, out=out)
-    return np.subtract(t, np.subtract(t, v), out=t)
+    t = v * 134217729.0
+    return t - (t - v)
 
 
 @functools.cache
@@ -116,16 +150,14 @@ class BlockText:
     def _allocate(self, rows: int):
         cells = rows * self.ncols
         self.rows = rows
-        # One field more, for the '\n' that ends the last row.
-        self.buffer = bytearray((cells + 1) * _FIELD)
-        self.fields = np.frombuffer(self.buffer, np.uint8).reshape(cells + 1, _FIELD)
-        self.delimiters = np.tile(np.frombuffer(b"\n" + b"," * (self.ncols - 1), np.uint8),
+        self.buffer = bytearray(cells * _FIELD)
+        self.fields = np.frombuffer(self.buffer, np.uint8).reshape(cells, _FIELD)
+        self.delimiters = np.tile(np.frombuffer(b"," * (self.ncols - 1) + b"\n", np.uint8),
                                   rows)
-        self.delimiters[0] = 0
-        # Nine rows of 8-byte scratch, each read as float or int by stage,
-        # and six of flags.
-        self.scratch = np.empty((9, cells))
-        self.flags = np.empty((6, cells), bool)
+        # Eleven rows of 8-byte scratch, each read as float or int by stage,
+        # and four of flags.
+        self.scratch = np.empty(11 * cells)
+        self.flags = np.empty((4, cells), bool)
 
     def text(self, block: np.ndarray) -> str:
         """The CSV rows of ``block``, a C-contiguous (rows, ncols) float array."""
@@ -134,176 +166,136 @@ class BlockText:
         t = _tables()
         x = block.ravel()
         n = x.size
-        f = self.scratch[:, :n]
+        f = self.scratch[:11 * n].reshape(11, n)
         i = f.view(np.int64)
-        ok, b1, b2, b3, b4, b5 = self.flags[:, :n]
+        ok, b1 = self.flags[:2, :n]
 
         # a = |x|; a cell outside the certified range (NaN compares false) is
-        # computed as 1.0 and then written by repr.  Its scale k = 16 -
-        # floor(e log10 2), e its binary exponent, puts y = a 10**k in
-        # [1e16, 2e17) and k in 0..44.
-        a, k = f[0], i[1]
+        # computed as 1.0 and then written by repr.  Its binary exponent picks
+        # its row of the tables, and k puts y = a 10**k in [1e16, 2e17).
+        decpt, row, a = i[0], i[1], f[2]
         np.abs(x, out=a)
         np.greater_equal(a, 1.01e-28, out=ok)
         ok &= np.less(a, 9.9e16, out=b1)
-        np.copyto(a, 1.0, where=np.logical_not(ok, out=b1))
-        bits, exponent, scale = a.view(np.int64), i[8], f[2]
-        np.copyto(scale, np.floor_divide(bits, 1 << 52, out=exponent))
-        np.floor(np.multiply(np.subtract(scale, 1023.0, out=scale), _LOG10_2, out=scale),
-                 out=scale)
-        np.copyto(k, np.subtract(16.0, scale, out=scale), casting="unsafe")
+        np.putmask(a, np.logical_not(ok, out=b1), 1.0)
+        np.floor_divide(a.view(np.int64), 1 << 52, out=row)
+        row += -_E_MIN
+        ten_k = t.ten_k.take(row, axis=0, out=f[7:].reshape(n, 4), mode="clip")
+        hi, hi_head, hi_tail, lo = ten_k.T
 
         # y = p + r.  p = fl(a hi) is an integer, as y > 2**53.  r = a hi - p,
         # exact by Dekker's product of a and hi split into heads and tails,
         # plus a lo.
-        p, a_head, a_tail, hi_part, r, product = f[3], f[4], f[5], f[2], f[6], f[7]
-        np.multiply(a, np.take(t.hi, k, out=hi_part), out=p)
-        _split_head(a, out=a_head)
+        p, a_head, a_tail, r, product = f[3], f[4], f[5], f[6], f[0]
+        np.multiply(a, hi, out=p)
+        np.multiply(a, 134217729.0, out=a_head)
+        np.subtract(a_head, np.subtract(a_head, a, out=a_tail), out=a_head)
         np.subtract(a, a_head, out=a_tail)
-        np.take(t.hi_head, k, out=hi_part)
-        np.multiply(a_head, hi_part, out=r)
+        np.multiply(a_head, hi_head, out=r)
         r -= p
-        r += np.multiply(a_tail, hi_part, out=product)
-        np.take(t.hi_tail, k, out=hi_part)
-        r += np.multiply(a_head, hi_part, out=product)
-        r += np.multiply(a_tail, hi_part, out=product)
-        r += np.multiply(a, np.take(t.lo, k, out=hi_part), out=product)
+        r += np.multiply(a_tail, hi_head, out=product)
+        r += np.multiply(a_head, hi_tail, out=product)
+        r += np.multiply(a_tail, hi_tail, out=product)
+        r += np.multiply(a, lo, out=product)
 
         # The interval's ends relative to p: half the gap to the next double
         # above, and below (a quarter of that gap at a power of two), scaled.
         # Its last and first integers must be clear of the ends by _EPS.
-        up, down, last, first, hi_part = f[4], f[5], f[2], f[7], f[2]
-        np.take(t.half_ulp, exponent, out=up)
-        at_power_of_2 = np.equal(a, np.multiply(up, 2.0 ** 53, out=down), out=b1)
-        up *= np.take(t.hi, k, out=hi_part)
-        np.copyto(down, up)
-        np.copyto(down, np.multiply(up, 0.5, out=f[7]), where=at_power_of_2)
-        up += r
+        half_gap, power_of_2 = t.gap.take(row, axis=0, out=f[7:9].reshape(n, 2),
+                                          mode="clip").T
+        t.decpt_index.take(row, out=decpt, mode="clip")
+        up, down, last, first, product = f[4], f[5], f[2], f[1], f[9]
+        at_power_of_2 = np.equal(a, power_of_2, out=b1)
+        np.copyto(down, half_gap)
+        np.putmask(down, at_power_of_2, np.multiply(down, 0.5, out=product))
+        np.add(r, half_gap, out=up)
         np.subtract(r, down, out=down)
         np.floor(np.subtract(up, _EPS, out=last), out=last)
-        ok &= np.equal(np.floor(np.add(up, _EPS, out=up), out=up), last, out=b1)
+        ok &= np.less(np.subtract(up, last, out=up), 1.0 - _EPS, out=b1)
         np.ceil(np.add(down, _EPS, out=first), out=first)
-        ok &= np.equal(np.ceil(np.subtract(down, _EPS, out=down), out=down), first, out=b1)
+        ok &= np.less(np.subtract(first, down, out=down), 1.0 - _EPS, out=b1)
 
         # Go on relative to the multiple of 100 at or below p, in small exact
-        # doubles.  The interval is 1.1 to 45 wide: it holds at most one
-        # multiple of 100, which has the most trailing zeros of any integer
-        # in it; failing that, the nearer of the multiples of 10 (or of 1)
-        # either side of y that lie inside.  over17 + the choice is the
-        # chosen integer less 1e17, exact where its sign is in doubt.
-        whole, hundreds, base, over17 = i[0], i[4], f[5], p
+        # doubles.  The step is the largest of 100, 10 and 1 with a multiple
+        # inside the interval; as the interval is 1.1 to 45 wide, one of 100
+        # is the only one and has the most trailing zeros of any integer in
+        # it.  The choice is the multiple of the step nearest y, or, outside,
+        # the one beside it inside.  y within _EPS / 2 steps of the midpoint
+        # of two multiples is a tie, left to repr.
+        whole, hundreds, base = i[4], i[5], f[3]
         np.copyto(whole, p, casting="unsafe")
         np.floor_divide(whole, 100, out=hundreds)
-        np.copyto(base, np.add(whole, np.multiply(hundreds, -100, out=i[8]), out=whole))
-        over17 -= 1e17
-        over17 -= base
+        np.copyto(base, np.add(whole, np.multiply(hundreds, -100, out=i[7]), out=whole))
         last += base
         first += base
         y = np.add(r, base, out=r)
-        m100, step, below, above = f[0], f[5], f[8], f[7]
-        np.multiply(np.floor(np.multiply(last, 0.01, out=m100), out=m100), 100.0, out=m100)
-        has100 = np.greater_equal(m100, first, out=b2)
-        np.multiply(np.floor(np.multiply(last, 0.1, out=step), out=step), 10.0, out=step)
-        has10 = np.greater_equal(step, first, out=b3)
+        step, chosen, low, high = f[3], f[4], f[8], f[9]
+        multiples = f[8:10]
+        np.floor(np.multiply(last, t.tenths, out=multiples), out=multiples)
+        has100, has10 = np.greater_equal(np.multiply(multiples, t.tens, out=multiples), first,
+                                         out=self.flags[2:, :n])
         step[...] = 1.0
-        np.copyto(step, 10.0, where=has10)
-        excess = np.divide(y, step, out=y)        # > 0 below: the multiple above is nearer
-        np.floor(excess, out=below)
-        np.subtract(np.multiply(np.subtract(excess, below, out=excess), 2.0, out=excess), 1.0,
-                    out=excess)
-        below *= step
-        below_in = np.greater_equal(below, first, out=b1)
-        above_in = np.less_equal(np.add(below, step, out=above), last, out=b4)
-        tie = np.less_equal(np.abs(excess, out=last), _EPS, out=b5)
-        tie &= below_in
-        tie &= above_in
-        ok &= np.logical_not(tie, out=tie)
-        go_up = np.less(excess, 0.0, out=b5)
-        go_up &= below_in
-        np.logical_not(go_up, out=go_up)
-        go_up &= above_in
-        chosen = below
-        np.copyto(chosen, above, where=go_up)
-        np.copyto(chosen, m100, where=has100)
+        np.putmask(step, has10, 10.0)
+        np.putmask(step, has100, 100.0)
+        np.multiply(np.ceil(np.divide(first, step, out=low), out=low), step, out=low)
+        np.multiply(np.floor(np.divide(last, step, out=high), out=high), step, out=high)
+        half_up = np.add(np.divide(y, step, out=y), 0.5, out=y)
+        np.floor(half_up, out=chosen)
+        off_midpoint = np.subtract(np.subtract(half_up, chosen, out=last), 0.5, out=last)
+        ok &= np.less(np.abs(off_midpoint, out=last), 0.5 - _EPS / 2, out=b1)
+        chosen *= step
+        np.minimum(np.maximum(chosen, low, out=chosen), high, out=chosen)
 
-        # digits = 100 hundreds + chosen has n_digits = 17 or 18 digits (no
-        # fewer: 10**16 is inside whenever anything below it is); decpt =
-        # n_digits - k is where repr puts the point.  Its trailing zeros: 1
-        # after a multiple of 10, 2 plus those of digits / 100 (< 2**53, so
-        # exact as a double) after one of 100.  All of these are doubles.
-        digits, n_digits, decpt = i[7], f[3], f[1]
-        np.copyto(digits, chosen, casting="unsafe")
-        digits += np.multiply(hundreds, 100, out=i[2])
-        np.greater_equal(np.add(over17, chosen, out=over17), 0.0, out=b1)
-        n_digits[...] = 17.0
-        np.copyto(n_digits, 18.0, where=b1)
-        np.copyto(f[2], k)
-        np.subtract(n_digits, f[2], out=decpt)
-        v, quotient, kept, zeros = f[2], f[4], f[5], f[0]
-        np.copyto(v, hundreds)
-        v += np.multiply(m100, 0.01, out=m100)
-        np.copyto(v, 0.5, where=np.logical_not(has100, out=b1))   # 0.5: no zeros
-        zeros[...] = 2.0
-        for s in (8, 4, 2, 1):
-            np.floor(np.divide(v, 10.0 ** s, out=quotient), out=kept)
-            exact = np.equal(kept, quotient, out=b1)
-            np.copyto(v, kept, where=exact)
-            np.copyto(zeros, np.add(zeros, s, out=kept), where=exact)
-        stripped = f[6]
-        stripped[...] = 0.0
-        np.copyto(stripped, 1.0, where=has10)
-        np.copyto(stripped, zeros, where=has100)
-        n_digits -= stripped
-        np.copyto(i[5], stripped, casting="unsafe")
-        digits //= np.take(t.pow10, i[5], out=i[4])
-        np.copyto(digits, 0, where=np.logical_not(ok, out=b1))   # a cell left to repr
+        # The chosen integer has 17 digits or, past 1e17, 18 of which the last
+        # is 0 (the interval is then over 11 wide), which S drops.  Z as above.
+        s, tens, long, point = i[1], i[3], i[5], i[6]
+        np.copyto(s, chosen, casting="unsafe")
+        s += np.multiply(hundreds, 100, out=i[7])
+        np.floor_divide(s, 10 ** 17, out=long)
+        decpt += long
+        np.floor_divide(s, 10, out=tens)
+        s += np.multiply(np.subtract(tens, s, out=tens), long, out=tens)
+        t.point.take(decpt, out=point, mode="clip")
+        z = np.floor_divide(s, point, out=tens)
+        np.add(np.multiply(z, 9, out=z), 1, out=z)
+        z *= point
+        z += s
 
-        # The integer and fraction parts as repr lays them out: exponent form
-        # for decpt below -3 or above 16, else positional.
-        exp_form = np.logical_or(np.less(decpt, -3.0, out=b1), np.greater(decpt, 16.0, out=b4),
-                                 out=b1)
-        n_frac, n_int, index = f[0], f[2], i[5]
-        np.maximum(np.subtract(n_digits, decpt, out=n_frac), 0.0, out=n_frac)
-        np.copyto(n_frac, np.subtract(n_digits, 1.0, out=n_int), where=exp_form)
-        np.maximum(decpt, 1.0, out=n_int)
-        np.copyto(n_int, 0.0, where=exp_form)
-        np.copyto(index, np.add(np.multiply(n_int, 21.0, out=n_int), n_frac, out=n_int),
-                  casting="unsafe")
+        # Z's digits as 4-digit groups: 10000 + its first two, then four.
+        # Its trailing zeros t are those of the last group not all zero, at
+        # most 16 (the digit 1 at the point, or Z's second digit, is not 0).
+        # A group's table entry holds its own 2 t above its digit word, so
+        # Z's 2 t is the high word of the least entry, each raised by 8 for
+        # every group after it.
+        groups, halves = i[6:11], i[4:6]
+        np.floor_divide(z, 10 ** 8, out=halves[0])
+        np.add(z, np.multiply(halves[0], -10 ** 8, out=halves[1]), out=halves[1])
+        np.floor_divide(halves, 10 ** 4, out=groups[1::2])
+        np.add(halves, np.multiply(groups[1::2], -10 ** 4, out=groups[2::2]), out=groups[2::2])
+        np.floor_divide(groups[1], 10 ** 4, out=groups[0])
+        groups[1] += np.multiply(groups[0], -10 ** 4, out=i[2])
+        groups[0] += 10000
+        digits, index = t.groups.take(groups, out=i[1:6], mode="clip"), i[6]
+        np.minimum(digits[4], 32 << 32, out=index)
+        for shift, group in zip((8, 16, 24), digits[3:0:-1]):
+            np.minimum(index, np.add(group, shift << 32, out=group), out=index)
+        np.floor_divide(index, 1 << 32, out=index)
+        index += np.multiply(decpt, 34, out=decpt)
+        index += np.signbit(x, out=b1)
+
         fields = self.fields[:n]
-        np.take(t.template, index, axis=0, out=fields, mode="clip")
+        t.template.take(index, axis=0, out=fields, mode="clip")
         words = fields.view("<u4")
-        np.copyto(index, np.add(decpt, 64.0, out=n_int), casting="unsafe")
-        np.take(t.exponent, index, out=words[:, 11], mode="clip")
-        parts, divisor = i[6:8], i[4]
-        np.copyto(index, n_frac, casting="unsafe")
-        np.take(t.pow10, index, out=divisor, mode="clip")
-        np.floor_divide(digits, divisor, out=parts[0])
-        digits += np.multiply(parts[0], np.negative(divisor, out=divisor), out=divisor)  # parts[1]
-        np.maximum(np.subtract(decpt, n_digits, out=n_int), 0.0, out=n_int)
-        np.copyto(n_int, 0.0, where=exp_form)
-        np.copyto(index, n_int, casting="unsafe")
-        parts[0] *= np.take(t.pow10, index, out=divisor, mode="clip")
-
-        # Four digits a step, last first: words 4 to 1 and 10 to 6 together.
-        quotients, groups = i[2:4], i[4:6]
-        group_words = f[0].view(np.uint32).reshape(2, n)
-        for w in range(5):
-            np.floor_divide(parts, 10000, out=quotients)
-            np.add(parts, np.multiply(quotients, -10000, out=groups), out=groups)
-            target = words[:, 4 - w:11 - w:6].T
-            target += np.take(t.groups, groups, out=group_words)
-            parts, quotients = quotients, parts
-        np.copyto(fields[:, 3], ord("-"), where=np.signbit(x, out=b1))
+        for w, digit_word in enumerate(digits.view(np.uint32)[:, ::2], 1):
+            words[:, w] += digit_word
         fallback = np.flatnonzero(np.logical_not(ok, out=b1))
         if fallback.size:
             # repr of a list of floats is the repr of each joined by ", ".
             reprs = repr(x[fallback].tolist())[1:-1].split(", ")
-            fields[fallback, 1:] = np.array(reprs, dtype=f"S{_FIELD - 1}").view(
-                np.uint8).reshape(-1, _FIELD - 1)
-
-        fields[:, 0] = self.delimiters[:n]
-        # The '\n' that ends the last row, then NULs in the fields this block
-        # leaves unused, so that the whole buffer is translated, not a copy.
+            fields[fallback, :_DELIMITER] = np.array(reprs, dtype=f"S{_DELIMITER}").view(
+                np.uint8).reshape(-1, _DELIMITER)
+        fields[:, _DELIMITER] = self.delimiters[:n]
+        # NULs in the fields this block leaves unused, so that the whole
+        # buffer is translated, not a copy.
         self.fields[n:] = 0
-        self.fields[n, 0] = ord("\n")
-        return self.buffer.translate(None, b"\0").decode("ascii")
+        return self.buffer.translate(None, b"\0\1").decode("ascii")

@@ -337,6 +337,8 @@ def dm_rate_above_threshold(
         raise DomainError(f"plan.mediator_mass {mediator_mass_ev!r} eV: its square overflows")
     g = alpha_n * nucleon_count
     q_min = q_min_si * C_LIGHT / EV          # eV (natural units)
+    if not math.isfinite(q_min * q_min):
+        raise DomainError(f"plan.q_min {q_min_si!r} kg*m/s: its square in eV overflows")
     mu = mediator_mass_ev
 
     v = np.linspace(1e-9, halo.v_max, _N_VELOCITY) / C_LIGHT  # units of c

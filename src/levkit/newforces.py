@@ -241,7 +241,11 @@ def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts
     last is hi).
     """
     s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    x_cut = math.sqrt((distance + _RANGE_CUTOFF * lam) ** 2 - distance**2) + s_max
+    reach = distance + _RANGE_CUTOFF * lam
+    if not math.isfinite(float(reach) * float(reach)):
+        raise DomainError(f"geometry.distance {distance!r} m: the square of its e^-45 reach "
+                          f"at lambda {float(lam)!r} m overflows")
+    x_cut = math.sqrt(reach ** 2 - distance**2) + s_max
     x0 = 2.0 * np.arange(-n_pairs, n_pairs) * width
     lo, hi = np.maximum(x0, -x_cut), np.minimum(x0 + width, x_cut)
     lo, hi = lo[lo < hi], hi[lo < hi]
@@ -355,10 +359,11 @@ def yukawa_force_modulated(
     if n_phase < 64:
         raise DomainError("need at least 64 phase samples")
     lam = coupling.range_m
+    # First, for its form-factor limit: past it the kernel's panels are too many.
+    prefactor = _prefactor(sphere, coupling, geom)
     kernel, shifts, index = _point_kernel(sphere, geom, n_phase)
     fine, embedded = (values[index] for values in kernel(geom, lam, shifts))
 
-    prefactor = _prefactor(sphere, coupling, geom)
     amp_fine = prefactor * _harmonic_amplitude(fine, harmonic)
     amp_embedded = prefactor * _harmonic_amplitude(embedded, harmonic)
     scale = max(abs(amp_fine), abs(prefactor) * float(np.max(np.abs(fine)) + 1e-300))

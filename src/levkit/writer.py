@@ -14,10 +14,11 @@ a generator.  Their cells are copied into a block of ``_CHUNK_ROWS`` rows,
 joining small chunks and cutting large ones, and each block is formatted at
 once by ``_reprtext.BlockText``, which writes each number as ``repr`` does
 with numpy instead of one Python call per number.  The block, the
-formatter's scratch and the block's text take about 200 B per cell, some
-0.4 MB for two columns, whatever the row count and however the rows are
-chunked.  ``write_series`` writes a sampled series that way from chunks of
-samples alone, making each piece's times as it goes.
+formatter's scratch and the block's text take about 185 B per cell, 0.34
+to 0.38 MiB for two columns as tracemalloc counts it, whatever the row
+count and however the rows are chunked.  ``write_series`` writes a sampled
+series that way from chunks of samples alone, making each piece's times as
+it goes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-# Rows formatted at once.  Every block costs some 200 numpy calls, so much
+# Rows formatted at once.  Every block costs some 120 numpy calls, so much
 # smaller blocks are slower; the block's scratch grows with it.
 _CHUNK_ROWS = 1 << 10
 

@@ -239,6 +239,12 @@ def _fast_halo(doc):
     return doc
 
 
+def _far_fingers(out):
+    doc = _shipped_doc("isl_finger_20um.json", out)
+    doc["geometry"]["distance"] = "1e300 um"
+    return doc
+
+
 @pytest.mark.parametrize("case, make_doc, message", [
     ("dm", lambda out: _dense_sphere("dm_recoil_10um.json", out),
      "sphere.density 1e+300 kg/m^3: nucleon count overflows"),
@@ -250,11 +256,21 @@ def _fast_halo(doc):
      "plan.mediator_mass 1e+300 eV: its square overflows"),
     ("dm", lambda out: _fast_halo(_shipped_doc("dm_recoil_10um.json", out)),
      "halo.v0 1e+303 m/s: the speed distribution's normalization overflows"),
-], ids=["dm-density", "millicharge-density", "dm-mass-max", "dm-mediator-mass", "dm-halo-v0"])
+    ("dm", lambda out: _shipped_doc("dm_recoil_10um.json", out, q_min="1e150 kg*m/s"),
+     "plan.q_min 1e+150 kg*m/s: its square in eV overflows"),
+    ("isl", _far_fingers,
+     "geometry.distance 1e+294 m: the square of its e^-45 reach at lambda 1e-06 m overflows"),
+    ("isl", lambda out: _shipped_doc("isl_finger_20um.json", out, lambda_min="1e-300 um"),
+     "sphere form factor overflows at R/lambda = 9.999999999999999e+300, "
+     "above its limit 702.8235657436883"),
+], ids=["dm-density", "millicharge-density", "dm-mass-max", "dm-mediator-mass", "dm-halo-v0",
+        "dm-q-min", "isl-distance", "isl-lambda-min"])
 def test_overflowing_value_is_config_error_naming_the_key(tmp_path, capsys, case, make_doc,
                                                           message):
     """A value whose SI form, nucleon count, square or cube is not finite:
-    exit 2 with its key named, not an OverflowError."""
+    exit 2 with its key named, not an OverflowError.  A range so short that
+    the kernel's panel count overflows is caught first by the form factor's
+    limit, whose message names R/lambda instead."""
     out = tmp_path / "out"
     assert main(["exclusion", case, write_config(tmp_path, make_doc(out))]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -344,8 +344,9 @@ def test_timeseries_csv_rows_across_chunks(tmp_path, monkeypatch, n):
 
 def test_timeseries_csv_memory_is_flat_in_rows(tmp_path):
     """Writing 1e5 rows and writing 1e6 rows each peak below 512 KiB: the
-    writer holds one block's values, scratch and text (about 200 B for each
-    of 2 x 1024 cells), and no whole-record times or strings."""
+    writer holds one block's values, scratch and text (about 185 B for each
+    of 2 x 1024 cells, 350 to 385 KiB), and no whole-record times or
+    strings."""
     import tracemalloc
 
     def peak(n):

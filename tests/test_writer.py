@@ -119,3 +119,28 @@ def test_csv_numbers_are_repr_byte_for_byte(tmp_path):
     write_csv(path, [], ["a", "b"], [values.T])
     expected = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
     assert path.read_text() == "# columns = a,b\n" + expected
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 5])
+def test_block_text_reuse_leaks_nothing_between_blocks(ncols):
+    """One formatter fed blocks of 1024, 1, 7, 1024 and 3 rows of mixed cells
+    (a 1e-4 time grid, normals of 3.5e-8, exponent-form values, negatives and
+    zeros) returns for each exactly the repr rows of that block, whatever an
+    earlier block left in the fields and scratch it reuses."""
+    from levkit._reprtext import BlockText
+
+    rng = np.random.default_rng(24)
+    formatter = BlockText(ncols)
+    first = 0
+    for rows in (1024, 1, 7, 1024, 3):
+        n = rows * ncols
+        kinds = np.stack([1e-4 * np.arange(first, first + n),
+                          rng.standard_normal(n) * 3.5e-8,
+                          np.where(rng.random(n) < 0.8, 10.0 ** rng.uniform(-27.9, -4.1, n),
+                                   10.0 ** rng.uniform(16.0, 16.99, n)) * rng.choice([-1, 1], n),
+                          -rng.random(n) * 10.0 ** rng.integers(-5, 17, n),
+                          np.zeros(n)])
+        block = kinds[rng.integers(0, len(kinds), n), np.arange(n)].reshape(rows, ncols)
+        first += n
+        assert formatter.text(block) == "".join(
+            ",".join(map(repr, row)) + "\n" for row in block.tolist())
