@@ -1,8 +1,8 @@
 """CSV text of doubles, each written as ``repr(float(x))`` writes it.
 
-``BlockText`` formats a block of rows at a time with numpy, in scratch that
-every block of one file reuses, about 125 B per cell.  Its shortest
-round-trip digits follow Ryu (U. Adams, PLDI 2018):
+``block_bytes`` formats a block of rows at a time with numpy, in scratch
+that each call allocates for its own rows, about 125 B per cell.  Its
+shortest round-trip digits follow Ryu (U. Adams, PLDI 2018):
 
 - scale |x| to y = |x| 10**k with 17 or 18 digits before the point, and
   the interval of reals that round to x alike;
@@ -136,166 +136,144 @@ def _tables() -> _Tables:
     return _Tables()
 
 
-class BlockText:
-    """The CSV text of blocks of rows of ``ncols`` doubles.
+def block_bytes(block: np.ndarray) -> bytearray:
+    """The CSV rows of ``block``, a C-contiguous (rows, ncols) float array."""
+    t = _tables()
+    x = block.ravel()
+    n = x.size
+    # Eleven rows of 8-byte scratch, each read as float or int by stage,
+    # and four of flags.
+    f = np.empty((11, n))
+    i = f.view(np.int64)
+    flags = np.empty((4, n), bool)
+    ok, b1 = flags[:2]
 
-    Its scratch is sized by the largest block formatted so far, so a file
-    that ends within its first block holds scratch for its own rows only.
-    """
+    # a = |x|; a cell outside the certified range (NaN compares false) is
+    # computed as 1.0 and then written by repr.  Its binary exponent picks
+    # its row of the tables, and k puts y = a 10**k in [1e16, 2e17).
+    decpt, row, a = i[0], i[1], f[2]
+    np.abs(x, out=a)
+    np.greater_equal(a, 1.01e-28, out=ok)
+    ok &= np.less(a, 9.9e16, out=b1)
+    np.putmask(a, np.logical_not(ok, out=b1), 1.0)
+    np.floor_divide(a.view(np.int64), 1 << 52, out=row)
+    row += -_E_MIN
+    ten_k = t.ten_k.take(row, axis=0, out=f[7:].reshape(n, 4), mode="clip")
+    hi, hi_head, hi_tail, lo = ten_k.T
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows = 0
+    # y = p + r.  p = fl(a hi) is an integer, as y > 2**53.  r = a hi - p,
+    # exact by Dekker's product of a and hi split into heads and tails,
+    # plus a lo.
+    p, a_head, a_tail, r, product = f[3], f[4], f[5], f[6], f[0]
+    np.multiply(a, hi, out=p)
+    np.multiply(a, 134217729.0, out=a_head)
+    np.subtract(a_head, np.subtract(a_head, a, out=a_tail), out=a_head)
+    np.subtract(a, a_head, out=a_tail)
+    np.multiply(a_head, hi_head, out=r)
+    r -= p
+    r += np.multiply(a_tail, hi_head, out=product)
+    r += np.multiply(a_head, hi_tail, out=product)
+    r += np.multiply(a_tail, hi_tail, out=product)
+    r += np.multiply(a, lo, out=product)
 
-    def _allocate(self, rows: int):
-        cells = rows * self.ncols
-        self.rows = rows
-        self.buffer = bytearray(cells * _FIELD)
-        self.fields = np.frombuffer(self.buffer, np.uint8).reshape(cells, _FIELD)
-        self.delimiters = np.tile(np.frombuffer(b"," * (self.ncols - 1) + b"\n", np.uint8),
-                                  rows)
-        # Eleven rows of 8-byte scratch, each read as float or int by stage,
-        # and four of flags.
-        self.scratch = np.empty(11 * cells)
-        self.flags = np.empty((4, cells), bool)
+    # The interval's ends relative to p: half the gap to the next double
+    # above, and below (a quarter of that gap at a power of two), scaled.
+    # Its last and first integers must be clear of the ends by _EPS.
+    half_gap, power_of_2 = t.gap.take(row, axis=0, out=f[7:9].reshape(n, 2),
+                                      mode="clip").T
+    t.decpt_index.take(row, out=decpt, mode="clip")
+    up, down, last, first, product = f[4], f[5], f[2], f[1], f[9]
+    at_power_of_2 = np.equal(a, power_of_2, out=b1)
+    np.copyto(down, half_gap)
+    np.putmask(down, at_power_of_2, np.multiply(down, 0.5, out=product))
+    np.add(r, half_gap, out=up)
+    np.subtract(r, down, out=down)
+    np.floor(np.subtract(up, _EPS, out=last), out=last)
+    ok &= np.less(np.subtract(up, last, out=up), 1.0 - _EPS, out=b1)
+    np.ceil(np.add(down, _EPS, out=first), out=first)
+    ok &= np.less(np.subtract(first, down, out=down), 1.0 - _EPS, out=b1)
 
-    def text(self, block: np.ndarray) -> str:
-        """The CSV rows of ``block``, a C-contiguous (rows, ncols) float array."""
-        if len(block) > self.rows:
-            self._allocate(len(block))
-        t = _tables()
-        x = block.ravel()
-        n = x.size
-        f = self.scratch[:11 * n].reshape(11, n)
-        i = f.view(np.int64)
-        ok, b1 = self.flags[:2, :n]
+    # Go on relative to the multiple of 100 at or below p, in small exact
+    # doubles.  The step is the largest of 100, 10 and 1 with a multiple
+    # inside the interval; as the interval is 1.1 to 45 wide, one of 100
+    # is the only one and has the most trailing zeros of any integer in
+    # it.  The choice is the multiple of the step nearest y, or, outside,
+    # the one beside it inside.  y within _EPS / 2 steps of the midpoint
+    # of two multiples is a tie, left to repr.
+    whole, hundreds, base = i[4], i[5], f[3]
+    np.copyto(whole, p, casting="unsafe")
+    np.floor_divide(whole, 100, out=hundreds)
+    np.copyto(base, np.add(whole, np.multiply(hundreds, -100, out=i[7]), out=whole))
+    last += base
+    first += base
+    y = np.add(r, base, out=r)
+    step, chosen, low, high = f[3], f[4], f[8], f[9]
+    multiples = f[8:10]
+    np.floor(np.multiply(last, t.tenths, out=multiples), out=multiples)
+    has100, has10 = np.greater_equal(np.multiply(multiples, t.tens, out=multiples), first,
+                                     out=flags[2:])
+    step[...] = 1.0
+    np.putmask(step, has10, 10.0)
+    np.putmask(step, has100, 100.0)
+    np.multiply(np.ceil(np.divide(first, step, out=low), out=low), step, out=low)
+    np.multiply(np.floor(np.divide(last, step, out=high), out=high), step, out=high)
+    half_up = np.add(np.divide(y, step, out=y), 0.5, out=y)
+    np.floor(half_up, out=chosen)
+    off_midpoint = np.subtract(np.subtract(half_up, chosen, out=last), 0.5, out=last)
+    ok &= np.less(np.abs(off_midpoint, out=last), 0.5 - _EPS / 2, out=b1)
+    chosen *= step
+    np.minimum(np.maximum(chosen, low, out=chosen), high, out=chosen)
 
-        # a = |x|; a cell outside the certified range (NaN compares false) is
-        # computed as 1.0 and then written by repr.  Its binary exponent picks
-        # its row of the tables, and k puts y = a 10**k in [1e16, 2e17).
-        decpt, row, a = i[0], i[1], f[2]
-        np.abs(x, out=a)
-        np.greater_equal(a, 1.01e-28, out=ok)
-        ok &= np.less(a, 9.9e16, out=b1)
-        np.putmask(a, np.logical_not(ok, out=b1), 1.0)
-        np.floor_divide(a.view(np.int64), 1 << 52, out=row)
-        row += -_E_MIN
-        ten_k = t.ten_k.take(row, axis=0, out=f[7:].reshape(n, 4), mode="clip")
-        hi, hi_head, hi_tail, lo = ten_k.T
+    # The chosen integer has 17 digits or, past 1e17, 18 of which the last
+    # is 0 (the interval is then over 11 wide), which S drops.  Z as above.
+    s, tens, long, point = i[1], i[3], i[5], i[6]
+    np.copyto(s, chosen, casting="unsafe")
+    s += np.multiply(hundreds, 100, out=i[7])
+    np.floor_divide(s, 10 ** 17, out=long)
+    decpt += long
+    np.floor_divide(s, 10, out=tens)
+    s += np.multiply(np.subtract(tens, s, out=tens), long, out=tens)
+    t.point.take(decpt, out=point, mode="clip")
+    z = np.floor_divide(s, point, out=tens)
+    np.add(np.multiply(z, 9, out=z), 1, out=z)
+    z *= point
+    z += s
 
-        # y = p + r.  p = fl(a hi) is an integer, as y > 2**53.  r = a hi - p,
-        # exact by Dekker's product of a and hi split into heads and tails,
-        # plus a lo.
-        p, a_head, a_tail, r, product = f[3], f[4], f[5], f[6], f[0]
-        np.multiply(a, hi, out=p)
-        np.multiply(a, 134217729.0, out=a_head)
-        np.subtract(a_head, np.subtract(a_head, a, out=a_tail), out=a_head)
-        np.subtract(a, a_head, out=a_tail)
-        np.multiply(a_head, hi_head, out=r)
-        r -= p
-        r += np.multiply(a_tail, hi_head, out=product)
-        r += np.multiply(a_head, hi_tail, out=product)
-        r += np.multiply(a_tail, hi_tail, out=product)
-        r += np.multiply(a, lo, out=product)
+    # Z's digits as 4-digit groups: 10000 + its first two, then four.
+    # Its trailing zeros t are those of the last group not all zero, at
+    # most 16 (the digit 1 at the point, or Z's second digit, is not 0).
+    # A group's table entry holds its own 2 t above its digit word, so
+    # Z's 2 t is the high word of the least entry, each raised by 8 for
+    # every group after it.
+    groups, halves = i[6:11], i[4:6]
+    np.floor_divide(z, 10 ** 8, out=halves[0])
+    np.add(z, np.multiply(halves[0], -10 ** 8, out=halves[1]), out=halves[1])
+    np.floor_divide(halves, 10 ** 4, out=groups[1::2])
+    np.add(halves, np.multiply(groups[1::2], -10 ** 4, out=groups[2::2]), out=groups[2::2])
+    np.floor_divide(groups[1], 10 ** 4, out=groups[0])
+    groups[1] += np.multiply(groups[0], -10 ** 4, out=i[2])
+    groups[0] += 10000
+    digits, index = t.groups.take(groups, out=i[1:6], mode="clip"), i[6]
+    np.minimum(digits[4], 32 << 32, out=index)
+    for shift, group in zip((8, 16, 24), digits[3:0:-1]):
+        np.minimum(index, np.add(group, shift << 32, out=group), out=index)
+    np.floor_divide(index, 1 << 32, out=index)
+    index += np.multiply(decpt, 34, out=decpt)
+    index += np.signbit(x, out=b1)
 
-        # The interval's ends relative to p: half the gap to the next double
-        # above, and below (a quarter of that gap at a power of two), scaled.
-        # Its last and first integers must be clear of the ends by _EPS.
-        half_gap, power_of_2 = t.gap.take(row, axis=0, out=f[7:9].reshape(n, 2),
-                                          mode="clip").T
-        t.decpt_index.take(row, out=decpt, mode="clip")
-        up, down, last, first, product = f[4], f[5], f[2], f[1], f[9]
-        at_power_of_2 = np.equal(a, power_of_2, out=b1)
-        np.copyto(down, half_gap)
-        np.putmask(down, at_power_of_2, np.multiply(down, 0.5, out=product))
-        np.add(r, half_gap, out=up)
-        np.subtract(r, down, out=down)
-        np.floor(np.subtract(up, _EPS, out=last), out=last)
-        ok &= np.less(np.subtract(up, last, out=up), 1.0 - _EPS, out=b1)
-        np.ceil(np.add(down, _EPS, out=first), out=first)
-        ok &= np.less(np.subtract(first, down, out=down), 1.0 - _EPS, out=b1)
-
-        # Go on relative to the multiple of 100 at or below p, in small exact
-        # doubles.  The step is the largest of 100, 10 and 1 with a multiple
-        # inside the interval; as the interval is 1.1 to 45 wide, one of 100
-        # is the only one and has the most trailing zeros of any integer in
-        # it.  The choice is the multiple of the step nearest y, or, outside,
-        # the one beside it inside.  y within _EPS / 2 steps of the midpoint
-        # of two multiples is a tie, left to repr.
-        whole, hundreds, base = i[4], i[5], f[3]
-        np.copyto(whole, p, casting="unsafe")
-        np.floor_divide(whole, 100, out=hundreds)
-        np.copyto(base, np.add(whole, np.multiply(hundreds, -100, out=i[7]), out=whole))
-        last += base
-        first += base
-        y = np.add(r, base, out=r)
-        step, chosen, low, high = f[3], f[4], f[8], f[9]
-        multiples = f[8:10]
-        np.floor(np.multiply(last, t.tenths, out=multiples), out=multiples)
-        has100, has10 = np.greater_equal(np.multiply(multiples, t.tens, out=multiples), first,
-                                         out=self.flags[2:, :n])
-        step[...] = 1.0
-        np.putmask(step, has10, 10.0)
-        np.putmask(step, has100, 100.0)
-        np.multiply(np.ceil(np.divide(first, step, out=low), out=low), step, out=low)
-        np.multiply(np.floor(np.divide(last, step, out=high), out=high), step, out=high)
-        half_up = np.add(np.divide(y, step, out=y), 0.5, out=y)
-        np.floor(half_up, out=chosen)
-        off_midpoint = np.subtract(np.subtract(half_up, chosen, out=last), 0.5, out=last)
-        ok &= np.less(np.abs(off_midpoint, out=last), 0.5 - _EPS / 2, out=b1)
-        chosen *= step
-        np.minimum(np.maximum(chosen, low, out=chosen), high, out=chosen)
-
-        # The chosen integer has 17 digits or, past 1e17, 18 of which the last
-        # is 0 (the interval is then over 11 wide), which S drops.  Z as above.
-        s, tens, long, point = i[1], i[3], i[5], i[6]
-        np.copyto(s, chosen, casting="unsafe")
-        s += np.multiply(hundreds, 100, out=i[7])
-        np.floor_divide(s, 10 ** 17, out=long)
-        decpt += long
-        np.floor_divide(s, 10, out=tens)
-        s += np.multiply(np.subtract(tens, s, out=tens), long, out=tens)
-        t.point.take(decpt, out=point, mode="clip")
-        z = np.floor_divide(s, point, out=tens)
-        np.add(np.multiply(z, 9, out=z), 1, out=z)
-        z *= point
-        z += s
-
-        # Z's digits as 4-digit groups: 10000 + its first two, then four.
-        # Its trailing zeros t are those of the last group not all zero, at
-        # most 16 (the digit 1 at the point, or Z's second digit, is not 0).
-        # A group's table entry holds its own 2 t above its digit word, so
-        # Z's 2 t is the high word of the least entry, each raised by 8 for
-        # every group after it.
-        groups, halves = i[6:11], i[4:6]
-        np.floor_divide(z, 10 ** 8, out=halves[0])
-        np.add(z, np.multiply(halves[0], -10 ** 8, out=halves[1]), out=halves[1])
-        np.floor_divide(halves, 10 ** 4, out=groups[1::2])
-        np.add(halves, np.multiply(groups[1::2], -10 ** 4, out=groups[2::2]), out=groups[2::2])
-        np.floor_divide(groups[1], 10 ** 4, out=groups[0])
-        groups[1] += np.multiply(groups[0], -10 ** 4, out=i[2])
-        groups[0] += 10000
-        digits, index = t.groups.take(groups, out=i[1:6], mode="clip"), i[6]
-        np.minimum(digits[4], 32 << 32, out=index)
-        for shift, group in zip((8, 16, 24), digits[3:0:-1]):
-            np.minimum(index, np.add(group, shift << 32, out=group), out=index)
-        np.floor_divide(index, 1 << 32, out=index)
-        index += np.multiply(decpt, 34, out=decpt)
-        index += np.signbit(x, out=b1)
-
-        fields = self.fields[:n]
-        t.template.take(index, axis=0, out=fields, mode="clip")
-        words = fields.view("<u4")
-        for w, digit_word in enumerate(digits.view(np.uint32)[:, ::2], 1):
-            words[:, w] += digit_word
-        fallback = np.flatnonzero(np.logical_not(ok, out=b1))
-        if fallback.size:
-            # repr of a list of floats is the repr of each joined by ", ".
-            reprs = repr(x[fallback].tolist())[1:-1].split(", ")
-            fields[fallback, :_DELIMITER] = np.array(reprs, dtype=f"S{_DELIMITER}").view(
-                np.uint8).reshape(-1, _DELIMITER)
-        fields[:, _DELIMITER] = self.delimiters[:n]
-        # NULs in the fields this block leaves unused, so that the whole
-        # buffer is translated, not a copy.
-        self.fields[n:] = 0
-        return self.buffer.translate(None, b"\0\1").decode("ascii")
+    buffer = bytearray(n * _FIELD)
+    fields = np.frombuffer(buffer, np.uint8).reshape(n, _FIELD)
+    t.template.take(index, axis=0, out=fields, mode="clip")
+    words = fields.view("<u4")
+    for w, digit_word in enumerate(digits.view(np.uint32)[:, ::2], 1):
+        words[:, w] += digit_word
+    fallback = np.flatnonzero(np.logical_not(ok, out=b1))
+    if fallback.size:
+        # repr of a list of floats is the repr of each joined by ", ".
+        reprs = repr(x[fallback].tolist())[1:-1].split(", ")
+        fields[fallback, :_DELIMITER] = np.array(reprs, dtype=f"S{_DELIMITER}").view(
+            np.uint8).reshape(-1, _DELIMITER)
+    delimiters = fields[:, _DELIMITER].reshape(block.shape)
+    delimiters[:, :-1] = ord(",")
+    delimiters[:, -1] = ord("\n")
+    return buffer.translate(None, b"\0\1")

@@ -39,7 +39,7 @@ from .limits import (
     neutrality_sensitivity,
 )
 from .config import ConfigError, load_config
-from .writer import json_text, write_csv, write_json
+from .writer import json_text, write_csv, write_json, write_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,6 +48,8 @@ EXIT_RUNTIME = 3
 _CONFIG_ERRORS = (ConfigError, DomainError, DimensionError, GeometryError)
 _RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError,
                    ExtensionNotFoundError, OSError, MemoryError)
+
+_TRAJECTORY_COLUMNS = ("time_s", "displacement_m")
 
 
 def _provenance(command: str, cfg=None) -> dict:
@@ -122,7 +124,8 @@ def cmd_simulate(args) -> int:
     traj_path = out_dir / "trajectory.csv"
     # The one pass runs inside the trajectory's write, the search and the PSD
     # with it, so a run that fails anywhere leaves no output.
-    run.to_csv(traj_path, prov.items(), *readers)
+    write_series(traj_path, prov.items(), _TRAJECTORY_COLUMNS, run.sample_interval,
+                 run.chunks(*readers))
     print(f"wrote {traj_path}")
 
     mass = cfg.sphere.mass

@@ -31,7 +31,7 @@ whose |noise| exceeds 2^-969 m.
 One pass: a ``Run`` makes every check that depends only on its configuration
 when it is built, then ``Run.chunks`` streams the recorded (decimated)
 samples a block at a time.  Readers take each chunk as it passes: the
-trajectory CSV writer (``Run.to_csv``), the streaming Welch estimate
+trajectory CSV writer (``writer.write_series``), the streaming Welch estimate
 (``Welch``, which ``estimate_psd`` also runs on a whole series) and the
 post-transient variance (``RunningVariance``).  ``simulate`` collects the
 same pass into a ``TimeSeries``.
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 # scipy.optimize is imported inside the function that uses it: at module
@@ -66,7 +66,6 @@ import numpy as np
 from . import _scipy
 from .quantities import Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
-from .writer import write_series
 
 
 class IntegrationError(RuntimeError):
@@ -117,9 +116,6 @@ class TimeSeries:
         if not np.all(np.isfinite(arr)):
             raise DomainError("time series contains non-finite samples")
         object.__setattr__(self, "samples", arr)
-
-
-_TRAJECTORY_COLUMNS = ("time_s", "displacement_m")
 
 
 @dataclass(frozen=True)
@@ -332,7 +328,7 @@ class Run:
     span and, given a ``false_alarm_rate``, the impulse search's checks
     below; without one, the 100-relaxation-time floor unless
     ``allow_short_run``.  So a run that fails these draws no sample.
-    ``chunks`` is the pass itself; ``series`` and ``to_csv`` read it.
+    ``chunks`` is the pass itself; ``series`` reads it, as may a writer.
 
     Given a ``false_alarm_rate`` (FAR, per second), the run is also the
     impulse search, and the pass sets ``threshold`` and ``amplitudes``.  The
@@ -347,8 +343,8 @@ class Run:
     ``DomainError``.  The search holds O(template + N p) floats for N samples
     and false-alarm probability p = FAR * dt per sample, plus one template
     length per injected impulse: never the whole full-rate record.
-    ``series`` adds the N / ``record_decimation`` recorded samples;
-    ``to_csv`` writes them as the pass goes instead.
+    ``series`` adds the N / ``record_decimation`` recorded samples; a
+    writer given ``chunks`` writes them as the pass goes instead.
     """
 
     def __init__(self, sphere: Sphere, trap: TrapState, config: SimulationConfig,
@@ -433,15 +429,6 @@ class Run:
             samples[at: at + chunk.size] = chunk
             at += chunk.size
         return TimeSeries(sample_interval=self.sample_interval, samples=samples)
-
-    def to_csv(self, path, header: Iterable[Tuple[str, object]], *readers):
-        """The trajectory CSV (time_s, displacement_m), written in one pass.
-
-        The pass runs inside the write, so a failure anywhere in it leaves no
-        file behind; ``readers`` take each chunk as it is written.
-        """
-        write_series(path, header, _TRAJECTORY_COLUMNS, self.sample_interval,
-                     self.chunks(*readers))
 
 
 def simulate(

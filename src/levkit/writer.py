@@ -12,13 +12,13 @@ byte-identical.
 CSV rows come from the caller as chunks, which may be made one at a time by
 a generator.  Their cells are copied into a block of ``_CHUNK_ROWS`` rows,
 joining small chunks and cutting large ones, and each block is formatted at
-once by ``_reprtext.BlockText``, which writes each number as ``repr`` does
-with numpy instead of one Python call per number.  The block, the
-formatter's scratch and the block's text take about 185 B per cell, 0.34
-to 0.38 MiB for two columns as tracemalloc counts it, whatever the row
-count and however the rows are chunked.  ``write_series`` writes a sampled
-series that way from chunks of samples alone, making each piece's times as
-it goes.
+once by ``_reprtext.block_bytes``, which writes each number as ``repr`` does
+with numpy instead of one Python call per number, and written to the binary
+temp file as the bytes it returns.  The block, the formatter's scratch and
+the block's bytes take about 175 B per cell, 0.34 MiB for two columns as
+tracemalloc counts it, whatever the row count and however the rows are
+chunked.  ``write_series`` writes a sampled series that way from chunks of
+samples alone, making each piece's times as it goes.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ _CHUNK_ROWS = 1 << 10
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """Text handle on a temp file that replaces ``path`` when the block exits."""
+    """Binary handle on a temp file that replaces ``path`` when the block exits."""
     path = Path(path)
     made = [parent for parent in (path.parent, *path.parent.parents) if not parent.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         # mkstemp makes the file 0600; give it what open() would have.
         umask = os.umask(0)
@@ -79,16 +79,17 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
     """
     # Imported on first use: compiling it would add some 4 ms to the start-up
     # of every levkit command, which need not write a CSV.
-    from ._reprtext import BlockText
+    from ._reprtext import block_bytes
 
     block = np.empty((_CHUNK_ROWS, len(columns)))
-    formatter = BlockText(len(columns))
+    lines = []
+    for key, value in header:
+        if not isinstance(value, str):
+            value = json.dumps(value, sort_keys=True)
+        lines.append(f"# {key} = {value}\n")
+    lines.append("# columns = " + ",".join(columns) + "\n")
     with atomic_open(path) as fh:
-        for key, value in header:
-            if not isinstance(value, str):
-                value = json.dumps(value, sort_keys=True)
-            fh.write(f"# {key} = {value}\n")
-        fh.write("# columns = " + ",".join(columns) + "\n")
+        fh.write("".join(lines).encode())
         filled = 0
         for chunk in chunks:
             size = len(chunk[0])
@@ -100,10 +101,10 @@ def write_csv(path, header: Iterable[Tuple[str, object]], columns: Sequence[str]
                 filled += take
                 start += take
                 if filled == _CHUNK_ROWS:
-                    fh.write(formatter.text(block))
+                    fh.write(block_bytes(block))
                     filled = 0
         if filled:
-            fh.write(formatter.text(block[:filled]))
+            fh.write(block_bytes(block[:filled]))
 
 
 def write_series(path, header: Iterable[Tuple[str, object]], columns: Sequence[str],
@@ -132,4 +133,4 @@ def json_text(doc: dict) -> str:
 
 def write_json(path, doc: dict):
     with atomic_open(path) as fh:
-        fh.write(json_text(doc))
+        fh.write(json_text(doc).encode())

@@ -43,8 +43,6 @@ KEPT_API = {
     "DENSITY_POLYTUNGSTATE": "handbook attractor density for geometries built in Python",
     "DENSITY_MINERAL_OIL": "handbook attractor density for geometries built in Python",
     # Method names that more than one class defines, each with its caller.
-    "Run.to_csv": "cli.py:cmd_simulate writes the trajectory in the run's one pass",
-    "ExclusionCurve.to_csv": "cli.py:_write_curve writes each projected curve's CSV",
     "_Span.take": "dynamics.py:Run.chunks copies each impulse's lags from the blocks",
     "_Segments.take": "dynamics.py:Run.chunks feeds the noise blocks to _NoiseThreshold",
     "RunningVariance.take": "dynamics.py:Run.chunks hands every chunk to its readers",

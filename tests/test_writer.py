@@ -123,14 +123,13 @@ def test_csv_numbers_are_repr_byte_for_byte(tmp_path):
 
 @pytest.mark.parametrize("ncols", [1, 2, 5])
 def test_block_text_reuse_leaks_nothing_between_blocks(ncols):
-    """One formatter fed blocks of 1024, 1, 7, 1024 and 3 rows of mixed cells
+    """The formatter fed blocks of 1024, 1, 7, 1024 and 3 rows of mixed cells
     (a 1e-4 time grid, normals of 3.5e-8, exponent-form values, negatives and
     zeros) returns for each exactly the repr rows of that block, whatever an
-    earlier block left in the fields and scratch it reuses."""
-    from levkit._reprtext import BlockText
+    earlier block left behind."""
+    from levkit._reprtext import block_bytes
 
     rng = np.random.default_rng(24)
-    formatter = BlockText(ncols)
     first = 0
     for rows in (1024, 1, 7, 1024, 3):
         n = rows * ncols
@@ -142,5 +141,12 @@ def test_block_text_reuse_leaks_nothing_between_blocks(ncols):
                           np.zeros(n)])
         block = kinds[rng.integers(0, len(kinds), n), np.arange(n)].reshape(rows, ncols)
         first += n
-        assert formatter.text(block) == "".join(
-            ",".join(map(repr, row)) + "\n" for row in block.tolist())
+        assert block_bytes(block) == "".join(
+            ",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+
+
+@pytest.mark.parametrize("ncols", [1, 2])
+def test_block_of_no_rows_is_no_bytes(ncols):
+    from levkit._reprtext import block_bytes
+
+    assert block_bytes(np.empty((0, ncols))) == b""
