@@ -37,19 +37,21 @@ post-transient variance (``RunningVariance``).  ``simulate`` collects the
 same pass into a ``TimeSeries``.
 
 Impulse search: a ``Run`` given a false-alarm rate draws its thermal noise
-once, at full rate; the matched filter turns each noise segment into filter
-outputs, of which only the largest are kept for the threshold, and the
-impulse amplitudes are read from the same record with the impulses added,
-both at full rate.  ``record_decimation`` thins only the recorded
-trajectory.  The template is the impulse response of the trap's own
-two-pole filter, so the filter is that recursion run over the reversed
-segment, less its tail past the template, which a second pass of the
-recursion takes off with the first pass's rounding (``_NoiseThreshold``);
-no FFT is taken.  The pass holds O(template + N p) floats for N samples at
-false-alarm probability p per sample (plus one template length per injected
-impulse), and a few blocks of samples: nothing grows with N but the held
-filter outputs.  The filter's part is about five buffers of one segment,
-max(4 template lengths, ``_BLOCK``) samples.
+once, at full rate; the matched filter turns the noise into filter outputs,
+of which only the largest are kept for the threshold, and the impulse
+amplitudes are read from the same record with the impulses added, both at
+full rate.  ``record_decimation`` thins only the recorded trajectory.  The
+template is the impulse response of the trap's own two-pole filter, so the
+filter is a one-pole recursion per pole (one complex pole for an
+underdamped trap), which ``_NoiseThreshold`` runs as one reversed cumulative
+sum over each piece of the record, pieces that do not overlap, joined
+through one boundary value per piece; no FFT is taken.  The pass holds
+O(template + N p) floats for N samples at false-alarm probability p per
+sample (plus one template length per injected impulse), and a few blocks of
+samples: nothing grows with N but the held filter outputs.  The filter's
+part is the scans of W + 2 L samples, 16 B each, for a template of W + 1
+samples and pieces of L = min(W, ``_BLOCK``) (up to 2^12 for a shorter
+template), four pieces of tables, piece and scratch, and the held outputs.
 """
 
 from __future__ import annotations
@@ -140,10 +142,10 @@ def total_damping(trap: TrapState, config: SimulationConfig) -> float:
     return trap.effective_damping + config.feedback_gain
 
 
-# Samples per block of a streamed run; also the least segment length of the
-# search's matched filter, which is 4 template lengths when the template is
-# longer.  The filter holds a few buffers of about one segment of doubles
-# each (see ``_NoiseThreshold``).
+# Samples per block of a streamed run; also the longest piece of the search's
+# matched filter, whose pieces are one template length when it is shorter.
+# The filter holds the scans of a template length and two pieces, 16 B a
+# sample, and room for one block's outputs (see ``_NoiseThreshold``).
 _BLOCK = 2**15
 
 
@@ -282,15 +284,14 @@ class _LinearTrap:
                 raise DomainError(f"impulse at t = {ev.time} s outside the simulated span")
         return steps
 
-    def template(self, extra: int = 0) -> np.ndarray:
-        """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total
-        and then ``extra`` samples more."""
+    def template(self) -> np.ndarray:
+        """Response to a unit (1 kg m/s) impulse at step 0, over 10/gamma_total."""
         length = 10.0 / self.gamma_total
         size = int(round(length / self.dt))
         if size == 0:
             raise DomainError(f"matched-filter template of 10/gamma_total = {length} s "
                               f"is shorter than half a time step ({self.dt} s)")
-        kicks = np.zeros(size + extra)
+        kicks = np.zeros(size)
         kicks[0] = 1.0 / self.mass
         return _linear_filter()(*self._impulse_filter, kicks, -1)
 
@@ -371,9 +372,7 @@ class Run:
                     "duration shorter than 100 relaxation times; set allow_short_run to override"
                 )
         else:
-            # The template continued by two samples gives the filter's tail.
-            response = model.template(extra=2)
-            self._template = template = response[:-2]
+            self._template = template = model.template()
             # The threshold keeps the lags whose correlation has the whole
             # template inside the record; an amplitude is read only from lags
             # it keeps.
@@ -383,7 +382,7 @@ class Run:
                     raise DomainError(
                         f"impulse at t = {ev.time} s is inside the last filter template "
                         f"length of the record; the last usable time is {last * model.dt} s")
-            self._noise_threshold = _NoiseThreshold(response, model._impulse_filter[1],
+            self._noise_threshold = _NoiseThreshold(template, model._impulse_filter[1],
                                                     model.n, false_alarm_rate * model.dt)
             # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
             self._reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
@@ -468,33 +467,7 @@ class PsdEstimate:
         return float(self.frequency[1] - self.frequency[0])
 
 
-class _Segments:
-    """Consecutive segments of a record fed in blocks of any size.
-
-    Each segment is ``size`` samples and overlaps the one before by
-    ``overlap``; ``_segment`` sees each full one in ``self.segment``, once.
-    """
-
-    def __init__(self, size: int, overlap: int):
-        self.segment = np.empty(size)
-        self.overlap = overlap
-        self.filled = 0          # samples of the segment held so far
-
-    def take(self, block: np.ndarray):
-        """The next samples of the record."""
-        size = self.segment.size
-        while block.size:
-            count = min(block.size, size - self.filled)
-            self.segment[self.filled: self.filled + count] = block[:count]
-            self.filled += count
-            block = block[count:]
-            if self.filled == size:
-                self._segment()
-                self.segment[:self.overlap] = self.segment[size - self.overlap:]
-                self.filled = self.overlap
-
-
-class Welch(_Segments):
+class Welch:
     """Averaged-periodogram (Welch) one-sided PSD of a series of ``size``
     samples fed in blocks: Hann window, 50 % overlap.
 
@@ -511,15 +484,27 @@ class Welch(_Segments):
             raise DomainError("segment length too short")
         if size < m:
             raise DomainError(f"series of {size} samples shorter than one segment ({m})")
-        super().__init__(m, m - int(round(m * 0.5)))
+        self.segment = np.empty(m)
+        self.overlap = m - int(round(m * 0.5))
+        self.filled = 0          # samples of the segment held so far
         self.sample_interval = sample_interval
         self.window = np.hanning(m)
         self.acc = np.zeros(m // 2 + 1)
         self.n_segments = 0
 
-    def _segment(self):
-        self.acc += np.abs(np.fft.rfft(self.segment * self.window)) ** 2
-        self.n_segments += 1
+    def take(self, block: np.ndarray):
+        """The next samples of the series; each full segment is added once."""
+        size = self.segment.size
+        while block.size:
+            count = min(block.size, size - self.filled)
+            self.segment[self.filled: self.filled + count] = block[:count]
+            self.filled += count
+            block = block[count:]
+            if self.filled == size:
+                self.acc += np.abs(np.fft.rfft(self.segment * self.window)) ** 2
+                self.n_segments += 1
+                self.segment[:self.overlap] = self.segment[size - self.overlap:]
+                self.filled = self.overlap
 
     def estimate(self) -> PsdEstimate:
         """The PSD of the segments taken so far."""
@@ -623,50 +608,68 @@ def fit_lorentzian(psd_est: PsdEstimate, mass: float,
                          force_psd=float(math.exp(popt[0])))
 
 
-def _filter_into(num: np.ndarray, den: np.ndarray, x: np.ndarray, out: np.ndarray):
-    """``_linear_filter(num, den, x, -1)`` from zero state, written into ``out``.
+def _modes(den: np.ndarray, h1: float, h2: float) -> tuple:
+    """Poles p and residues c with h[k] = Re sum c p^(k-1) for k >= 1.
 
-    The kernel returns a new array; taken in pieces of 2^13 samples, with the
-    state carried (the same samples, bit for bit), each is small enough for
-    the allocator to reuse, where one of a whole segment would be fresh pages
-    to fault in on every segment.
+    h is the impulse response of a filter with denominator ``den`` = [1, a1,
+    a2] and h[0] = 0, given by h1 = h[1] and h2 = h[2].  A complex pair is one
+    pole, the upper one, whose conjugate's term is folded into c (so c is
+    twice its residue); real poles are two.  The arithmetic is long double:
+    ``np.roots`` in double moves the modal series off the filter's own
+    response by 1e-12 of its RMS over a long template.  Coincident poles have
+    no such series, and are a ``DomainError``.
     """
-    linear_filter = _linear_filter()
-    state = np.zeros(den.size - 1)
-    for start in range(0, x.size, 2**13):
-        stop = start + 2**13
-        out[start: stop], state = linear_filter(num, den, x[start: stop], -1, state)
+    a1, a2, h1, h2 = (np.longdouble(v) for v in (den[1], den[2], h1, h2))
+    disc = a1 * a1 - 4 * a2
+    if disc < 0:
+        re, im = -a1 / 2, np.sqrt(-disc) / 2
+        p = re + im * np.clongdouble(1j)
+        return np.array([p]), np.array([h1 + (h1 * re - h2) / im * np.clongdouble(1j)])
+    if disc == 0:
+        raise DomainError("critically damped trap: the matched filter's two poles coincide")
+    root = np.sqrt(disc)
+    p1 = -(a1 + np.copysign(root, a1)) / 2        # the larger, then a2 / p1
+    p2 = a2 / p1
+    c1 = (h2 - h1 * p2) / (p1 - p2)
+    return (np.array([p1, p2], dtype=np.clongdouble),
+            np.array([c1, h1 - c1], dtype=np.clongdouble))
 
 
-class _NoiseThreshold(_Segments):
+class _NoiseThreshold:
     """The (1 - p) quantile of |matched-filter output| on a noise record fed in blocks.
 
     The filter output at lag j is sum_{k<M} x[j+k] h[k] / |h|^2 for the
     template h of M samples, calibrated so that a clean impulse q reads q.
-    The template is the impulse response of the trap's own two-pole filter
-    (denominator A = [1, a1, a2]), so on the time-reversed record the
-    correlation is that filter's output less its tail past M samples, which
-    is a second filter on A read M samples later: the truncated IIR filter
-    of A. Wang and J. O. Smith, IEEE Trans. Signal Process. 45, 1415 (1997).
-    The numerators come from h continued by two samples, ``response``:
-    B = [h0, h1 + a1 h0, h2 + a1 h1 + a2 h0] for the whole response, and
-    T = [h[M], h[M+1] + a1 h[M]] for the tail.  ``correlate`` runs B/A over
-    each segment, then 1/A over that output's residual, which holds the tail
-    and the rounding of the first pass (see there).  Segments of ``size`` =
-    max(``_BLOCK``, 4 M) samples, each overlapping the previous one by M - 1,
-    give size - M + 1 lags apiece, and both passes start each segment from
-    zero, so no rounding carries from one segment into the next.  The last M
-    lags, where the template overruns the record, are dropped.  Of the kept
-    outputs at most 2 (ceil(lags * p) + 2) plus one segment's are held,
+    The template is the impulse response of the trap's own two-pole filter,
+    with h[0] = 0, so h[k] = Re sum c p^(k-1) over its poles (``_modes``), and
+    the output at lag j is Re sum c S[j+1] with S[i] = sum_{u<W} p^u x[i+u]
+    and W = M - 1: the truncated IIR filter of A. Wang and J. O. Smith, IEEE
+    Trans. Signal Process. 45, 1415 (1997), in modal form.
+
+    The record from its second sample on is cut into pieces of L samples
+    that do not overlap, W = q L + s.  Each piece is scanned once, from zero
+    state at its end, as a reversed ``np.cumsum``: C[t] = sum_{t<=u<L} p^u
+    y[u] for its samples y.  The window of S at offset t of piece b ends at
+    offset r = t + s - e L of piece c = b + q + e (e is 0 or 1), and
+        S = p^-t (C_b[t] - p^((q+e) L) C_c[r] + sum_{d=1}^{q+e} p^(d L) C_{b+d}[0]),
+    the boundary scalars C[0] joining the whole pieces between.  So piece b's
+    outputs are taken once piece b + q + 1 is scanned, and the scans of the
+    q + 2 pieces from b on are all that the filter holds of the record: W +
+    2 L complex values per pole, beside its piece, its scratch and the
+    tables of p^n for n <= L, 16 B per sample each.  No term is much larger
+    than S, so nothing cancels.  L is W, at most ``_BLOCK``; a template
+    shorter than 2^12 samples takes pieces of up to 2^12, as long as the
+    fastest pole decays by no more than e^70 over one, so no power of p
+    under- or overflows.  The last M lags, where the template overruns the
+    record, are dropped; past the record the pieces hold zeros.  Of the kept
+    outputs at most 2 (ceil(lags * p) + 2) plus one ``_BLOCK``'s are held,
     always including the ceil(lags * p) + 2 largest, which is enough for
-    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  The
-    filter holds the segment, the held outputs and three buffers of one
-    segment for ``correlate``'s passes; it takes no FFT.
+    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  It
+    takes no FFT.
     """
 
-    def __init__(self, response: np.ndarray, den: np.ndarray, n: int, p_exceed: float):
-        m = response.size - 2
-        template = response[:m]
+    def __init__(self, template: np.ndarray, den: np.ndarray, n: int, p_exceed: float):
+        m = template.size
         self.norm = float(np.dot(template, template))
         if self.norm <= 0.0:
             raise DomainError("degenerate matched-filter template")
@@ -683,78 +686,98 @@ class _NoiseThreshold(_Segments):
             )
         self.quantile = 1.0 - p_exceed
         self.keep = math.ceil(tail_count) + 2
-        h, (_, a1, a2) = response, den
-        self.den = den
-        self.whole = np.array([h[0], h[1] + a1 * h[0], h[2] + a1 * h[1] + a2 * h[0]])
-        self.tail = (h[m], h[m + 1] + a1 * h[m])
-        size = max(_BLOCK, 4 * m)
-        super().__init__(size, m - 1)
-        self.first_lag = 0       # the lag of the segment's first sample
+        poles, residues = _modes(den, template[1], template[2])
+        # Pieces of W samples, at most _BLOCK; a short template's are longer,
+        # which spares the per-piece work of numpy calls on a few samples.
+        decay = -math.log(float(np.min(np.abs(poles))))
+        size = min(_BLOCK, max(m - 1, min(2**12, int(70.0 / decay))))
+        self.q, self.s = divmod(m - 1, size)
+        steps = np.empty((poles.size, size), np.clongdouble)
+        steps[:, 0] = 1.0
+        steps[:, 1:] = poles[:, None]
+        up = np.cumprod(steps, axis=1)                   # p^u, u < L
+        steps[:, 1:] = 1.0 / poles[:, None]
+        steps[:, 0] = residues
+        down = np.cumprod(steps, axis=1)                 # c p^-t, t < L
+        steps = np.empty((self.q + 2, poles.size), np.clongdouble)
+        steps[0] = 1.0
+        steps[1:] = up[:, -1] * poles
+        joins = np.cumprod(steps, axis=0)                # p^(d L), d = 0 .. q + 1
+        self.up, self.down, self.joins = (a.astype(complex) for a in (up, down, joins))
+        self.piece = np.zeros(size, complex)   # real samples, held as complex for the scan
+        self.filled = 0          # samples of the piece held so far
+        self.skip = 1            # the record's first sample, which h[0] = 0 ignores
+        self.scans = np.empty((self.q + 2, poles.size, size), complex)
+        self.scanned = 0
+        self.scratch = np.empty((poles.size, size), complex)
         # |outputs|, unnormalized: the largest so far, then the newer ones,
-        # then room for one segment's outputs.  Cut back to the largest
+        # then room for at least one block's outputs.  Cut back to the largest
         # ``keep`` only when that room runs out, so each partition is paid
         # for by at least ``keep`` appended values.
-        self.top = np.empty(2 * self.keep + size)
+        self.top = np.empty(2 * self.keep + _BLOCK)
         self.held = 0
-        # ``correlate``'s first pass, its residual, and each term added to it.
-        self.passes = np.empty((3, size))
 
-    def correlate(self, x: np.ndarray, out: np.ndarray):
-        """sum_{k<M} x[j+k] h[k] for the lags j < ``out.size``, written into ``out``.
+    def take(self, block: np.ndarray):
+        """The next samples of the record."""
+        skip = min(self.skip, block.size)
+        block = block[skip:]
+        self.skip -= skip
+        size = self.piece.size
+        while block.size:
+            count = min(block.size, size - self.filled)
+            self.piece.real[self.filled: self.filled + count] = block[:count]
+            self.filled += count
+            block = block[count:]
+            if self.filled == size:
+                self._scan()
 
-        ``x`` holds at least ``out.size`` + M - 1 samples; r is ``x``
-        reversed, on which lag j is sample n = x.size - 1 - j.  The first
-        pass y = B/A r, from zero state, is the whole response's correlation.
-        Its residual A y - B r + T r[n - M] is the tail, entering M samples
-        later, plus the first pass's own rounding, which the direct form
-        amplifies where the poles are near z = 1 (2.6e-12 of the outputs'
-        RMS at M = 1e5 on a 100 Hz trap at 0.1 ms).  A y is taken as
-        (1 - z^-1)^2 y + (a1 + 2) y[n-1] + (a2 - 1) y[n-2], whose terms are
-        small where y is smooth, so the residual itself rounds little.  The
-        second pass 1/A over it, subtracted from y, leaves the truncated
-        correlation.  The last lag, n = M - 1, has no tail.
-        """
-        reverse = x[::-1]
-        size, m = x.size, self.overlap + 1
-        (_, a1, a2), (b0, b1, b2), (t0, t1) = self.den, self.whole, self.tail
-        whole, residual, term = self.passes[:, :size]
-        _filter_into(self.whole, self.den, reverse, whole)
-        np.subtract(whole[1:], whole[:-1], out=term[1:])
-        term[0] = whole[0]
-        np.subtract(term[1:], term[:-1], out=residual[1:])
-        residual[0] = term[0]
-        for delay, coefficient, source in (
-                (1, a1 + 2.0, whole), (2, a2 - 1.0, whole),
-                (0, -b0, reverse), (1, -b1, reverse), (2, -b2, reverse),
-                (m, t0, reverse), (m + 1, t1, reverse)):
-            if delay < size and coefficient:     # h0 = 0: a kick moves nothing in its step
-                np.multiply(source[:size - delay], coefficient, out=term[delay:])
-                residual[delay:] += term[delay:]
-        _filter_into(np.ones(1), self.den, residual, term)
-        np.subtract(whole[::-1][:out.size], term[::-1][:out.size], out=out)
+    def _scan(self):
+        """Scan the full piece, then take the outputs of the piece q + 1 before it."""
+        scan = self.scans[self.scanned % self.scans.shape[0]]
+        np.multiply(self.up, self.piece, out=scan)
+        np.cumsum(scan[:, ::-1], axis=1, out=scan[:, ::-1])
+        self.scanned += 1
+        self.filled = 0
+        first = self.scanned - self.scans.shape[0]
+        if first >= 0:
+            self._outputs(first)
 
-    def _segment(self):
-        """Keep the largest outputs of the segment's lags; the next starts one hop on."""
-        size = self.segment.size
-        hop = size - self.overlap
-        count = min(hop, self.lags - self.first_lag)
-        if count > 0:
-            if self.held + size > self.top.size:
-                cut = self.held - self.keep
-                self.top[:self.held].partition(cut)
-                self.top[:self.keep] = self.top[cut:self.held]
-                self.held = self.keep
-            out = self.top[self.held: self.held + count]
-            self.correlate(self.segment[:self.filled], out)
-            np.abs(out, out=out)
-            self.held += count
-        self.first_lag += hop
+    def _outputs(self, b: int):
+        """Keep the |outputs| at the lags of piece b: its scan, in place, becomes
+        p^t S as the class docstring joins it, then c p^-t times that."""
+        q, s, scans, scratch = self.q, self.s, self.scans, self.scratch
+        size = self.piece.size
+        count = min(size, self.lags - b * size)
+        ring = scans.shape[0]
+        boundary = scans[(b + np.arange(q + 2)) % ring, :, 0]
+        boundary[0] = 0.0
+        joined = np.cumsum(self.joins * boundary, axis=0)
+        v = scans[b % ring]
+        for lo, hi, e in ((0, size - s, 0), (size - s, size, 1)):
+            if lo < hi:
+                partner = scans[(b + q + e) % ring][:, lo + s - e * size: hi + s - e * size]
+                np.multiply(partner, self.joins[q + e, :, None], out=scratch[:, lo:hi])
+                np.subtract(v[:, lo:hi], scratch[:, lo:hi], out=v[:, lo:hi])
+                v[:, lo:hi] += joined[q + e, :, None]
+        np.multiply(v, self.down, out=v)
+        if self.held + count > self.top.size:
+            cut = self.held - self.keep
+            self.top[:self.held].partition(cut)
+            self.top[:self.keep] = self.top[cut:self.held]
+            self.held = self.keep
+        out = self.top[self.held: self.held + count]
+        out[:] = v[0].real[:count]
+        for mode in v[1:]:
+            out += mode.real[:count]
+        np.abs(out, out=out)
+        self.held += count
 
     def threshold(self) -> float:
         """The quantile, kg m/s, of the whole record; consumes the held outputs."""
-        if self.first_lag < self.lags:
-            # A partial last segment: the filters read only the samples it holds.
-            self._segment()
+        while (self.scanned - self.q - 1) * self.piece.size < self.lags:
+            # Past the record's end: zeros, which no kept lag reads.
+            self.piece[self.filled:] = 0.0
+            self._scan()
         top = self.top[:self.held]
         return _top_quantile(np.divide(top, self.norm, out=top), self.lags, self.quantile)
 

@@ -43,6 +43,7 @@ from .newforces import (
     PlaneSlab,
     YukawaCoupling,
     capacitor_leakage_field,
+    source_reach,
     yukawa_force_modulated,
     yukawa_force_plane,
 )
@@ -203,6 +204,8 @@ def log_grid(start: float, stop: float, points_per_decade: int = 60) -> np.ndarr
         raise DomainError("grid endpoints must satisfy 0 < start < stop")
     if points_per_decade < 1:
         raise DomainError(f"points_per_decade must be >= 1, got {points_per_decade}")
+    if not stop / start < math.inf:
+        raise DomainError(f"grid from {start!r} to {stop!r}: stop / start overflows")
     n = max(2, int(round(math.log10(stop / start) * points_per_decade)) + 1)
     return np.logspace(math.log10(start), math.log10(stop), n)
 
@@ -247,6 +250,13 @@ def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
 
 def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve:
     """Minimum detectable Yukawa alpha vs range for the plan's attractor."""
+    geom = plan.geometry
+    if isinstance(geom, (FingerArray, FluidCapillary)) and len(lambdas):
+        # The grid's ends first, the nearer first: a reach whose square
+        # overflows is then a config error before any point is computed, and
+        # one that overflows at every range is reported at the first point.
+        for lam in (min(lambdas), max(lambdas)):
+            source_reach(geom.distance, lam)
     signal = np.array([_signal_force(plan, lam) for lam in lambdas])
     kept = signal > 0.0
     return _curve("lambda_m", "alpha_min", lambdas,

@@ -121,6 +121,7 @@ class FingerArray:
             raise GeometryError("finger-array lengths, drive and frequency must be positive")
         if self.n_finger_pairs < 1:
             raise GeometryError("need at least one finger pair")
+        _check_densities(self)
 
     @property
     def density_contrast(self) -> float:
@@ -150,6 +151,11 @@ class FluidCapillary:
             raise GeometryError("capillary dimensions and frequency must be positive")
         if self.n_droplet_pairs < 1:
             raise GeometryError("need at least one droplet pair")
+        _check_densities(self)
+        radius = self.inner_diameter / 2.0
+        if not math.isfinite(math.pi * radius * radius):     # where ``** 2`` would raise
+            raise GeometryError(f"geometry.inner_diameter {self.inner_diameter!r} m: "
+                                "the cross section overflows")
 
     @property
     def density_contrast(self) -> float:
@@ -158,6 +164,14 @@ class FluidCapillary:
     @property
     def cross_section(self) -> float:
         return math.pi * (self.inner_diameter / 2.0) ** 2
+
+
+def _check_densities(geom):
+    """The two materials' densities: zero, an empty gap, is physical; below it is not."""
+    for key in ("density_a", "density_b"):
+        if getattr(geom, key) < 0.0:
+            raise GeometryError(f"geometry.{key} {getattr(geom, key)!r} kg/m^3: "
+                                "a material density must be >= 0")
 
 
 ModulatedGeometry = Union[FingerArray, FluidCapillary]
@@ -229,6 +243,18 @@ def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab
 _RANGE_CUTOFF = 45.0
 
 
+def source_reach(distance: float, lam: float) -> float:
+    """distance + 45 lambda, past which a modulated geometry's source is
+    dropped; a DomainError naming geometry.distance where its square
+    overflows.  ``limits.isl_projection`` checks a grid's ends with it before
+    any kernel runs."""
+    reach = distance + _RANGE_CUTOFF * lam
+    if not math.isfinite(float(reach) * float(reach)):
+        raise DomainError(f"geometry.distance {distance!r} m: the square of its e^-45 reach "
+                          f"at lambda {float(lam)!r} m overflows")
+    return reach
+
+
 def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts: np.ndarray):
     """Lateral nodes, Gauss weights and embedded weights (``_legendre_rule``),
     in strip, panel and node order.
@@ -241,15 +267,16 @@ def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts
     last is hi).
     """
     s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    reach = distance + _RANGE_CUTOFF * lam
-    if not math.isfinite(float(reach) * float(reach)):
-        raise DomainError(f"geometry.distance {distance!r} m: the square of its e^-45 reach "
-                          f"at lambda {float(lam)!r} m overflows")
+    reach = source_reach(distance, lam)
     x_cut = math.sqrt(reach ** 2 - distance**2) + s_max
     x0 = 2.0 * np.arange(-n_pairs, n_pairs) * width
     lo, hi = np.maximum(x0, -x_cut), np.minimum(x0 + width, x_cut)
     lo, hi = lo[lo < hi], hi[lo < hi]
-    num = np.maximum(1, np.ceil((hi - lo) / (5.0 * lam))).astype(int)
+    num = np.maximum(1, np.ceil((hi - lo) / (5.0 * lam)))
+    if not num.sum() < 2.0**53:
+        raise DomainError(f"geometry: strips {width!r} m wide cut at {x_cut!r} m take "
+                          f"{num.sum():.3g} panels of 5 lambda at lambda {float(lam)!r} m")
+    num = num.astype(int)
     s = np.repeat(np.arange(num.size), num)            # the strip of each panel
     j = np.arange(s.size) - (np.cumsum(num) - num)[s]  # its index in the strip
     step, lo, hi = ((hi - lo) / num)[s], lo[s], hi[s]

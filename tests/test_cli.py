@@ -1,14 +1,16 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import levkit
-from levkit import _scipy
+from levkit import _scipy, config
 from levkit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _config_dir, main
 
 
@@ -276,6 +278,110 @@ def test_overflowing_value_is_config_error_naming_the_key(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
     assert not out.exists()
+
+
+_CAPILLARY = {"type": "fluid_capillary", "inner_diameter": "10 um", "droplet_length": "20 um",
+              "density_a": "1000 kg/m^3", "density_b": "800 kg/m^3", "distance": "30 um",
+              "modulation_frequency": "10 Hz"}
+
+
+@pytest.mark.parametrize("geometry", ["finger_array", "fluid_capillary"])
+@pytest.mark.parametrize("key", ["density_a", "density_b"])
+def test_negative_attractor_density_is_config_error_naming_the_key(tmp_path, capsys, geometry,
+                                                                    key):
+    """A material density below zero is no material: exit 2 naming the key,
+    before any kernel runs.  Zero, an empty gap, is accepted."""
+    out = tmp_path / "out"
+    doc = _shipped_doc("isl_finger_20um.json", out, points_per_decade=2)
+    if geometry == "fluid_capillary":
+        doc["geometry"] = dict(_CAPILLARY)
+    doc["geometry"][key] = "-1 kg/m^3"
+    assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: geometry.{key} -1.0 kg/m^3: "
+                                       "a material density must be >= 0\n")
+    assert not out.exists()
+    doc["geometry"][key] = "0 kg/m^3"
+    assert main(["exclusion", "isl", write_config(tmp_path, doc)]) in (EXIT_OK, EXIT_CONFIG)
+    assert "material density" not in capsys.readouterr().err
+
+
+def _sweep_commands(out):
+    """(command, config) of each command the one-field sweep runs: the five
+    shipped configs, the finger one also with a capillary and with a slab,
+    and an impulse search, each on grids of 2 points per decade."""
+    finger = _shipped_doc("isl_finger_20um.json", out, points_per_decade=2)
+    capillary, slab = copy.deepcopy(finger), copy.deepcopy(finger)
+    capillary["geometry"] = dict(_CAPILLARY)
+    slab["geometry"] = {"type": "plane_slab", "thickness": "100 um",
+                        "density_contrast": "10000 kg/m^3", "distance": "1 mm"}
+    search = {"schema": "levkit-config/1", "sphere": {"radius": "5 um"},
+              "trap": {"resonant_frequency": "100 Hz", "damping_rate": "100 1/s",
+                       "temperature": "300 K"},
+              "simulation": {"time_step": "0.4 ms", "duration": "200 s", "rng_seed": 1,
+                             "bath_temperature": "300 K", "record_decimation": 10,
+                             "psd_segment_length": 1024, "false_alarm_rate": "1 1/s",
+                             "impulses": [{"time": "100 s",
+                                           "momentum_transfer": "1e-20 kg*m/s"}]},
+              "output": {"directory": str(out)}}
+    budget = json.loads((_config_dir() / "noise_budget_10um.json").read_text())
+    budget["output"]["directory"] = str(out)
+    return [("exclusion isl", finger), ("exclusion isl", capillary), ("exclusion isl", slab),
+            ("simulate", search),
+            ("exclusion dm", _shipped_doc("dm_recoil_10um.json", out, points_per_decade=2)),
+            ("exclusion coulomb",
+             _shipped_doc("coulomb_charged_20um.json", out, points_per_decade=2)),
+            ("exclusion millicharge", _shipped_doc("millicharge_10um.json", out)),
+            ("noise-budget", budget)]
+
+
+def _sweep_section(doc, section):
+    """The part of ``doc`` that table section ``section`` describes, or None."""
+    if section == "simulation.impulses":
+        return doc.get("simulation", {}).get("impulses", [None])[0]
+    name, _, variant = section.partition("/")
+    part = doc.get(name)
+    return part if part is not None and variant in ("", part.get("type")) else None
+
+
+def _bad_values(kind):
+    """-1, 0, a huge and a tiny value of a numeric field, in its own unit."""
+    if kind is int:
+        return [-1, 0, 10**12]
+    if kind is float:
+        return [-1.0, 0.0, 1e308, 1e-300]
+    if not isinstance(kind, (config.Dimension, str)):
+        return []
+    unit = kind if isinstance(kind, str) else next(iter(config._UNIT_FACTORS[kind]))
+    return [f"{value} {unit}" for value in ("-1", "0", "1e300", "1e-300")]
+
+
+_SWEPT = [row[:3] for row in config._FIELDS if _bad_values(row[2])]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # a huge value's overflow
+@pytest.mark.parametrize("section, key, kind", _SWEPT,
+                         ids=[f"{section}.{key}" for section, key, _ in _SWEPT])
+def test_one_bad_field_exits_with_a_message(tmp_path, capsys, section, key, kind):
+    """Each numeric field of the config table at -1, 0, a huge and a tiny
+    value, in the first sweep config that sets it (or else has its section):
+    exit 0, 2 or 3, never an exception out of main, a message on stderr for
+    a non-zero exit, and a config error within 1 s, before the compute it
+    would make void."""
+    present = [(command, doc) for command, doc in _sweep_commands(tmp_path / "out")
+               if _sweep_section(doc, section) is not None]
+    command, base = next((c for c in present if key in _sweep_section(c[1], section)),
+                         present[0])
+    for value in _bad_values(kind):
+        doc = copy.deepcopy(base)
+        _sweep_section(doc, section)[key] = value
+        path = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        code = main([*command.split(), path])
+        seconds = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME), (value, code, err)
+        assert code == EXIT_OK or err.strip(), (value, code)
+        assert code != EXIT_CONFIG or seconds < 1.0, (value, seconds, err)
 
 
 def test_exclusion_dm_curve(tmp_path):
@@ -883,20 +989,25 @@ def test_simulate_memory_is_flat_in_duration(tmp_path):
 
 
 def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
-    """An impulse search peaks alike at 1e6 and 4e6 steps, and under twelve
-    filter segments of doubles (it reads 10.5 with blocks as long as the
-    segment, 2^15 samples for the 500-sample template): the segment, the
-    filter's three passes over it, the held outputs with room for one
-    segment's and a few blocks of samples, with nothing the size of the record."""
+    """An impulse search peaks alike at 1e6 and 4e6 steps.  The filter's own
+    arrays are O(template): the scans of W + 2 L samples, the piece, its
+    scratch and the tables of p^n, 16 B each, for the 500-sample template's
+    W = 499 and pieces of L = 4096, plus the held outputs with room for
+    one block's.  The peak is under those arrays and eight blocks of doubles
+    (it reads 5.4 blocks more): nothing the size of the record."""
     import tracemalloc
     from levkit import dynamics
 
-    sizes = []
+    held = []
 
     class Recorded(dynamics._NoiseThreshold):
-        def __init__(self, *args):
-            super().__init__(*args)
-            sizes.append(self.segment.size)
+        def __init__(self, template, *args):
+            super().__init__(template, *args)
+            w, size = template.size - 1, self.piece.size
+            arrays = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+            assert (w, size) == (499, 4096)
+            assert arrays <= 16 * (w + 6 * size) + 8 * (2 * self.keep + dynamics._BLOCK)
+            held.append(arrays)
     monkeypatch.setattr(dynamics, "_NoiseThreshold", Recorded)
 
     def peak(duration):
@@ -912,4 +1023,4 @@ def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
     peak(20)                   # first use loads the filter kernel: not the run's
     short, long = peak(20), peak(80)
     assert abs(long - short) < 1 << 20, (short, long)
-    assert max(short, long) < 12 * 8 * sizes[-1], (short, long, sizes[-1])
+    assert max(short, long) < held[-1] + 8 * 8 * dynamics._BLOCK, (short, long, held[-1])

@@ -52,10 +52,34 @@ def trap_template(sphere, trap, config):
 
 
 def trap_filter(sphere, trap, config):
-    """What the search's ``_NoiseThreshold`` takes: the template continued by
-    two samples, and the denominator of the filter whose response it is."""
+    """What the search's ``_NoiseThreshold`` takes: the template, and the
+    denominator of the filter whose impulse response it is."""
     model = dynamics._LinearTrap(sphere, trap, config)
-    return model.template(extra=2), model._impulse_filter[1]
+    return model.template(), model._impulse_filter[1]
+
+
+def trap_noise(sphere, trap, config, n):
+    """The first ``n`` samples of the trap's own thermal noise."""
+    model = dynamics._LinearTrap(sphere, trap, replace(config, duration=n * config.time_step))
+    x = np.concatenate([noise for _, noise, _ in model.blocks((), [])])
+    assert x.size == n
+    return x
+
+
+def filter_outputs(monkeypatch, template, den, chunks):
+    """Every |output| of the search's filter over the record fed as ``chunks``,
+    in lag order: at a false-alarm probability of almost one every output is
+    held, and none is partitioned before the quantile would sort them."""
+    held = []
+    monkeypatch.setattr(dynamics, "_top_quantile",
+                        lambda top, n, q: held.append(top.copy()) or 0.0)
+    noise_threshold = dynamics._NoiseThreshold(template, den, sum(map(len, chunks)),
+                                               1.0 - 1e-12)
+    for chunk in chunks:
+        noise_threshold.take(chunk)
+    noise_threshold.threshold()
+    [outputs] = held
+    return outputs
 
 
 def matched_filter_outputs(samples, template):
@@ -505,41 +529,49 @@ def test_cold_run_ends_the_decayed_response_at_a_block_boundary(monkeypatch):
     assert not np.any(bits(samples[end:]))
 
 
-def test_threshold_of_a_record_shorter_than_one_segment_ignores_stale_memory():
-    """A record shorter than one segment is one partial segment.  The filters
-    run from the segment's end, so what its memory held past the record must
-    not reach the threshold."""
+def test_threshold_of_a_record_shorter_than_two_pieces_ignores_stale_memory():
+    """Records shorter than one piece and than two, neither a multiple of the
+    piece: past the record the filter reads zeros, so what its piece and its
+    scans held before must not reach the threshold."""
     rng = np.random.default_rng(6)
-    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
-    template = response[:-2]
-    segment = dynamics._NoiseThreshold(response, den, 10**6, 0.01).segment
-    noise = rng.standard_normal(segment.size // 2)
-    reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
-    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.01)
-    assert noise.size < noise_threshold.segment.size
-    noise_threshold.segment[:] = np.nan
-    noise_threshold.take(noise)
-    assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
+    template, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
+    for size in (3000, 6000):
+        noise = rng.standard_normal(size)
+        reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]),
+                                0.99)
+        noise_threshold = dynamics._NoiseThreshold(template, den, noise.size, 0.01)
+        assert noise_threshold.piece.size == 4096
+        noise_threshold.piece[:] = np.nan
+        noise_threshold.scans[:] = np.nan
+        noise_threshold.take(noise)
+        assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
-def test_segment_is_four_template_lengths_and_at_least_one_block(monkeypatch):
-    """A segment is max(block, 4 template lengths) samples, with no rounding
-    to a power of two, and overlaps the one before by a template length less
-    one: the 500-sample template takes the block of 2^15, and a 3000-sample
-    one with blocks of 4096 takes 12000.  There the threshold, over segments
-    that straddle the chunks fed, is still the whole-record FFT filter's
-    within 1e-12."""
-    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
-    assert response.size - 2 == 500
-    assert dynamics._NoiseThreshold(response, den, 10**6, 0.01).segment.size == 2**15
+def test_pieces_are_one_template_length_and_at_most_one_block(monkeypatch):
+    """A piece is W = M - 1 samples, at most one block: the benchmark trap's
+    10^4-sample template takes 9999, and with blocks of 4096 it takes 4096,
+    two whole pieces and 1807 samples to a window.  A shorter template takes
+    2^12 samples, as the 500-sample one does.  Blocks of 1024 cut the
+    3000-sample template's window into three pieces; there the threshold,
+    over pieces that straddle the chunks fed, is still the whole-record FFT
+    filter's within 1e-12."""
+    def piece(trap, config):
+        noise_threshold = dynamics._NoiseThreshold(*trap_filter(SPHERE, trap, config), 10**6, 0.01)
+        return noise_threshold.piece.size, noise_threshold.q, noise_threshold.s
+
+    bench = TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0)
+    bench_config = replace(CONFIG, time_step=1e-4, feedback_gain=9.0)
+    assert piece(IMP_TRAP, imp_config(995.0)) == (4096, 0, 499)
+    assert piece(bench, bench_config) == (9999, 1, 0)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
-    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(161.67))
-    template = response[:-2]
+    assert piece(bench, bench_config) == (4096, 2, 1807)
+    monkeypatch.setattr(dynamics, "_BLOCK", 1024)
+    template, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(161.67))
     assert template.size == 3000
     noise = np.random.default_rng(9).standard_normal(200_000)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.99)
-    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.01)
-    assert noise_threshold.segment.size == 12000 and noise_threshold.overlap == 2999
+    noise_threshold = dynamics._NoiseThreshold(template, den, noise.size, 0.01)
+    assert (noise_threshold.piece.size, noise_threshold.q, noise_threshold.s) == (1024, 2, 951)
     for chunk in np.array_split(noise, 7):
         noise_threshold.take(chunk)
     assert noise_threshold.threshold() == pytest.approx(reference, rel=1e-12, abs=0.0)
@@ -548,7 +580,9 @@ def test_segment_is_four_template_lengths_and_at_least_one_block(monkeypatch):
 # The search's trap at its own time step (M = 500), the benchmark's
 # impulse-search trap (M = 1e4), the paper's 100 Hz trap at its 0.4 ms time
 # step with gamma = 0.25 1/s (M = 1e5), and the same trap at 0.1 ms with
-# gamma = 1/s (M = 1e5), where the first pass alone is off by 2.5e-12 of the RMS.
+# gamma = 1/s (M = 1e5), where a direct-form recursion is off by 2.5e-12 of
+# the RMS; then that trap at 0.1 ms within 1e-3 of critical damping (M = 80,
+# complex poles 9e-4 apart) and overdamped (M = 33, two real poles).
 IIR_TRAPS = [
     (IMP_SPHERE, IMP_TRAP, imp_config(995.0)),
     (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
@@ -557,43 +591,80 @@ IIR_TRAPS = [
      replace(CONFIG, time_step=4e-4)),
     (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
      replace(CONFIG, time_step=1e-4)),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+     replace(CONFIG, time_step=1e-4, feedback_gain=1256.637)),
+    (SPHERE, TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+     replace(CONFIG, time_step=1e-4, feedback_gain=3000.0)),
 ]
 
 
 @pytest.mark.parametrize("sphere, trap, config", IIR_TRAPS)
-def test_truncated_iir_outputs_are_direct_correlations(sphere, trap, config):
-    """On one segment of the trap's own noise, the two recursive passes give
-    sum_k x[j+k] h[k] as np.dot does, within 1e-12 of the outputs' RMS, at 200
-    random lags and at the first, the last (which has no tail) and the one
-    before it; asked for fewer lags, the same values."""
-    response, den = trap_filter(sphere, trap, config)
-    template = response[:-2]
-    noise_threshold = dynamics._NoiseThreshold(response, den, 10**12, 0.0)
-    size = noise_threshold.segment.size
-    assert size == max(dynamics._BLOCK, 4 * template.size)
-    model = dynamics._LinearTrap(sphere, trap, replace(config, duration=size * config.time_step))
-    x = np.concatenate([noise for _, noise, _ in model.blocks((), [])])
-    assert x.size == size
-    out = np.empty(size - template.size + 1)
-    noise_threshold.correlate(x, out)
+def test_truncated_iir_outputs_are_direct_correlations(monkeypatch, sphere, trap, config):
+    """On the trap's own noise, 4 M + 1234 samples (no multiple of the piece),
+    the modal filter gives |sum_k x[j+k] h[k]| as np.dot does, within 1e-12 of
+    the outputs' RMS, at 200 random lags and at the first two and the last
+    two; fed whole instead of in 5 chunks, the same bits."""
+    template, den = trap_filter(sphere, trap, config)
+    x = trap_noise(sphere, trap, config, 4 * template.size + 1234)
+    out = filter_outputs(monkeypatch, template, den, np.array_split(x, 5))
+    assert out.size == x.size - template.size
     rng = np.random.default_rng(4)
-    lags = [0, out.size - 2, out.size - 1, *rng.integers(0, out.size, 200)]
-    direct = np.array([np.dot(x[j: j + template.size], template) for j in lags])
+    lags = [0, 1, out.size - 2, out.size - 1, *rng.integers(0, out.size, 200)]
+    norm = float(np.dot(template, template))
+    direct = np.array([abs(np.dot(x[j: j + template.size], template)) for j in lags]) / norm
     rms = np.sqrt(np.mean(out**2))
     assert np.max(np.abs(out[lags] - direct)) <= 1e-12 * rms
-    fewer = np.empty(out.size // 3)
-    noise_threshold.correlate(x, fewer)
-    np.testing.assert_array_equal(bits(fewer), bits(out[:fewer.size]))
+    whole = filter_outputs(monkeypatch, template, den, [x])
+    np.testing.assert_array_equal(bits(whole), bits(out))
+
+
+def test_long_template_joins_many_pieces(monkeypatch):
+    """The paper's 100 Hz trap at 0.4 ms with gamma = 0.1 1/s: a 2.5e5-sample
+    template, whose window spans seven whole pieces of 2^15 and part of an
+    eighth.  At 40 lags the outputs are math.fsum's correlations within 1e-12
+    of the outputs' RMS."""
+    trap = TrapState(resonant_frequency=100.0, damping_rate=0.1, temperature=300.0)
+    config = replace(CONFIG, time_step=4e-4)
+    template, den = trap_filter(SPHERE, trap, config)
+    assert template.size == 250_000 and template.size - 1 > 7 * dynamics._BLOCK
+    x = trap_noise(SPHERE, trap, config, 340_001)
+    out = filter_outputs(monkeypatch, template, den, np.array_split(x, 3))
+    rng = np.random.default_rng(10)
+    lags = [0, out.size - 1, *rng.integers(0, out.size, 38)]
+    norm = float(np.dot(template, template))
+    exact = np.array([abs(math.fsum(x[j: j + template.size] * template)) for j in lags]) / norm
+    rms = np.sqrt(np.mean(out**2))
+    assert np.max(np.abs(out[lags] - exact)) <= 1e-12 * rms
+
+
+def test_modes_are_the_template_and_coincident_poles_are_an_error():
+    """The modal series from the filter's coefficients in long double is the
+    direct-form template within 1e-13 of its RMS, for the complex pair of the
+    search's trap and the real pair of an overdamped one; a double pole has
+    no modal series."""
+    overdamped = TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0)
+    for trap, config, poles in ((IMP_TRAP, imp_config(995.0), 1),
+                                (overdamped, replace(CONFIG, time_step=1e-4,
+                                                     feedback_gain=3000.0), 2)):
+        template, den = trap_filter(IMP_SPHERE, trap, config)
+        p, c = dynamics._modes(den, template[1], template[2])
+        assert p.size == poles
+        k = np.arange(template.size - 1)
+        series = np.sum((c[:, None] * p[:, None] ** k).real, axis=0).astype(float)
+        rms = np.sqrt(np.mean(template**2))
+        assert template[0] == 0.0
+        assert np.max(np.abs(series - template[1:])) <= 1e-13 * rms
+    with pytest.raises(DomainError, match="poles coincide"):
+        dynamics._modes(np.array([1.0, -1.5, 0.5625]), 1.0, 1.5)
 
 
 def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
     """At p = 0.1 the held outputs are a tenth of the record.  They are cut back
     by partitioning them in place only once they have doubled, so the values
     partitioned stay a small multiple of the record instead of one held top
-    per segment (about 29 records here, with ~280 segments of 4096)."""
+    per piece (about 29 records here, with ~240 pieces of 4096)."""
     rng = np.random.default_rng(5)
-    response, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
-    template = response[:-2]
+    template, den = trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0))
     noise = rng.standard_normal(1_000_000)
     reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]), 0.9)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
@@ -606,7 +677,7 @@ def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
             partitioned.append(self.size)
             super().partition(kth)
 
-    noise_threshold = dynamics._NoiseThreshold(response, den, noise.size, 0.1)
+    noise_threshold = dynamics._NoiseThreshold(template, den, noise.size, 0.1)
     noise_threshold.top = noise_threshold.top.view(Held)
     for chunk in np.array_split(noise, 37):
         noise_threshold.take(chunk)

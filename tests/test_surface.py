@@ -44,7 +44,8 @@ KEPT_API = {
     "DENSITY_MINERAL_OIL": "handbook attractor density for geometries built in Python",
     # Method names that more than one class defines, each with its caller.
     "_Span.take": "dynamics.py:Run.chunks copies each impulse's lags from the blocks",
-    "_Segments.take": "dynamics.py:Run.chunks feeds the noise blocks to _NoiseThreshold",
+    "_NoiseThreshold.take": "dynamics.py:Run.chunks feeds the noise blocks to the filter",
+    "Welch.take": "dynamics.py:estimate_psd feeds a whole series to one estimate",
     "RunningVariance.take": "dynamics.py:Run.chunks hands every chunk to its readers",
     "FingerArray.density_contrast": "newforces.py:_prefactor scales the point force",
     "FluidCapillary.density_contrast": "newforces.py:_prefactor scales the point force",
