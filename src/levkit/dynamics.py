@@ -42,22 +42,23 @@ of which only the largest are kept for the threshold, and the impulse
 amplitudes are read from the same record with the impulses added, both at
 full rate.  ``record_decimation`` thins only the recorded trajectory.  The
 template is the impulse response of the trap's own two-pole filter, so the
-filter is a one-pole recursion per pole (one complex pole for an
-underdamped trap), which ``_NoiseThreshold`` runs as one reversed cumulative
-sum over each piece of the record, pieces that do not overlap, joined
-through one boundary value per piece; no FFT is taken.  The pass holds
-O(template + N p) floats for N samples at false-alarm probability p per
-sample (plus one template length per injected impulse), and a few blocks of
-samples: nothing grows with N but the held filter outputs.  The filter's
-part is the scans of W + 2 L samples, 16 B each, for a template of W + 1
-samples and pieces of L = min(W, ``_BLOCK``) (up to 2^12 for a shorter
-template), four pieces of tables, piece and scratch, and the held outputs.
+filter is a recursion on a two-component state (``_realization``), which
+``_NoiseThreshold`` runs as one reversed cumulative sum over each piece of
+the record, pieces that do not overlap, joined through one boundary value
+per piece; no FFT is taken.  The pass holds O(template + N p) floats for N
+samples at false-alarm probability p per sample (plus one template length
+per injected impulse), and a few blocks of samples: nothing grows with N but
+the held filter outputs.  The filter's part is the scans of at most W + 2 L
+samples, 16 B each, for a template of W + 1 samples and pieces of L =
+min(W, ``_BLOCK``) (up to 2^12 for a shorter template), five arrays of L
+(three tables, the piece and a scratch), and the held outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -608,31 +609,55 @@ def fit_lorentzian(psd_est: PsdEstimate, mass: float,
                          force_psd=float(math.exp(popt[0])))
 
 
-def _modes(den: np.ndarray, h1: float, h2: float) -> tuple:
-    """Poles p and residues c with h[k] = Re sum c p^(k-1) for k >= 1.
+def _realization(den: np.ndarray, h1: float, h2: float, size: int) -> tuple:
+    """A real 2x2 matrix A and vectors g, phi with h[k] = phi A^(k-1) g for k >= 1.
 
     h is the impulse response of a filter with denominator ``den`` = [1, a1,
-    a2] and h[0] = 0, given by h1 = h[1] and h2 = h[2].  A complex pair is one
-    pole, the upper one, whose conjugate's term is folded into c (so c is
-    twice its residue); real poles are two.  The arithmetic is long double:
-    ``np.roots`` in double moves the modal series off the filter's own
-    response by 1e-12 of its RMS over a long template.  Coincident poles have
-    no such series, and are a ``DomainError``.
+    a2] and h[0] = 0, given by h1 = h[1] and h2 = h[2].  A's characteristic
+    polynomial is den's, so A^k g runs the filter's own recursion.  The
+    arithmetic is long double, from D = a1^2 / 4 - a2 taken exactly.  Written
+    p^k = a_k + b_k J for the pole p = m + J, m = -a1 / 2 and J^2 = D, A
+    acts on (a_k, b_k): A = [[m, D], [1, m]], g = (1, 0) and phi = (h1, h2 -
+    m h1).  Nothing is divided, so a double pole (D = 0) and poles close to
+    one are as exact as any others.  The inverse powers of that A grow as
+    the smaller real pole's, though, so two real poles p1 > p2 whose ratio
+    exceeds e^2 over ``size`` samples take the basis of their modes instead:
+    A = diag(p1, p2), g = (1, 1), phi = (c, h1 - c) with c = (h2 - h1 p2) /
+    (p1 - p2), a residue no longer much larger than h.
     """
-    a1, a2, h1, h2 = (np.longdouble(v) for v in (den[1], den[2], h1, h2))
-    disc = a1 * a1 - 4 * a2
-    if disc < 0:
-        re, im = -a1 / 2, np.sqrt(-disc) / 2
-        p = re + im * np.clongdouble(1j)
-        return np.array([p]), np.array([h1 + (h1 * re - h2) / im * np.clongdouble(1j)])
-    if disc == 0:
-        raise DomainError("critically damped trap: the matched filter's two poles coincide")
-    root = np.sqrt(disc)
-    p1 = -(a1 + np.copysign(root, a1)) / 2        # the larger, then a2 / p1
-    p2 = a2 / p1
-    c1 = (h2 - h1 * p2) / (p1 - p2)
-    return (np.array([p1, p2], dtype=np.clongdouble),
-            np.array([c1, h1 - c1], dtype=np.clongdouble))
+    a1, a2 = float(den[1]), float(den[2])
+    exact = Fraction(a1) ** 2 / 4 - Fraction(a2)
+    d = np.longdouble(float(exact)) + np.longdouble(float(exact - Fraction(float(exact))))
+    m = np.longdouble(-a1 / 2.0)
+    h1, h2 = np.longdouble(h1), np.longdouble(h2)
+    if d > 0:
+        p1 = m + np.copysign(np.sqrt(d), m)      # the larger, then a2 / p1
+        p2 = a2 / p1
+        if size * np.log(abs(p1 / p2)) > 2.0:
+            c = (h2 - h1 * p2) / (p1 - p2)
+            return np.diag([p1, p2]), np.ones(2, np.longdouble), np.array([c, h1 - c])
+    return (np.array([[m, d], [1.0, m]]), np.array([1.0, 0.0], np.longdouble),
+            np.array([h1, h2 - m * h1]))
+
+
+def _orbit(start: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
+    """``start @ step^k`` for k < n, stacked, each the product of at most
+    log2(n) + 1 others: the second half of every doubling is the first
+    times one power of ``step``."""
+    out = np.empty((n, *start.shape), start.dtype)
+    out[0] = start
+    done, power = 1, step                    # power is step^done
+    while done < n:
+        count = min(done, n - done)
+        np.matmul(out[:count], power, out=out[done: done + count])
+        power = power @ power
+        done += count
+    return out
+
+
+def _packed(pairs: np.ndarray) -> np.ndarray:
+    """Pairs (a, b) along the last axis as the complex numbers a + i b."""
+    return (pairs[..., 0] + 1j * pairs[..., 1]).astype(complex)
 
 
 class _NoiseThreshold:
@@ -641,26 +666,32 @@ class _NoiseThreshold:
     The filter output at lag j is sum_{k<M} x[j+k] h[k] / |h|^2 for the
     template h of M samples, calibrated so that a clean impulse q reads q.
     The template is the impulse response of the trap's own two-pole filter,
-    with h[0] = 0, so h[k] = Re sum c p^(k-1) over its poles (``_modes``), and
-    the output at lag j is Re sum c S[j+1] with S[i] = sum_{u<W} p^u x[i+u]
-    and W = M - 1: the truncated IIR filter of A. Wang and J. O. Smith, IEEE
-    Trans. Signal Process. 45, 1415 (1997), in modal form.
+    with h[0] = 0, so h[k] = phi A^(k-1) g for a real 2x2 matrix A whose
+    eigenvalues are the filter's poles (``_realization``), and the output at
+    lag j is phi S[j+1] with S[i] = sum_{u<W} A^u g x[i+u] and W = M - 1:
+    the truncated IIR filter of A. Wang and J. O. Smith, IEEE Trans. Signal
+    Process. 45, 1415 (1997), in state-space form.
 
     The record from its second sample on is cut into pieces of L samples
     that do not overlap, W = q L + s.  Each piece is scanned once, from zero
-    state at its end, as a reversed ``np.cumsum``: C[t] = sum_{t<=u<L} p^u
+    state at its end, as a reversed ``np.cumsum``: C[t] = sum_{t<=u<L} A^u g
     y[u] for its samples y.  The window of S at offset t of piece b ends at
     offset r = t + s - e L of piece c = b + q + e (e is 0 or 1), and
-        S = p^-t (C_b[t] - p^((q+e) L) C_c[r] + sum_{d=1}^{q+e} p^(d L) C_{b+d}[0]),
-    the boundary scalars C[0] joining the whole pieces between.  So piece b's
-    outputs are taken once piece b + q + 1 is scanned, and the scans of the
-    q + 2 pieces from b on are all that the filter holds of the record: W +
-    2 L complex values per pole, beside its piece, its scratch and the
-    tables of p^n for n <= L, 16 B per sample each.  No term is much larger
-    than S, so nothing cancels.  L is W, at most ``_BLOCK``; a template
-    shorter than 2^12 samples takes pieces of up to 2^12, as long as the
-    fastest pole decays by no more than e^70 over one, so no power of p
-    under- or overflows.  The last M lags, where the template overruns the
+        phi S = phi A^-t (C_b[t] + sum_{d=1}^{q+e} A^(d L) C_{b+d}[0])
+                - phi A^(W-r) C_c[r],
+    the boundary vectors C[0] joining the whole pieces between.  The rows
+    phi A^-t and phi A^(W-r) are tables over t and r < L, so an output is a
+    table's row times a scan's vector, twice.  A vector (a, b) is held as
+    the complex a + i b, which ``np.cumsum`` scans as two interleaved
+    chains, and a table's row (u, w) as u - i w, so that the real part of a
+    product is u a + w b.  Piece b's outputs are taken once piece b + q + 1
+    is scanned, and the scans of the q + 2 pieces from b on are all that
+    the filter holds of the record: at most W + 2 L complex values, beside
+    its piece, its scratch and three tables of L.  No term is much larger
+    than the output, so nothing cancels.  L is W, at most ``_BLOCK``; a
+    template shorter than 2^12 samples takes pieces of up to 2^12, as long
+    as the fastest pole decays by no more than e^300 over one, so no power of
+    A under- or overflows.  The last M lags, where the template overruns the
     record, are dropped; past the record the pieces hold zeros.  Of the kept
     outputs at most 2 (ceil(lags * p) + 2) plus one ``_BLOCK``'s are held,
     always including the ceil(lags * p) + 2 largest, which is enough for
@@ -686,30 +717,31 @@ class _NoiseThreshold:
             )
         self.quantile = 1.0 - p_exceed
         self.keep = math.ceil(tail_count) + 2
-        poles, residues = _modes(den, template[1], template[2])
         # Pieces of W samples, at most _BLOCK; a short template's are longer,
         # which spares the per-piece work of numpy calls on a few samples.
-        decay = -math.log(float(np.min(np.abs(poles))))
-        size = min(_BLOCK, max(m - 1, min(2**12, int(70.0 / decay))))
-        self.q, self.s = divmod(m - 1, size)
-        steps = np.empty((poles.size, size), np.clongdouble)
-        steps[:, 0] = 1.0
-        steps[:, 1:] = poles[:, None]
-        up = np.cumprod(steps, axis=1)                   # p^u, u < L
-        steps[:, 1:] = 1.0 / poles[:, None]
-        steps[:, 0] = residues
-        down = np.cumprod(steps, axis=1)                 # c p^-t, t < L
-        steps = np.empty((self.q + 2, poles.size), np.clongdouble)
-        steps[0] = 1.0
-        steps[1:] = up[:, -1] * poles
-        joins = np.cumprod(steps, axis=0)                # p^(d L), d = 0 .. q + 1
-        self.up, self.down, self.joins = (a.astype(complex) for a in (up, down, joins))
+        decay = -math.log(float(np.min(np.abs(np.roots(den)))))
+        size = min(_BLOCK, max(m - 1, min(2**12, int(300.0 / decay))))
+        self.q, self.s = q, s = divmod(m - 1, size)
+        # A 2-sample template's window is its one sample, whose output h[1] x
+        # = phi g x holds no h[2]; taking h[2] = m h[1], m = -a1 / 2, keeps
+        # both terms of phi no larger than h[1].
+        h2 = template[2] if m > 2 else -den[1] / 2.0 * template[1]
+        matrix, g, phi = _realization(den, template[1], h2, size)
+        (a, b), (c, d) = matrix
+        inverse = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+        joins = _orbit(np.eye(2, dtype=matrix.dtype), np.linalg.matrix_power(matrix, size),
+                       q + 2)                                    # A^(d L), d <= q + 1
+        self.up = _packed(_orbit(g, matrix.T, size))             # A^u g, u < L
+        self.down = _packed(_orbit(phi, inverse, size)).conj()   # phi A^-t
+        self.tail = _packed(_orbit(phi @ joins[q] @ np.linalg.matrix_power(matrix, s), inverse,
+                                   size)).conj()                 # phi A^(W-r)
+        self.joins = joins.astype(float)
         self.piece = np.zeros(size, complex)   # real samples, held as complex for the scan
         self.filled = 0          # samples of the piece held so far
         self.skip = 1            # the record's first sample, which h[0] = 0 ignores
-        self.scans = np.empty((self.q + 2, poles.size, size), complex)
+        self.scans = np.empty((q + 2, size), complex)
         self.scanned = 0
-        self.scratch = np.empty((poles.size, size), complex)
+        self.scratch = np.empty(size, complex)
         # |outputs|, unnormalized: the largest so far, then the newer ones,
         # then room for at least one block's outputs.  Cut back to the largest
         # ``keep`` only when that room runs out, so each partition is paid
@@ -735,7 +767,7 @@ class _NoiseThreshold:
         """Scan the full piece, then take the outputs of the piece q + 1 before it."""
         scan = self.scans[self.scanned % self.scans.shape[0]]
         np.multiply(self.up, self.piece, out=scan)
-        np.cumsum(scan[:, ::-1], axis=1, out=scan[:, ::-1])
+        np.cumsum(scan[::-1], out=scan[::-1])
         self.scanned += 1
         self.filled = 0
         first = self.scanned - self.scans.shape[0]
@@ -743,32 +775,33 @@ class _NoiseThreshold:
             self._outputs(first)
 
     def _outputs(self, b: int):
-        """Keep the |outputs| at the lags of piece b: its scan, in place, becomes
-        p^t S as the class docstring joins it, then c p^-t times that."""
+        """Keep the |outputs| at the lags of piece b; its scan, in place, becomes
+        the sum the class docstring joins, in its real part."""
         q, s, scans, scratch = self.q, self.s, self.scans, self.scratch
         size = self.piece.size
         count = min(size, self.lags - b * size)
         ring = scans.shape[0]
-        boundary = scans[(b + np.arange(q + 2)) % ring, :, 0]
+        boundary = scans[(b + np.arange(q + 2)) % ring, 0]      # C_{b+d}[0]
         boundary[0] = 0.0
-        joined = np.cumsum(self.joins * boundary, axis=0)
+        # sum_{d=1}^{j} A^(d L) C_{b+d}[0] for j = 0 .. q + 1
+        joined = _packed(np.cumsum(np.einsum("dij,dj->di", self.joins,
+                                             np.stack([boundary.real, boundary.imag], axis=1)),
+                                   axis=0))
         v = scans[b % ring]
         for lo, hi, e in ((0, size - s, 0), (size - s, size, 1)):
             if lo < hi:
-                partner = scans[(b + q + e) % ring][:, lo + s - e * size: hi + s - e * size]
-                np.multiply(partner, self.joins[q + e, :, None], out=scratch[:, lo:hi])
-                np.subtract(v[:, lo:hi], scratch[:, lo:hi], out=v[:, lo:hi])
-                v[:, lo:hi] += joined[q + e, :, None]
-        np.multiply(v, self.down, out=v)
+                at = slice(lo + s - e * size, hi + s - e * size)   # r; c may be b
+                np.multiply(scans[(b + q + e) % ring][at], self.tail[at], out=scratch[lo:hi])
+                v[lo:hi] += joined[q + e]
+                v[lo:hi] *= self.down[lo:hi]
+                v[lo:hi] -= scratch[lo:hi]
         if self.held + count > self.top.size:
             cut = self.held - self.keep
             self.top[:self.held].partition(cut)
             self.top[:self.keep] = self.top[cut:self.held]
             self.held = self.keep
         out = self.top[self.held: self.held + count]
-        out[:] = v[0].real[:count]
-        for mode in v[1:]:
-            out += mode.real[:count]
+        out[:] = v.real[:count]
         np.abs(out, out=out)
         self.held += count
 

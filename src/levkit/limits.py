@@ -43,7 +43,7 @@ from .newforces import (
     PlaneSlab,
     YukawaCoupling,
     capacitor_leakage_field,
-    source_reach,
+    check_source_reach,
     yukawa_force_modulated,
     yukawa_force_plane,
 )
@@ -250,13 +250,7 @@ def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
 
 def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve:
     """Minimum detectable Yukawa alpha vs range for the plan's attractor."""
-    geom = plan.geometry
-    if isinstance(geom, (FingerArray, FluidCapillary)) and len(lambdas):
-        # The grid's ends first, the nearer first: a reach whose square
-        # overflows is then a config error before any point is computed, and
-        # one that overflows at every range is reported at the first point.
-        for lam in (min(lambdas), max(lambdas)):
-            source_reach(geom.distance, lam)
+    check_source_reach(plan.geometry, lambdas)
     signal = np.array([_signal_force(plan, lam) for lam in lambdas])
     kept = signal > 0.0
     return _curve("lambda_m", "alpha_min", lambdas,

@@ -16,7 +16,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 # k0 is scipy's compiled kernel, loaded from its file by ``_scipy.extension``
@@ -246,13 +246,28 @@ _RANGE_CUTOFF = 45.0
 def source_reach(distance: float, lam: float) -> float:
     """distance + 45 lambda, past which a modulated geometry's source is
     dropped; a DomainError naming geometry.distance where its square
-    overflows.  ``limits.isl_projection`` checks a grid's ends with it before
-    any kernel runs."""
+    overflows."""
     reach = distance + _RANGE_CUTOFF * lam
     if not math.isfinite(float(reach) * float(reach)):
         raise DomainError(f"geometry.distance {distance!r} m: the square of its e^-45 reach "
                           f"at lambda {float(lam)!r} m overflows")
     return reach
+
+
+def check_source_reach(geom, lambdas: Sequence[float]):
+    """``source_reach`` of a modulated geometry at the ends of the range grid
+    ``lambdas``, for a check before any kernel runs; a plane slab has none.
+    The reach grows with the range, so where it overflows at the smallest
+    the error names geometry.distance, and where only at the largest, the
+    grid's end, plan.lambda_max."""
+    if not isinstance(geom, (FingerArray, FluidCapillary)) or not len(lambdas):
+        return
+    source_reach(geom.distance, min(lambdas))
+    try:
+        source_reach(geom.distance, max(lambdas))
+    except DomainError:
+        raise DomainError(f"plan.lambda_max {float(max(lambdas))!r} m: the square of the "
+                          f"e^-45 reach geometry.distance + 45 lambda overflows") from None
 
 
 def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts: np.ndarray):

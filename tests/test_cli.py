@@ -262,11 +262,14 @@ def _far_fingers(out):
      "plan.q_min 1e+150 kg*m/s: its square in eV overflows"),
     ("isl", _far_fingers,
      "geometry.distance 1e+294 m: the square of its e^-45 reach at lambda 1e-06 m overflows"),
+    ("isl", lambda out: _shipped_doc("isl_finger_20um.json", out, lambda_max="1e300 um"),
+     "plan.lambda_max 9.999999999999999e+293 m: the square of the e^-45 reach "
+     "geometry.distance + 45 lambda overflows"),
     ("isl", lambda out: _shipped_doc("isl_finger_20um.json", out, lambda_min="1e-300 um"),
      "sphere form factor overflows at R/lambda = 9.999999999999999e+300, "
      "above its limit 702.8235657436883"),
 ], ids=["dm-density", "millicharge-density", "dm-mass-max", "dm-mediator-mass", "dm-halo-v0",
-        "dm-q-min", "isl-distance", "isl-lambda-min"])
+        "dm-q-min", "isl-distance", "isl-lambda-max", "isl-lambda-min"])
 def test_overflowing_value_is_config_error_naming_the_key(tmp_path, capsys, case, make_doc,
                                                           message):
     """A value whose SI form, nucleon count, square or cube is not finite:
@@ -990,10 +993,10 @@ def test_simulate_memory_is_flat_in_duration(tmp_path):
 
 def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
     """An impulse search peaks alike at 1e6 and 4e6 steps.  The filter's own
-    arrays are O(template): the scans of W + 2 L samples, the piece, its
-    scratch and the tables of p^n, 16 B each, for the 500-sample template's
-    W = 499 and pieces of L = 4096, plus the held outputs with room for
-    one block's.  The peak is under those arrays and eight blocks of doubles
+    arrays are O(template): the scans of at most W + 2 L samples, the piece,
+    its scratch and three tables of L, 16 B each, for the 500-sample
+    template's W = 499 and pieces of L = 4096, plus the held outputs with
+    room for one block's.  The peak is under those arrays and eight blocks of doubles
     (it reads 5.4 blocks more): nothing the size of the record."""
     import tracemalloc
     from levkit import dynamics
@@ -1006,7 +1009,7 @@ def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
             w, size = template.size - 1, self.piece.size
             arrays = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
             assert (w, size) == (499, 4096)
-            assert arrays <= 16 * (w + 6 * size) + 8 * (2 * self.keep + dynamics._BLOCK)
+            assert arrays <= 16 * (w + 7 * size) + 8 * (2 * self.keep + dynamics._BLOCK)
             held.append(arrays)
     monkeypatch.setattr(dynamics, "_NoiseThreshold", Recorded)
 

@@ -1,5 +1,7 @@
+import functools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -637,25 +639,95 @@ def test_long_template_joins_many_pieces(monkeypatch):
     assert np.max(np.abs(out[lags] - exact)) <= 1e-12 * rms
 
 
-def test_modes_are_the_template_and_coincident_poles_are_an_error():
-    """The modal series from the filter's coefficients in long double is the
-    direct-form template within 1e-13 of its RMS, for the complex pair of the
-    search's trap and the real pair of an overdamped one; a double pole has
-    no modal series."""
-    overdamped = TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0)
-    for trap, config, poles in ((IMP_TRAP, imp_config(995.0), 1),
-                                (overdamped, replace(CONFIG, time_step=1e-4,
-                                                     feedback_gain=3000.0), 2)):
-        template, den = trap_filter(IMP_SPHERE, trap, config)
-        p, c = dynamics._modes(den, template[1], template[2])
-        assert p.size == poles
-        k = np.arange(template.size - 1)
-        series = np.sum((c[:, None] * p[:, None] ** k).real, axis=0).astype(float)
+def test_realization_is_the_template_at_any_damping():
+    """h[k] = phi A^(k-1) g from the filter's coefficients in long double is the
+    direct-form template within 1e-13 of its RMS: the complex pair of the
+    search's trap, the pair 9e-4 apart near critical damping, two real poles
+    of an overdamped trap (in the basis of their modes), and a double pole,
+    which has no modes."""
+    near = TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0)
+    cases = [trap_filter(IMP_SPHERE, IMP_TRAP, imp_config(995.0)) + (False,)]
+    for gain, modal in ((1256.637, False), (3000.0, True)):
+        cases.append(trap_filter(SPHERE, near, replace(CONFIG, time_step=1e-4,
+                                                       feedback_gain=gain)) + (modal,))
+    from scipy import signal
+
+    den = np.array([1.0, -1.5, 0.5625])                  # (1 - 0.75 z^-1)^2
+    kick = np.zeros(300)
+    kick[0] = 1.0
+    cases.append((signal.lfilter([0.0, 1.0, 0.5], den, kick), den, False))
+    for template, den, modal in cases:
+        size = 4096
+        matrix, g, phi = dynamics._realization(den, template[1], template[2], size)
+        assert (matrix[1, 0] == 0.0) == modal
+        series = (dynamics._orbit(phi, matrix, template.size - 1) @ g).astype(float)
         rms = np.sqrt(np.mean(template**2))
         assert template[0] == 0.0
         assert np.max(np.abs(series - template[1:])) <= 1e-13 * rms
-    with pytest.raises(DomainError, match="poles coincide"):
-        dynamics._modes(np.array([1.0, -1.5, 0.5625]), 1.0, 1.5)
+
+
+def _discriminant(gain, trap, config):
+    """a1^2 / 4 - a2 of the trap's impulse filter at this feedback gain, exactly:
+    above zero its poles are real."""
+    den = dynamics._LinearTrap(SPHERE, trap, replace(config, feedback_gain=gain))._impulse_filter[1]
+    return Fraction(float(den[1])) ** 2 / 4 - Fraction(float(den[2]))
+
+
+@functools.lru_cache(maxsize=None)
+def _critical_gain(trap, config):
+    """The feedback gain at which the discretised trap's poles meet: the
+    smallest double whose discriminant is above zero, by bisection."""
+    lo, hi = 0.0, 8.0 * math.pi * trap.resonant_frequency
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return hi
+        if _discriminant(mid, trap, config) > 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+NEAR_CRITICAL = (TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+                 replace(CONFIG, time_step=1e-5))
+
+
+@pytest.mark.parametrize("offset", [-1e-6, -1e-8, -1e-10, 0.0, 1e-10, 1e-8, 1e-6])
+def test_near_critical_outputs_are_direct_correlations(monkeypatch, offset):
+    """A 100 Hz trap at 10 us within 1e-6, 1e-8 and 1e-10 of the feedback gain
+    at which its discrete poles meet, on either side, and at it (M = 796):
+    two real poles that close would share a residue of 1/(their distance)
+    in modal form, but the filter's outputs on the trap's own noise stay
+    np.dot's within 1e-12 of their RMS."""
+    trap, config = NEAR_CRITICAL
+    gain = _critical_gain(trap, config) * (1.0 + offset)
+    config = replace(config, feedback_gain=gain)
+    template, den = trap_filter(SPHERE, trap, config)
+    assert (_discriminant(gain, trap, config) > 0) == (offset >= 0.0)
+    x = trap_noise(SPHERE, trap, config, 4 * template.size + 1234)
+    out = filter_outputs(monkeypatch, template, den, np.array_split(x, 5))
+    lags = np.arange(0, out.size, 7)
+    norm = float(np.dot(template, template))
+    direct = np.array([abs(np.dot(x[j: j + template.size], template)) for j in lags]) / norm
+    rms = np.sqrt(np.mean(out**2))
+    assert np.max(np.abs(out[lags] - direct)) <= 1e-12 * rms
+
+
+def test_two_sample_template_search():
+    """A 100 Hz trap at 0.4 ms damped at 12499 1/s has a template of two
+    samples, [0, h1]: the filter reads its one-sample window without h[2],
+    and the search's threshold is the whole-record FFT filter's within
+    1e-12."""
+    trap = TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0)
+    config = SimulationConfig(time_step=4e-4, duration=4.0, rng_seed=5,
+                              bath_temperature=300.0, feedback_gain=12499.0)
+    run, _ = search(trap, config, (), false_alarm_rate=100.0)
+    template = dynamics._LinearTrap(IMP_SPHERE, trap, config).template()
+    assert template.size == 2 and template[0] == 0.0
+    noise = trap_noise(IMP_SPHERE, trap, config, 10_000)
+    reference = np.quantile(np.abs(matched_filter_outputs(noise, template)[:-template.size]),
+                            1.0 - 100.0 * config.time_step)
+    assert run.threshold.value == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 def test_threshold_partitions_a_bounded_multiple_of_the_record(monkeypatch):
