@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -626,8 +625,11 @@ def _realization(den: np.ndarray, h1: float, h2: float, size: int) -> tuple:
     (p1 - p2), a residue no longer much larger than h.
     """
     a1, a2 = float(den[1]), float(den[2])
-    exact = Fraction(a1) ** 2 / 4 - Fraction(a2)
-    d = np.longdouble(float(exact)) + np.longdouble(float(exact - Fraction(float(exact))))
+    (n1, d1), (n2, d2) = a1.as_integer_ratio(), a2.as_integer_ratio()
+    num, div = n1 * n1 * d2 - 4 * n2 * d1 * d1, 4 * d1 * d1 * d2      # D = num / div
+    hi = num / div                       # rounded once, then the exact remainder
+    hn, hd = hi.as_integer_ratio()
+    d = np.longdouble(hi) + np.longdouble((num * hd - hn * div) / (div * hd))
     m = np.longdouble(-a1 / 2.0)
     h1, h2 = np.longdouble(h1), np.longdouble(h2)
     if d > 0:
@@ -656,8 +658,10 @@ def _orbit(start: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
 
 
 def _packed(pairs: np.ndarray) -> np.ndarray:
-    """Pairs (a, b) along the last axis as the complex numbers a + i b."""
-    return (pairs[..., 0] + 1j * pairs[..., 1]).astype(complex)
+    """Pairs (a, b), one to a row, as the complex numbers a + i b."""
+    out = np.empty(len(pairs), complex)
+    out.real, out.imag = pairs.T
+    return out
 
 
 class _NoiseThreshold:
@@ -735,7 +739,7 @@ class _NoiseThreshold:
         self.down = _packed(_orbit(phi, inverse, size)).conj()   # phi A^-t
         self.tail = _packed(_orbit(phi @ joins[q] @ np.linalg.matrix_power(matrix, s), inverse,
                                    size)).conj()                 # phi A^(W-r)
-        self.joins = joins.astype(float)
+        self.joins = _packed(joins[:, :, 0]), _packed(joins[:, :, 1])   # A^(d L) (1, 0), (0, 1)
         self.piece = np.zeros(size, complex)   # real samples, held as complex for the scan
         self.filled = 0          # samples of the piece held so far
         self.skip = 1            # the record's first sample, which h[0] = 0 ignores
@@ -784,9 +788,7 @@ class _NoiseThreshold:
         boundary = scans[(b + np.arange(q + 2)) % ring, 0]      # C_{b+d}[0]
         boundary[0] = 0.0
         # sum_{d=1}^{j} A^(d L) C_{b+d}[0] for j = 0 .. q + 1
-        joined = _packed(np.cumsum(np.einsum("dij,dj->di", self.joins,
-                                             np.stack([boundary.real, boundary.imag], axis=1)),
-                                   axis=0))
+        joined = np.cumsum(boundary.real * self.joins[0] + boundary.imag * self.joins[1])
         v = scans[b % ring]
         for lo, hi, e in ((0, size - s, 0), (size - s, size, 1)):
             if lo < hi:
