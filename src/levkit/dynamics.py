@@ -50,8 +50,8 @@ samples at false-alarm probability p per sample (plus one template length
 per injected impulse), and a few blocks of samples: nothing grows with N but
 the held filter outputs.  The filter's part is the scans of at most W + 2 L
 samples, 16 B each, for a template of W + 1 samples and pieces of L =
-min(W, ``_BLOCK``) (up to 2^12 for a shorter template), five arrays of L
-(three tables, the piece and a scratch), and the held outputs.
+min(W, ``_BLOCK``) (up to 2^12 for a shorter template), four arrays of L
+(three tables and a scratch), and the held outputs.
 """
 
 from __future__ import annotations
@@ -691,11 +691,11 @@ class _NoiseThreshold:
     product is u a + w b.  Piece b's outputs are taken once piece b + q + 1
     is scanned, and the scans of the q + 2 pieces from b on are all that
     the filter holds of the record: at most W + 2 L complex values, beside
-    its piece, its scratch and three tables of L.  No term is much larger
-    than the output, so nothing cancels.  L is W, at most ``_BLOCK``; a
-    template shorter than 2^12 samples takes pieces of up to 2^12, as long
-    as the fastest pole decays by no more than e^300 over one, so no power of
-    A under- or overflows.  The last M lags, where the template overruns the
+    its scratch and three tables of L; the piece being filled takes the
+    ring's free slot.  No term is much larger than the output, so nothing
+    cancels.  L is W, at most ``_BLOCK``; a template shorter than 2^12
+    samples takes pieces of up to 2^12, as long as the fastest pole decays
+    by no more than e^300 over one, so no power of A under- or overflows.  The last M lags, where the template overruns the
     record, are dropped; past the record the pieces hold zeros.  Of the kept
     outputs at most 2 (ceil(lags * p) + 2) plus one ``_BLOCK``'s are held,
     always including the ceil(lags * p) + 2 largest, which is enough for
@@ -740,11 +740,13 @@ class _NoiseThreshold:
         self.tail = _packed(_orbit(phi @ joins[q] @ np.linalg.matrix_power(matrix, s), inverse,
                                    size)).conj()                 # phi A^(W-r)
         self.joins = _packed(joins[:, :, 0]), _packed(joins[:, :, 1])   # A^(d L) (1, 0), (0, 1)
-        self.piece = np.zeros(size, complex)   # real samples, held as complex for the scan
-        self.filled = 0          # samples of the piece held so far
-        self.skip = 1            # the record's first sample, which h[0] = 0 ignores
         self.scans = np.empty((q + 2, size), complex)
         self.scanned = 0
+        # The next piece's samples, as complex, in the free slot of the ring
+        # that its scan will take in place.
+        self.piece = self.scans[0]
+        self.filled = 0          # samples of the piece held so far
+        self.skip = 1            # the record's first sample, which h[0] = 0 ignores
         self.scratch = np.empty(size, complex)
         # |outputs|, unnormalized: the largest so far, then the newer ones,
         # then room for at least one block's outputs.  Cut back to the largest
@@ -762,6 +764,7 @@ class _NoiseThreshold:
         while block.size:
             count = min(block.size, size - self.filled)
             self.piece.real[self.filled: self.filled + count] = block[:count]
+            self.piece.imag[self.filled: self.filled + count] = 0.0
             self.filled += count
             block = block[count:]
             if self.filled == size:
@@ -769,14 +772,15 @@ class _NoiseThreshold:
 
     def _scan(self):
         """Scan the full piece, then take the outputs of the piece q + 1 before it."""
-        scan = self.scans[self.scanned % self.scans.shape[0]]
-        np.multiply(self.up, self.piece, out=scan)
+        scan = self.piece
+        scan *= self.up
         np.cumsum(scan[::-1], out=scan[::-1])
         self.scanned += 1
         self.filled = 0
         first = self.scanned - self.scans.shape[0]
         if first >= 0:
             self._outputs(first)
+        self.piece = self.scans[self.scanned % self.scans.shape[0]]   # piece first's, now free
 
     def _outputs(self, b: int):
         """Keep the |outputs| at the lags of piece b; its scan, in place, becomes

@@ -993,10 +993,10 @@ def test_simulate_memory_is_flat_in_duration(tmp_path):
 
 def test_search_memory_is_flat_in_duration(tmp_path, monkeypatch):
     """An impulse search peaks alike at 1e6 and 4e6 steps.  The filter's own
-    arrays are O(template): the scans of at most W + 2 L samples, the piece,
-    its scratch and three tables of L, 16 B each, for the 500-sample
-    template's W = 499 and pieces of L = 4096, plus the held outputs with
-    room for one block's.  The peak is under those arrays and eight blocks of doubles
+    arrays are O(template): the scans of at most W + 2 L samples, the piece
+    (a view of one, counted again), its scratch and three tables of L, 16 B
+    each, for the 500-sample template's W = 499 and pieces of L = 4096, plus
+    the held outputs with room for one block's.  The peak is under those arrays and eight blocks of doubles
     (it reads 5.4 blocks more): nothing the size of the record."""
     import tracemalloc
     from levkit import dynamics
