@@ -46,16 +46,18 @@ filter is a recursion on a two-component state (``_realization``), which
 ``_NoiseThreshold`` runs as one reversed cumulative sum over each piece of
 the record, pieces that do not overlap, joined through one boundary value
 per piece; no FFT is taken.  The pass holds O(template + N p) floats for N
-samples at false-alarm probability p per sample (plus one template length
-per injected impulse), and a few blocks of samples: nothing grows with N but
-the held filter outputs.  The filter's part is the scans of at most W + 2 L
-samples, 16 B each, for a template of W + 1 samples and pieces of L =
-min(W, ``_BLOCK``) (up to 2^12 for a shorter template), four arrays of L
-(three tables and a scratch), and the held outputs.
+samples at false-alarm probability p per sample, one template length for
+each impulse whose lags it is inside, and a few blocks of samples: nothing
+grows with N but the held filter outputs.  The filter's part is the scans
+of at most W + 2 L samples, 16 B each, for a template of W + 1 samples and
+pieces of L = min(W, ``_BLOCK``) (up to 2^12 for a shorter template), four
+arrays of L (three tables and a scratch), and the held outputs.
 """
 
 from __future__ import annotations
 
+import bisect
+import collections
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -195,19 +197,13 @@ class _LinearTrap:
         drift = np.array([[1.0, h / 2.0], [0.0, 1.0]])
         decay = np.array([[1.0, 0.0], [0.0, math.exp(-gamma_total * h)]])
         m_step = kick @ drift @ decay @ drift @ kick
-        eigenvalues = np.linalg.eigvals(m_step)
-        radius = max(abs(eigenvalues))
-        if radius > 1.0 + 1e-12:
+        if max(abs(np.linalg.eigvals(m_step))) > 1.0 + 1e-12:
             raise IntegrationError("unstable step: one-step map has spectral radius > 1")
-        # Steps per relaxation time of the energy, which the energy-growth check
-        # reads: 1/gamma_total for an underdamped trap, whose complex pair of
-        # eigenvalues has modulus exp(-gamma_total h / 2).  An overdamped trap's
-        # are real, and its energy relaxes as the slower mode's square,
-        # radius^(2k): -1 / (2 ln radius) steps.
-        if np.iscomplexobj(eigenvalues):
-            self._relax = math.ceil(1.0 / (gamma_total * h))
-        else:
-            self._relax = math.ceil(-0.5 / math.log(radius)) if radius < 1.0 else math.inf
+        # The noise's stationary variance kB T_eff / (m w0^2), which the energy-
+        # growth check reads: BAOAB samples a harmonic trap's positions exactly
+        # at any stable step (Leimkuhler and Matthews, JCP 138, 174102 (2013)).
+        self._noise_variance = (K_B * config.bath_temperature * trap.damping_rate
+                                / (mass * gamma_total * trap.omega0**2))
 
         unit_velocity = np.array([0.0, 1.0])
         self._noise_filter = _displacement_filter(m_step, kick @ drift @ unit_velocity)
@@ -219,31 +215,28 @@ class _LinearTrap:
         Yields ``(start, noise, x)``: the block's first step, its thermal
         displacement (zeros at zero temperature) and its displacement with the
         impulses' response added, each impulse adding q/m to the velocity at
-        its step in ``steps``, which is ``kick_steps(injected)``.  Both
-        filters carry their state from block to block, so the samples are
-        those of one whole-record pass, bit for bit, with one exception.  The
-        impulse filter runs only on a block that holds a kick or starts from a
-        nonzero state, and once its state is subnormal in every component at a
-        block's end it is set to zero; a skipped block yields ``x`` as
-        ``noise`` itself.  So where one pass would leave a subnormal limit
-        cycle, a zero-temperature run is exactly +0.0 from the next block on;
-        with noise, only a sample with |noise| <= 2^-969 m could differ.
-        After the last block the noise is checked for energy growth.
+        its step in ``steps``, which is ``kick_steps(injected)`` in ascending
+        order; kicks at one step add in the order given.  Both filters carry
+        their state from block to block, so the samples are those of one
+        whole-record pass, bit for bit, with one exception.  The impulse
+        filter runs only on a block that holds a kick or starts from a nonzero
+        state, and once its state is subnormal in every component at a block's
+        end it is set to zero; a skipped block yields ``x`` as ``noise``
+        itself.  So where one pass would leave a subnormal limit cycle, a
+        zero-temperature run is exactly +0.0 from the next block on; with
+        noise, only a sample with |noise| <= 2^-969 m could differ.  The last
+        block's noise is checked for energy growth (``_check_energy_growth``).
         """
         linear_filter = _linear_filter()
         rng = None
         if self.config.bath_temperature > 0.0:
             rng = np.random.default_rng(np.random.SeedSequence(self.config.rng_seed))
-        # The energy-growth check reads 2..5 relaxation times and the last 3.
-        relax = self._relax
-        windows = ()
-        if rng is not None and self.n >= 10 * relax:
-            windows = (_Span(2 * relax, 5 * relax), _Span(self.n - 3 * relax, self.n))
         noise_state = np.zeros(self._noise_filter[1].size - 1)
         impulse_state = np.zeros(self._impulse_filter[1].size - 1)
         # The OU kicks of every block are drawn into this one buffer, and the
         # impulses' kicks put in it once the noise filter has read them.
         normals = np.empty(min(_BLOCK, self.n))
+        first = 0                # the first kick not yet placed
         for start in range(0, self.n, _BLOCK):
             size = min(_BLOCK, self.n - start)
             if rng is None:
@@ -254,16 +247,14 @@ class _LinearTrap:
                 drawn *= self._kick_std
                 noise, noise_state = linear_filter(*self._noise_filter, drawn, -1,
                                                    noise_state)
-            for window in windows:
-                window.take(start, noise)
             x = noise
-            hits = [(idx - start, ev) for ev, idx in zip(injected, steps)
-                    if start <= idx < start + size]
-            if hits or impulse_state.any():
+            last = bisect.bisect_left(steps, start + size, first)
+            if first < last or impulse_state.any():
                 kicks = normals[:size]
                 kicks[:] = 0.0
-                for at, ev in hits:
-                    kicks[at] += ev.direction * ev.momentum_transfer / self.mass
+                for ev, idx in zip(injected[first:last], steps[first:last]):
+                    kicks[idx - start] += ev.direction * ev.momentum_transfer / self.mass
+                first = last
                 response, impulse_state = linear_filter(*self._impulse_filter, kicks, -1,
                                                         impulse_state)
                 # A decayed response never reaches zero: it settles into a
@@ -273,8 +264,8 @@ class _LinearTrap:
                     impulse_state[:] = 0.0
                 x = np.add(noise, response, out=response)
             yield start, noise, x
-        if windows:
-            _check_energy_growth(*(window.values for window in windows))
+        if rng is not None and self.n:
+            _check_energy_growth(float(np.dot(noise, noise)) / noise.size, self._noise_variance)
 
     def kick_steps(self, injected: Sequence[ImpulseEvent]) -> list:
         """The step nearest each impulse's time; outside the simulated span is an error."""
@@ -307,7 +298,7 @@ def _displacement_filter(m_step: np.ndarray, column: np.ndarray) -> tuple:
 
 class _Span:
     """The samples of the steps [start, stop) of a run streamed in blocks,
-    copied into one array as the blocks pass."""
+    copied into one array as the blocks that overlap it pass."""
 
     def __init__(self, start: int, stop: int):
         self.start, self.stop = start, stop
@@ -315,10 +306,8 @@ class _Span:
 
     def take(self, first: int, block: np.ndarray):
         """Copy what ``block``, whose first sample is step ``first``, holds of the span."""
-        lo = max(self.start, first)
-        hi = min(self.stop, first + block.size)
-        if lo < hi:
-            self.values[lo - self.start: hi - self.start] = block[lo - first: hi - first]
+        lo, hi = max(self.start, first), min(self.stop, first + block.size)
+        self.values[lo - self.start: hi - self.start] = block[lo - first: hi - first]
 
 
 class Run:
@@ -343,7 +332,8 @@ class Run:
     template length of the record, which the threshold drops, is a
     ``DomainError``.  The search holds O(template + N p) floats for N samples
     and false-alarm probability p = FAR * dt per sample, plus one template
-    length per injected impulse: never the whole full-rate record.
+    length for each impulse whose lags the pass is inside: never the whole
+    full-rate record.
     ``series`` adds the N / ``record_decimation`` recorded samples; a
     writer given ``chunks`` writes them as the pass goes instead.
     """
@@ -360,12 +350,14 @@ class Run:
                     f"noise distribution not converged: {n_correlation_times:.0f} filter "
                     "correlation times simulated, need >= 1e4"
                 )
-        self._injected = tuple(injected)
         self._model = model = _LinearTrap(sphere, trap, config)
         self._decimation = config.record_decimation
-        self._steps = steps = model.kick_steps(self._injected)
+        steps = model.kick_steps(injected)
+        # In step order; the stable sort keeps kicks at one step in the order given.
+        self._order = order = sorted(range(len(steps)), key=steps.__getitem__)
+        self._injected = [injected[i] for i in order]
+        self._steps = [steps[i] for i in order]
         self._noise_threshold = None
-        self._reads = []
         if false_alarm_rate is None:
             if config.duration < 100.0 / model.gamma_total and not config.allow_short_run:
                 raise DomainError(
@@ -377,15 +369,13 @@ class Run:
             # template inside the record; an amplitude is read only from lags
             # it keeps.
             last = model.n - template.size - 3
-            for ev, idx in zip(self._injected, steps):
+            for ev, idx in zip(injected, steps):
                 if idx > last:
                     raise DomainError(
                         f"impulse at t = {ev.time} s is inside the last filter template "
                         f"length of the record; the last usable time is {last * model.dt} s")
             self._noise_threshold = _NoiseThreshold(template, model._impulse_filter[1],
                                                     model.n, false_alarm_rate * model.dt)
-            # Each amplitude reads the five lags idx-2 .. idx+2, a template length each.
-            self._reads = [_Span(max(0, idx - 2), idx + 2 + template.size) for idx in steps]
         self.sample_interval = config.time_step * config.record_decimation
         self.size = len(range(0, model.n, config.record_decimation))   # recorded samples
         # The search's results, set at the end of the pass.
@@ -401,24 +391,35 @@ class Run:
         after the last one, still inside the pass.  A chunk that holds a
         non-finite sample is a ``DomainError``.
         """
-        step = self._decimation
-        for start, noise, x in self._model.blocks(self._injected, self._steps):
-            if self._noise_threshold is not None:
-                self._noise_threshold.take(noise)
-            for read in self._reads:
-                read.take(start, x)
+        step, search, steps = self._decimation, self._noise_threshold, self._steps
+        amplitudes = [0.0] * len(steps)
+        # An amplitude reads the five lags idx-2 .. idx+2, a template length
+        # each: a span opened once the pass reaches idx - 2, read and dropped
+        # once whole, so spans close in step order, as they open.
+        reads, opened = collections.deque(), 0
+        for start, noise, x in self._model.blocks(self._injected, steps):
+            end = start + noise.size
+            if search is not None:
+                search.take(noise)
+                opening = bisect.bisect_left(steps, end + 2, opened)     # idx - 2 < end
+                reads.extend((k, _Span(max(0, steps[k] - 2), steps[k] + 2 + self._template.size))
+                             for k in range(opened, opening))
+                opened = opening
+                for _, read in reads:
+                    read.take(start, x)
+                while reads and reads[0][1].stop <= end:
+                    k, read = reads.popleft()
+                    amplitudes[self._order[k]] = _peak_correlation(
+                        read.values, self._template, steps[k] - read.start) / search.norm
             chunk = x[-start % step::step]
             if not np.isfinite(chunk).all():
                 raise DomainError("time series contains non-finite samples")
             for reader in readers:
                 reader.take(chunk)
             yield chunk
-        if self._noise_threshold is not None:
-            norm = self._noise_threshold.norm
-            self.amplitudes = tuple(
-                _peak_correlation(read.values, self._template, idx - read.start) / norm
-                for read, idx in zip(self._reads, self._steps))
-            self.threshold = Quantity(self._noise_threshold.threshold(), Dimension.MOMENTUM)
+        if search is not None:
+            self.amplitudes = tuple(amplitudes)
+            self.threshold = Quantity(search.threshold(), Dimension.MOMENTUM)
 
     def series(self) -> TimeSeries:
         """The whole recorded series, collected from one pass."""
@@ -446,14 +447,11 @@ def simulate(
     return Run(sphere, trap, config, injected).series()
 
 
-def _check_energy_growth(early: np.ndarray, late: np.ndarray):
-    """Flag runaway trajectories: late-time RMS > 10x post-transient RMS."""
-    rms_early = float(np.sqrt(np.mean(early**2)))
-    rms_late = float(np.sqrt(np.mean(late**2)))
-    if rms_early > 0.0 and rms_late > 10.0 * rms_early:
-        raise IntegrationError(
-            f"energy growth detected: late RMS {rms_late:.3e} m vs early {rms_early:.3e} m"
-        )
+def _check_energy_growth(mean_square: float, variance: float):
+    """Flag runaway trajectories: late RMS > 10x the stationary RMS."""
+    if mean_square > 100.0 * variance:
+        raise IntegrationError(f"energy growth detected: late RMS {math.sqrt(mean_square):.3e} m "
+                               f"vs stationary {math.sqrt(variance):.3e} m")
 
 
 @dataclass(frozen=True)
@@ -695,12 +693,12 @@ class _NoiseThreshold:
     ring's free slot.  No term is much larger than the output, so nothing
     cancels.  L is W, at most ``_BLOCK``; a template shorter than 2^12
     samples takes pieces of up to 2^12, as long as the fastest pole decays
-    by no more than e^300 over one, so no power of A under- or overflows.  The last M lags, where the template overruns the
-    record, are dropped; past the record the pieces hold zeros.  Of the kept
-    outputs at most 2 (ceil(lags * p) + 2) plus one ``_BLOCK``'s are held,
-    always including the ceil(lags * p) + 2 largest, which is enough for
-    ``_top_quantile`` to give ``np.quantile`` of all of them exactly.  It
-    takes no FFT.
+    by no more than e^300 over one, so no power of A under- or overflows.
+    The last M lags, where the template overruns the record, are dropped;
+    past the record the pieces hold zeros.  Of the kept outputs at most 2
+    (ceil(lags * p) + 2) plus one ``_BLOCK``'s are held, always including
+    the ceil(lags * p) + 2 largest, which is enough for ``_top_quantile`` to
+    give ``np.quantile`` of all of them exactly.  It takes no FFT.
     """
 
     def __init__(self, template: np.ndarray, den: np.ndarray, n: int, p_exceed: float):
@@ -742,8 +740,8 @@ class _NoiseThreshold:
         self.joins = _packed(joins[:, :, 0]), _packed(joins[:, :, 1])   # A^(d L) (1, 0), (0, 1)
         self.scans = np.empty((q + 2, size), complex)
         self.scanned = 0
-        # The next piece's samples, as complex, in the free slot of the ring
-        # that its scan will take in place.
+        # The next piece's samples, each times its A^u g, in the free slot of
+        # the ring that its scan will take in place.
         self.piece = self.scans[0]
         self.filled = 0          # samples of the piece held so far
         self.skip = 1            # the record's first sample, which h[0] = 0 ignores
@@ -763,8 +761,8 @@ class _NoiseThreshold:
         size = self.piece.size
         while block.size:
             count = min(block.size, size - self.filled)
-            self.piece.real[self.filled: self.filled + count] = block[:count]
-            self.piece.imag[self.filled: self.filled + count] = 0.0
+            at = slice(self.filled, self.filled + count)
+            np.multiply(block[:count], self.up[at], out=self.piece[at])
             self.filled += count
             block = block[count:]
             if self.filled == size:
@@ -773,7 +771,6 @@ class _NoiseThreshold:
     def _scan(self):
         """Scan the full piece, then take the outputs of the piece q + 1 before it."""
         scan = self.piece
-        scan *= self.up
         np.cumsum(scan[::-1], out=scan[::-1])
         self.scanned += 1
         self.filled = 0

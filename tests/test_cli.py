@@ -781,8 +781,9 @@ def test_unallocatable_step_count_is_config_error(tmp_path, capsys, key, value):
 
 def test_overdamped_trap_passes_the_energy_growth_check(tmp_path, capsys):
     """f0 = 10 Hz under 1000 1/s of damping relaxes at about omega0^2 / gamma,
-    250 times slower than 1/gamma: the energy-growth windows are placed by the
-    one-step map's slower eigenvalue, so the equilibrium is not read as growth."""
+    250 times slower than 1/gamma: the last block is compared with the trap's
+    closed-form stationary variance, which no relaxation time enters, so the
+    equilibrium is not read as growth."""
     out = tmp_path / "out"
     doc = simulate_doc(out)
     doc["sphere"] = {"radius": "5 um", "density": "1850 kg/m^3"}
@@ -793,6 +794,19 @@ def test_overdamped_trap_passes_the_energy_growth_check(tmp_path, capsys):
     assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_OK
     assert capsys.readouterr().err == ""
     assert (out / "trajectory.csv").exists()
+
+
+def test_zero_step_run_writes_an_empty_trajectory(tmp_path, capsys):
+    """A duration under half a time step, allowed as a short run, rounds to no
+    step: no block, so nothing for the energy-growth check, exit 0 and a
+    trajectory of no rows."""
+    out = tmp_path / "out"
+    doc = simulate_doc(out)
+    doc["simulation"].update(duration="0.00008 s", allow_short_run=True)
+    assert main(["simulate", write_config(tmp_path, doc)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[-1] == "# columns = time_s,displacement_m"
 
 
 @pytest.mark.parametrize("temperature", ["300 K", "0 K"])
@@ -937,8 +951,8 @@ def test_energy_growth_in_the_pass_writes_nothing(tmp_path, capsys, monkeypatch)
     trajectory written so far and the directories made for it are gone."""
     from levkit import dynamics
 
-    def runaway(early, late):
-        raise dynamics.IntegrationError("energy growth detected: late RMS 1 m vs early 0.1 m")
+    def runaway(mean_square, variance):
+        raise dynamics.IntegrationError("energy growth detected: late RMS 1 m vs stationary 0.1 m")
     monkeypatch.setattr(dynamics, "_check_energy_growth", runaway)
     monkeypatch.setattr(dynamics, "_BLOCK", 4096)
     path = write_config(tmp_path, stream_doc(tmp_path / "out" / "run"))

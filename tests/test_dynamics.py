@@ -444,29 +444,34 @@ def test_streamed_search_matches_whole_record_reference(monkeypatch, block, deci
                                                         false_alarm_rate):
     """Many block boundaries, blocks shorter than the 500-sample template, a
     record (1e6 steps) that is no multiple of the block, and one block longer
-    than the record, so a single partial filter segment: the noise windows,
-    the record and the amplitudes are the whole-record ones bit for bit, and
-    the streamed threshold is within 1e-12 of the whole-record FFT filter's.
+    than the record, so a single partial filter segment: the record and the
+    amplitudes are the whole-record ones bit for bit, the streamed threshold
+    is within 1e-12 of the whole-record FFT filter's, and the energy-growth
+    check reads the mean square of the last block's noise and the trap's
+    closed-form stationary variance.
     At 5000 false alarms per second (p = 0.1) the quantile rests on the bulk
     of the outputs, so a wrong lag anywhere in the record moves it."""
     cfg = replace(imp_config(995.0), record_decimation=decimation)
-    events = [ImpulseEvent(time=0.0, momentum_transfer=4e-19),
-              ImpulseEvent(time=3000 * cfg.time_step, momentum_transfer=4e-19, direction=-1),
-              ImpulseEvent(time=12.5, momentum_transfer=4e-19),
-              ImpulseEvent(time=(1_000_000 - 503) * cfg.time_step, momentum_transfer=4e-19)]
+    # Out of step order: each amplitude must still be its own event's.
+    events = [ImpulseEvent(time=12.5, momentum_transfer=4e-19),
+              ImpulseEvent(time=0.0, momentum_transfer=4e-19),
+              ImpulseEvent(time=(1_000_000 - 503) * cfg.time_step, momentum_transfer=9e-19),
+              ImpulseEvent(time=3000 * cfg.time_step, momentum_transfer=4e-19, direction=-1)]
     noise, x, q_ref, amp_ref = whole_record_search(IMP_SPHERE, IMP_TRAP, cfg, events,
                                                    false_alarm_rate)
 
-    windows = []
+    checked = []
     check = dynamics._check_energy_growth
     monkeypatch.setattr(dynamics, "_check_energy_growth",
-                        lambda early, late: windows.append((early, late)) or check(early, late))
+                        lambda mean_square, variance: checked.append((mean_square, variance))
+                        or check(mean_square, variance))
     monkeypatch.setattr(dynamics, "_BLOCK", block)
     found, series = search(IMP_TRAP, cfg, events, false_alarm_rate)
-    relax = 50                                     # ceil(1 / (gamma_eff dt))
-    [(early, late)] = windows
-    np.testing.assert_array_equal(bits(early), bits(noise[2 * relax: 5 * relax]))
-    np.testing.assert_array_equal(bits(late), bits(noise[-3 * relax:]))
+    [(mean_square, variance)] = checked
+    last = noise[(noise.size - 1) // block * block:]
+    assert mean_square == pytest.approx(float(np.mean(last**2)), rel=1e-12, abs=0.0)
+    assert variance == (K_B * cfg.bath_temperature * IMP_TRAP.damping_rate
+                        / (IMP_SPHERE.mass * total_damping(IMP_TRAP, cfg) * IMP_TRAP.omega0**2))
     assert found.threshold.value == pytest.approx(q_ref, rel=1e-12, abs=0.0)
     assert found.amplitudes == amp_ref
     np.testing.assert_array_equal(bits(series.samples), bits(x[::decimation]))
@@ -794,6 +799,98 @@ def test_search_memory_is_flat_in_duration():
     short, long = peak(20.0), peak(80.0)
     record_growth = 8 * (80.0 - 20.0) / 2e-5 / 100
     assert long <= short + record_growth + 256 * 1024
+
+
+def test_search_memory_is_flat_in_the_number_of_impulses():
+    """A search with 499 impulses 40 ms apart peaks no higher than one with 2:
+    each impulse's template length of lags is held only while the pass is
+    inside it."""
+    import tracemalloc
+
+    def peak(count):
+        events = [ImpulseEvent(time=0.01 + 0.04 * k, momentum_transfer=4e-19,
+                               direction=1 - 2 * (k % 2)) for k in range(count)]
+        cfg = replace(imp_config(995.0), record_decimation=100)
+        tracemalloc.start()
+        try:
+            found, _ = search(IMP_TRAP, cfg, events)
+            return tracemalloc.get_traced_memory()[1], found.amplitudes
+        finally:
+            tracemalloc.stop()
+
+    peak(2)                    # first use loads the filter kernel: not the search's
+    (few, _), (many, amplitudes) = peak(2), peak(499)
+    assert len(amplitudes) == 499 and min(amplitudes) > 0.0
+    assert many <= few + 256 * 1024, (few, many)
+
+
+def test_plain_pass_memory_is_flat_in_the_relaxation_time():
+    """A plain pass of 1e6 steps peaks as high at gamma = 0.01 1/s as at 10 1/s:
+    the energy-growth check keeps no sample, whatever 1/gamma is."""
+    import tracemalloc
+
+    def peak(damping_rate):
+        trap = TrapState(resonant_frequency=10.0, damping_rate=damping_rate, temperature=300.0)
+        cfg = SimulationConfig(time_step=1e-3, duration=1000.0, rng_seed=5,
+                               bath_temperature=300.0, allow_short_run=True)
+        run = dynamics.Run(SPHERE, trap, cfg)
+        tracemalloc.start()
+        try:
+            for _ in run.chunks():
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10.0)                 # first use loads the filter kernel: not the pass's
+    fast, slow = peak(10.0), peak(0.01)
+    assert abs(slow - fast) <= 64 * 1024, (fast, slow)
+
+
+STATIONARY_TRAPS = {
+    # levbench's trajectory trap: 100 Hz, 1 1/s plus 9 1/s of feedback, 0.1 ms.
+    "benchmark": (Sphere(radius=5e-6, density=1850.0),
+                  TrapState(resonant_frequency=100.0, damping_rate=1.0, temperature=300.0),
+                  SimulationConfig(time_step=1e-4, duration=100.0, rng_seed=1,
+                                   bath_temperature=300.0, feedback_gain=9.0)),
+    "paper": (Sphere(radius=5e-6, density=1850.0),
+              TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=300.0),
+              SimulationConfig(time_step=4e-4, duration=1e6, rng_seed=1,
+                               bath_temperature=300.0)),
+    "overdamped": (SPHERE, TrapState(resonant_frequency=10.0, damping_rate=1.0, temperature=300.0),
+                   SimulationConfig(time_step=1e-3, duration=100.0, rng_seed=1,
+                                    bath_temperature=300.0, feedback_gain=999.0)),
+    "near-critical": (SPHERE, NEAR_CRITICAL[0],
+                      replace(NEAR_CRITICAL[1], feedback_gain=_critical_gain(*NEAR_CRITICAL))),
+    "coarsest step": (SPHERE, TRAP, replace(CONFIG, time_step=0.999 / (20.0 * 100.0))),
+}
+
+
+@pytest.mark.parametrize("sphere, trap, config", STATIONARY_TRAPS.values(),
+                         ids=STATIONARY_TRAPS.keys())
+def test_closed_form_variance_is_the_noise_filters(sphere, trap, config):
+    """The energy-growth check's kB T_eff / (m w0^2) is the stationary variance
+    of the noise filter driven by the OU kicks within 1e-4, from the discrete
+    Lyapunov equation of its state-space form: BAOAB samples a harmonic
+    trap's positions exactly at any stable step."""
+    from scipy import linalg, signal
+
+    model = dynamics._LinearTrap(sphere, trap, config)
+    num, den = model._noise_filter
+    assert num[0] == 0.0                 # stripped here, or tf2ss warns of it
+    a, b, c, d = signal.tf2ss(num[1:], den)
+    state = linalg.solve_discrete_lyapunov(a, b @ b.T)
+    reference = float((c @ state @ c.T + d @ d.T)[0, 0]) * model._kick_std**2
+    assert model._noise_variance == pytest.approx(reference, rel=1e-4, abs=0.0)
+
+
+def test_energy_growth_check_is_ten_times_the_stationary_rms():
+    """The check raises once the last block's RMS is over 10 times the
+    stationary RMS: at 101 times the variance, not at 99 times."""
+    variance = 3.7e-17
+    dynamics._check_energy_growth(99.0 * variance, variance)
+    with pytest.raises(dynamics.IntegrationError, match="energy growth detected"):
+        dynamics._check_energy_growth(101.0 * variance, variance)
 
 
 @pytest.mark.parametrize("decimation", [1, 7])
