@@ -39,7 +39,7 @@ from .limits import (
     neutrality_sensitivity,
 )
 from .config import ConfigError, load_config
-from .writer import json_text, write_csv, write_json, write_series
+from .writer import dump_json, write_csv, write_json, write_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -199,12 +199,10 @@ def cmd_exclusion(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     if case == "isl":
-        if cfg.geometry is None:
-            raise ConfigError("exclusion isl: config needs a geometry section")
+        cfg.require("geometry")
         curve = isl_projection(plan, _grid(p, "lambda_min", "lambda_max"))
     elif case == "coulomb":
-        if cfg.capacitor is None:
-            raise ConfigError("exclusion coulomb: config needs a capacitor section")
+        cfg.require("capacitor")
         curve = coulomb_projection(
             plan, _grid(p, "lambda_min", "lambda_max"), cfg.capacitor,
             polarizing_field=p.get("polarizing_field", 0.0))
@@ -239,7 +237,7 @@ def cmd_normalize_config(args) -> int:
         write_json(args.output, doc)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(json_text(doc))
+        dump_json(doc, sys.stdout)
     return EXIT_OK
 
 

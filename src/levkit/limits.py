@@ -38,14 +38,9 @@ from .sensor import (
 )
 from .newforces import (
     CouplingKind,
-    FingerArray,
-    FluidCapillary,
-    PlaneSlab,
     YukawaCoupling,
     capacitor_leakage_field,
-    check_source_reach,
-    yukawa_force_modulated,
-    yukawa_force_plane,
+    isl_signal_forces,
 )
 from .writer import write_csv
 
@@ -122,7 +117,7 @@ class SearchPlan:
     trap: TrapState
     noise: NoiseModel
     integration_time: float                 # s
-    geometry: object = None                 # AttractorGeometry for force-law cases
+    geometry: object = None                 # ISL: newforces' slab, finger array or capillary
     significance: float = 1.0               # sigma; 1 = background-free convention
     array_size: int = 1
     exposure_sphere_days: float = 0.0       # per sphere; total = this * array_size
@@ -210,16 +205,6 @@ def log_grid(start: float, stop: float, points_per_decade: int = 60) -> np.ndarr
     return np.logspace(math.log10(start), math.log10(stop), n)
 
 
-def _signal_force(plan: SearchPlan, lam: float) -> float:
-    coupling = YukawaCoupling(CouplingKind.ISL_ALPHA, 1.0, lam)
-    geom = plan.geometry
-    if isinstance(geom, PlaneSlab):
-        return yukawa_force_plane(plan.sphere, coupling, geom).value
-    if isinstance(geom, (FingerArray, FluidCapillary)):
-        return yukawa_force_modulated(plan.sphere, coupling, geom, harmonic=1).value
-    raise DomainError("ISL projection needs an attractor geometry in the plan")
-
-
 def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
            secondary=None) -> ExclusionCurve:
     """The curve through the kept points in increasing abscissa.
@@ -250,8 +235,7 @@ def _curve(kind: str, label: str, abscissa, coupling, kept, omitted: str,
 
 def isl_projection(plan: SearchPlan, lambdas: Sequence[float]) -> ExclusionCurve:
     """Minimum detectable Yukawa alpha vs range for the plan's attractor."""
-    check_source_reach(plan.geometry, lambdas)
-    signal = np.array([_signal_force(plan, lam) for lam in lambdas])
+    signal = isl_signal_forces(plan.sphere, plan.geometry, lambdas)
     kept = signal > 0.0
     return _curve("lambda_m", "alpha_min", lambdas,
                   plan.min_force() / np.where(kept, signal, np.inf), kept,

@@ -254,22 +254,6 @@ def source_reach(distance: float, lam: float) -> float:
     return reach
 
 
-def check_source_reach(geom, lambdas: Sequence[float]):
-    """``source_reach`` of a modulated geometry at the ends of the range grid
-    ``lambdas``, for a check before any kernel runs; a plane slab has none.
-    The reach grows with the range, so where it overflows at the smallest
-    the error names geometry.distance, and where only at the largest, the
-    grid's end, plan.lambda_max."""
-    if not isinstance(geom, (FingerArray, FluidCapillary)) or not len(lambdas):
-        return
-    source_reach(geom.distance, min(lambdas))
-    try:
-        source_reach(geom.distance, max(lambdas))
-    except DomainError:
-        raise DomainError(f"plan.lambda_max {float(max(lambdas))!r} m: the square of the "
-                          f"e^-45 reach geometry.distance + 45 lambda overflows") from None
-
-
 def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts: np.ndarray):
     """Lateral nodes, Gauss weights and embedded weights (``_legendre_rule``),
     in strip, panel and node order.
@@ -416,6 +400,32 @@ def yukawa_force_modulated(
             error_estimate=err,
         )
     return Quantity(amp_fine, Dimension.FORCE)
+
+
+def isl_signal_forces(sphere: Sphere, geometry, lambdas: Sequence[float]) -> np.ndarray:
+    """Harmonic-1 Yukawa force per unit alpha at each range of ``lambdas``:
+    ``yukawa_force_plane`` of a plane slab, ``yukawa_force_modulated`` of a
+    finger array or a fluid capillary, and a DomainError for anything else.
+
+    No kernel runs unless a modulated source's ``source_reach`` holds at the
+    grid's ends: the reach grows with the range, so where it overflows at the
+    smallest the error names geometry.distance, and where only at the largest,
+    the grid's end, plan.lambda_max.
+    """
+    force = yukawa_force_modulated
+    if isinstance(geometry, PlaneSlab):
+        force = yukawa_force_plane
+    elif not isinstance(geometry, (FingerArray, FluidCapillary)):
+        raise DomainError("ISL projection needs an attractor geometry in the plan")
+    elif len(lambdas):
+        source_reach(geometry.distance, min(lambdas))
+        try:
+            source_reach(geometry.distance, max(lambdas))
+        except DomainError:
+            raise DomainError(f"plan.lambda_max {float(max(lambdas))!r} m: the square of the "
+                              f"e^-45 reach geometry.distance + 45 lambda overflows") from None
+    return np.array([force(sphere, YukawaCoupling(CouplingKind.ISL_ALPHA, 1.0, lam),
+                           geometry).value for lam in lambdas])
 
 
 def capacitor_leakage_field(

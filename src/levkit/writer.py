@@ -18,12 +18,14 @@ temp file as the bytes it returns.  The block, the formatter's scratch and
 the block's bytes take about 175 B per cell, 0.34 MiB for two columns as
 tracemalloc counts it, whatever the row count and however the rows are
 chunked.  ``write_series`` writes a sampled series that way from chunks of
-samples alone, making each piece's times as it goes.
+samples alone, making each piece's times as it goes.  A JSON document is
+streamed into its temp file as the encoder makes it, with no copy of its text.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import tempfile
@@ -126,11 +128,14 @@ def write_series(path, header: Iterable[Tuple[str, object]], columns: Sequence[s
     write_csv(path, header, columns, rows())
 
 
-def json_text(doc: dict) -> str:
-    """Indented JSON with sorted keys and a final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def dump_json(doc: dict, text):
+    """Indented JSON with sorted keys and a final newline, streamed to ``text``."""
+    json.dump(doc, text, indent=2, sort_keys=True)
+    text.write("\n")
 
 
 def write_json(path, doc: dict):
     with atomic_open(path) as fh:
-        fh.write(json_text(doc).encode())
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="\n")
+        dump_json(doc, text)
+        text.detach()   # flushes; ``atomic_open`` closes the handle

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -171,11 +172,52 @@ def test_exclusion_isl_curve_files(tmp_path):
     assert "# schema = levkit-curve/2" in csv_text
 
 
-def test_exclusion_isl_without_geometry_is_config_error(tmp_path, capsys):
-    doc = base_doc(tmp_path / "out")
-    doc["plan"] = {"integration_time": "1e6 s", "lambda_min": "1 um",
-                   "lambda_max": "100 um"}
-    assert main(["exclusion", "isl", write_config(tmp_path, doc)]) == EXIT_CONFIG
+def _every_input_doc(outdir):
+    """A config with every section and plan key that any exclusion case reads,
+    whose one noise contribution is the technical level."""
+    doc = base_doc(outdir)
+    doc["sphere"]["net_charge"] = 1000
+    doc["noise"]["include_thermal"] = False
+    doc["geometry"] = {"type": "plane_slab", "thickness": "20 um",
+                       "density_contrast": "19300 kg/m^3", "distance": "6 um"}
+    doc["capacitor"] = {"voltage": "10 kV", "plate_spacing": "1 mm", "standoff": "100 um"}
+    doc["plan"] = {"integration_time": "1e5 s", "exposure_sphere_days": "1 days",
+                   "q_min": "5e-19 kg*m/s", "dm_mass_min": "1 TeV", "dm_mass_max": "10 TeV",
+                   "drive_field": "1 kV/mm", "lambda_min": "10 um", "lambda_max": "10 mm",
+                   "points_per_decade": 2}
+    return doc
+
+
+@pytest.mark.parametrize("command, section, key, message", [
+    ("exclusion isl", "geometry", None, "this command needs the 'geometry' config section"),
+    ("exclusion coulomb", "capacitor", None,
+     "this command needs the 'capacitor' config section"),
+    ("exclusion dm", "plan", "q_min", "exclusion dm: plan.q_min is required"),
+    ("exclusion millicharge", "plan", "drive_field",
+     "exclusion millicharge: plan.drive_field is required"),
+    ("exclusion neutrality", "plan", "drive_field",
+     "exclusion neutrality: plan.drive_field is required"),
+    ("exclusion isl", "plan", "lambda_max",
+     "plan: lambda_min and lambda_max are required for this case"),
+    ("noise-budget", "noise", "technical_force_asd",
+     "noise: at least one contribution must be enabled"),
+], ids=["isl-geometry", "coulomb-capacitor", "dm-q-min", "millicharge-drive-field",
+        "neutrality-drive-field", "isl-lambda-max", "noise-budget-no-contribution"])
+def test_missing_input_exits_naming_it(tmp_path, capsys, command, section, key, message):
+    """A command whose section or key is missing: exit 2 with one line naming
+    it, and no file or directory written.  With it, the same config runs."""
+    doc = _every_input_doc(tmp_path / "whole")
+    assert main([*command.split(), write_config(tmp_path, doc, "whole.json")]) == EXIT_OK
+    doc["output"]["directory"] = str(tmp_path / "out")
+    if key is None:
+        del doc[section]
+    else:
+        del doc[section][key]
+    cfg = write_config(tmp_path, doc)
+    capsys.readouterr()
+    assert main([*command.split(), cfg]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "whole", "whole.json"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -622,6 +664,47 @@ def test_regen_figures_finger_isl_curve_matches_all_phase_kernel(regen_figures):
               if not line.startswith("#")]
     reference = [float.fromhex(h) for h in FINGER_ISL_ALPHA_HEX_ALL_PHASES]
     np.testing.assert_allclose(alphas, reference, rtol=1e-13, atol=0.0)
+
+
+# sha256 of each other regen-figures output's numbers, as numpy 2.4.6 and
+# scipy 1.17.1 compute them: a CSV's rows (its lines not opening with "#") and
+# a JSON file's sorted-key text without its provenance keys.
+FIGURES_SHA256 = {
+    "noise_budget_10um/noise_budget.csv":
+        "5f5861d5980d918471e0f59a2d4883b1967399c6d87736dfd9df86551256ab1b",
+    "coulomb_charged_20um/exclusion_coulomb.csv":
+        "545d394ef9861e6d0d70a85425e0fafc45bb7973476eef93c1c750cbdc7a0b39",
+    "dm_recoil_10um/exclusion_dm.csv":
+        "e1fda1b63c6b6fcc6d362638ff1de184642f0565e1c6a3e4223dc57d659c0b0a",
+    "axion_lines.csv":
+        "75045ac7b5b2ba7b392691a45e10896a67a205567838d2651c91685c3d1b7b7e",
+    "isl_finger_20um/exclusion_isl.json":
+        "364e4174043a3341ccec43d993b26733aa7b1ce17f52d762315521eb30a7c519",
+    "coulomb_charged_20um/exclusion_coulomb.json":
+        "6431d8fcfb3f555ae48b5389f1658537aafefda5ce9f800a2b2be6e473e2056e",
+    "millicharge_10um/exclusion_millicharge.json":
+        "bd9f26d31c2ae71c04f7c5d9891a67c98a1afbb33de23377ac6585741a0ae656",
+    "dm_recoil_10um/exclusion_dm.json":
+        "a457009aa3e1037f0874ffac2411508d1552c78de2c113e1e73c3827285d4ad4",
+}
+_PROVENANCE_KEYS = ("levkit_version", "command", "levkit_threads", "config")
+
+
+def _numbers_sha256(path):
+    text = path.read_text()
+    if path.suffix == ".csv":
+        body = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("#"))
+    else:
+        doc = {k: v for k, v in json.loads(text).items() if k not in _PROVENANCE_KEYS}
+        body = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_regen_figures_numbers_golden(regen_figures):
+    """Any change that moves a number of a shipped figure fails here."""
+    assert {name: _numbers_sha256(regen_figures[0] / name)
+            for name in FIGURES_SHA256} == FIGURES_SHA256
 
 
 def test_missing_scipy_extension_is_runtime_exit(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -25,7 +26,7 @@ from levkit.limits import (
     neutrality_sensitivity,
 )
 from levkit.oracles import mc_dm_rate
-from levkit.writer import json_text
+from levkit.writer import dump_json
 
 SPHERE = Sphere(radius=5e-6)
 TRAP = TrapState(resonant_frequency=100.0, damping_rate=0.01, temperature=300.0)
@@ -73,7 +74,9 @@ def test_exclusion_curve_validation():
 def test_exclusion_curve_json_round_trip():
     curve = ExclusionCurve("lambda_m", np.array([1e-6, 1e-5]), np.array([1e-3, 1e-4]),
                            coupling_label="alpha_min", warnings=("note",))
-    back = json.loads(json_text(curve.to_json_dict()))
+    text = io.StringIO()
+    dump_json(curve.to_json_dict(), text)
+    back = json.loads(text.getvalue())
     assert back["schema"] == CURVE_SCHEMA
     assert np.array_equal(back["abscissa"], curve.abscissa)
     assert np.array_equal(back["coupling"], curve.coupling)

@@ -443,6 +443,19 @@ def test_modulated_rejects_unsupported_geometry():
         yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), slab)
 
 
+def test_isl_signal_forces_are_each_sources_own_force():
+    """The one ISL entry gives the plane slab's closed form and the modulated
+    sources' first harmonic, bit for bit, and rejects a missing geometry."""
+    sphere = Sphere(radius=2.5e-6)
+    slab = PlaneSlab(thickness=20e-6, density_contrast=19300.0, distance=6e-6)
+    lams = [2e-6, 30e-6]
+    for geom, force in ((slab, yukawa_force_plane), (FINGERS, yukawa_force_modulated)):
+        assert newforces.isl_signal_forces(sphere, geom, lams).tolist() == [
+            force(sphere, isl(lam), geom).value for lam in lams]
+    with pytest.raises(DomainError, match="^ISL projection needs an attractor geometry"):
+        newforces.isl_signal_forces(sphere, None, lams)
+
+
 def test_modulated_overlap_rejected():
     sphere = Sphere(radius=6e-6)
     with pytest.raises(GeometryError):

@@ -17,6 +17,9 @@ read the name and must lie outside the class.
 Every name a package module imports, ``oracles.py`` included, must be read
 in that module.  ``from __future__`` imports and the relative re-exports of
 ``levkit/__init__.py`` are exempt.
+
+Only ``newforces.py`` (and ``oracles.py``) may check with ``isinstance``
+whether a geometry is a plane slab, finger array or fluid capillary.
 """
 
 import ast
@@ -180,3 +183,26 @@ def unread_imports():
 
 def test_every_imported_name_is_read():
     assert unread_imports() == [], "imported but never read"
+
+
+# newforces.isl_signal_forces alone decides which attractor a plan holds.
+ATTRACTORS = {"PlaneSlab", "FingerArray", "FluidCapillary"}
+
+
+def attractor_type_checks():
+    """"module:line" of each ``isinstance`` naming an attractor class in a
+    package module other than ``newforces.py`` (``oracles.py`` excepted)."""
+    found = []
+    for path, tree in _modules().items():
+        if path.name == "newforces.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and set(_references(node.args[1])) & ATTRACTORS):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_newforces_checks_the_attractor_type():
+    assert attractor_type_checks() == [], "isinstance on an attractor outside newforces"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from levkit import writer
-from levkit.writer import write_csv, write_json, write_series
+from levkit.writer import dump_json, write_csv, write_json, write_series
 
 
 def test_csv_layout(tmp_path):
@@ -44,9 +45,35 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path):
 
 
 def test_json_layout(tmp_path):
+    """The file's text, and the same text streamed to a text stream."""
     path = tmp_path / "d.json"
     write_json(path, {"b": [1, 2], "a": 0.5})
     assert path.read_text() == json.dumps({"a": 0.5, "b": [1, 2]}, indent=2) + "\n"
+    stream = io.StringIO()
+    dump_json({"b": [1, 2], "a": 0.5}, stream)
+    assert stream.getvalue() == path.read_text()
+
+
+def test_json_is_streamed_not_held(tmp_path):
+    """The file is the indented text ``json.dumps`` makes, and writing a
+    search's detections document of 4990 events holds no copy of it: under
+    1 MiB of tracemalloc peak for a file of about 0.8 MB."""
+    import tracemalloc
+
+    doc = {"threshold_kg_m_s": 1.3073762855892718e-16, "events": [
+        {"time_s": 0.1 + 0.2 * k, "injected_momentum_kg_m_s": 8e-16 * (1 - 2 * (k % 2)),
+         "filter_amplitude_kg_m_s": 7.891074510024991e-16 + k * 1e-20, "detected": True}
+        for k in range(4990)]}
+    path = tmp_path / "d.json"
+    tracemalloc.start()
+    try:
+        write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == text and len(text) > 8 * 10**5
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
