@@ -13,7 +13,6 @@ Sign convention: all forces are returned as magnitudes of the new-force
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -204,18 +203,40 @@ def sphere_form_factor(x) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-@functools.cache
+# The 16-node Gauss-Legendre rule on [-1, 1] and its embedded 8-node rule, as
+# repr literals: exactly the doubles that ``_legendre_rule`` documents.
+_GAUSS_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GAUSS_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
+_EMBEDDED_WEIGHTS = np.array([
+    0.0468161112221383, 0.0, 0.19588589325667888, 0.0,
+    0.2935756467594003, 0.0, 0.3714276120758066, 0.0,
+    0.37189228630543153, 0.0, 0.3461928917748294, 0.0,
+    0.24048120137171036, 0.0, 0.13372835723400464, 0.0])
+_GAUSS_NODES.flags.writeable = _GAUSS_WEIGHTS.flags.writeable = False
+_EMBEDDED_WEIGHTS.flags.writeable = False
+
+
 def _legendre_rule():
     """The 16-node Gauss-Legendre rule on [-1, 1] and the embedded rule that
     estimates its error, as in J. Berntsen and T. O. Espelid, ACM TOMS 17, 233
     (1991): the interpolatory rule on the 8 even-index nodes, exact to degree
-    7 with all weights positive, and zero weight on the others."""
-    x, w = np.polynomial.legendre.leggauss(16)
-    embedded = np.zeros(16)
-    embedded[::2] = np.linalg.solve(np.polynomial.legendre.legvander(x[::2], 7).T,
-                                    np.eye(8)[0] * 2.0)
-    x.flags.writeable = w.flags.writeable = embedded.flags.writeable = False
-    return x, w, embedded
+    7 with all weights positive, and zero weight on the others.
+
+    The three read-only arrays are constants, so that no run loads
+    ``numpy.polynomial`` or ``numpy.linalg`` to derive them.  They are exactly
+    the doubles of numpy 2.4.6's ``leggauss(16)`` and of the ``np.linalg.solve``
+    of the 8 even nodes' ``legvander(x, 7).T`` against (2, 0, ..., 0);
+    ``test_legendre_rule_is_the_derived_rule`` in tests/test_newforces.py
+    derives them again and compares every bit."""
+    return _GAUSS_NODES, _GAUSS_WEIGHTS, _EMBEDDED_WEIGHTS
 
 
 def yukawa_force_plane(sphere: Sphere, coupling: YukawaCoupling, slab: PlaneSlab) -> Quantity:
@@ -304,8 +325,20 @@ def _finger_point_force(geom: FingerArray, lam: float, shifts: np.ndarray):
     x_nodes, x_weights, embedded = _strip_nodes(geom.finger_width, geom.n_finger_pairs,
                                                 d, lam, shifts)
     z_top = d + min(geom.finger_depth, _RANGE_CUTOFF * lam)
-    dx2 = (x_nodes[None, :] + shifts[:, None]) ** 2
-    kern = 2.0 * (k0(np.sqrt(dx2 + d**2) / lam) - k0(np.sqrt(dx2 + z_top**2) / lam))
+    # 2 (K0(sqrt(dx^2 + d^2)/lam) - K0(sqrt(dx^2 + z_top^2)/lam)) in two
+    # (shifts x nodes) arrays, each step in place and in the formula's order.
+    kern = np.add(x_nodes[None, :], shifts[:, None])
+    np.square(kern, out=kern)
+    far = np.add(kern, z_top**2)
+    np.sqrt(far, out=far)
+    far /= lam
+    k0(far, out=far)
+    kern += d**2
+    np.sqrt(kern, out=kern)
+    kern /= lam
+    k0(kern, out=kern)
+    kern -= far
+    kern *= 2.0
     return kern @ x_weights, kern @ embedded
 
 
@@ -318,9 +351,24 @@ def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray)
     d = geom.distance
     x_nodes, x_weights, embedded = _strip_nodes(geom.droplet_length, geom.n_droplet_pairs,
                                                 d, lam, shifts)
-    dx = x_nodes[None, :] + shifts[:, None]
-    r = np.sqrt(dx**2 + d**2)
-    kern = geom.cross_section * (d / r) * (1.0 / r**2 + 1.0 / (lam * r)) * np.exp(-r / lam)
+    # cross_section (d/r) (1/r^2 + 1/(lam r)) e^(-r/lam) in three (shifts x
+    # nodes) arrays, each step in place and the products in this order.
+    r = np.add(x_nodes[None, :], shifts[:, None])
+    np.square(r, out=r)
+    r += d**2
+    np.sqrt(r, out=r)
+    radial = np.square(r)
+    np.divide(1.0, radial, out=radial)
+    kern = np.multiply(lam, r)
+    np.divide(1.0, kern, out=kern)
+    radial += kern
+    np.divide(d, r, out=kern)
+    kern *= geom.cross_section
+    kern *= radial
+    np.negative(r, out=r)
+    r /= lam
+    np.exp(r, out=r)
+    kern *= r
     return kern @ x_weights, kern @ embedded
 
 

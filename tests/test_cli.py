@@ -595,17 +595,20 @@ def test_exclusion_dm_leaves_scipy_special_unloaded(tmp_path):
 @pytest.fixture(scope="module")
 def regen_figures(tmp_path_factory):
     """One ``regen-figures`` run in a fresh process: its output directory and
-    the ``scipy*`` modules the process had loaded at the end."""
+    the ``scipy*`` and ``numpy.polynomial*`` modules the process had loaded at
+    the end."""
     out = tmp_path_factory.mktemp("figures")
     code = ("import sys; from levkit.cli import main; "
             f"assert main(['regen-figures', '-o', {str(out)!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'numpy.polynomial'))))")
     return out, run_python(code).splitlines()[-1]
 
 
 def test_regen_figures_leaves_scipy_unloaded(regen_figures):
     """The finger kernel's k0 is loaded from its extension file: neither
-    scipy.special nor any other scipy module is imported."""
+    scipy.special nor any other scipy module is imported.  Its quadrature
+    rule is constants: numpy.polynomial is not imported either."""
     assert regen_figures[1] == "[]"
 
 

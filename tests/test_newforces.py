@@ -340,6 +340,40 @@ def test_embedded_rule_is_positive_and_exact_to_degree_seven():
         assert (abs(embedded @ x**k - exact) < 1e-14) == (k <= 7), k
 
 
+def test_legendre_rule_is_the_derived_rule():
+    """The rule's constants are, bit for bit, numpy's 16-node Gauss-Legendre
+    rule and the embedded weights solved from the Vandermonde matrix of its 8
+    even-index nodes, and no caller can write to them."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    embedded = np.zeros(16)
+    embedded[::2] = np.linalg.solve(np.polynomial.legendre.legvander(x[::2], 7).T,
+                                    np.eye(8)[0] * 2.0)
+    rule = newforces._legendre_rule()
+    for constant, derived in zip(rule, (x, w, embedded)):
+        assert [v.hex() for v in constant.tolist()] == [v.hex() for v in derived.tolist()]
+        assert not constant.flags.writeable
+
+
+def test_finger_kernel_holds_two_shift_by_node_arrays():
+    """At the shipped finger curve's largest lambda, where its (shifts x nodes)
+    array is largest, the kernel's traced peak is at most two such arrays and
+    128 KiB for the nodes and weights.  numpy reports its buffers to tracemalloc."""
+    import tracemalloc
+    cfg = load_config(_config_dir() / "isl_finger_20um.json")
+    lam = cfg.plan_section["lambda_max"]
+    _, shifts, _ = newforces._point_kernel(cfg.sphere, cfg.geometry, 64)
+    nodes = newforces._strip_nodes(cfg.geometry.finger_width, cfg.geometry.n_finger_pairs,
+                                   cfg.geometry.distance, lam, shifts)[0]
+    newforces._finger_point_force(cfg.geometry, lam, shifts)    # loads k0 untraced
+    tracemalloc.start()
+    try:
+        newforces._finger_point_force(cfg.geometry, lam, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * shifts.size * nodes.size * 8 + 128 * 1024, (peak, shifts.size, nodes.size)
+
+
 def _relative_error_estimate(sphere, coupling, geom, fine, other):
     """``yukawa_force_modulated``'s estimate, at harmonic 1, of the waveform
     ``fine`` by its difference from ``other``."""
