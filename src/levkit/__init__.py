@@ -19,6 +19,7 @@ if _others:
     LEVKIT_THREADS = f"{LEVKIT_THREADS} ({_others})"
 
 from .quantities import (  # noqa: F401
+    ComputeError,
     Dimension,
     DimensionError,
     DomainError,

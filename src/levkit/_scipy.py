@@ -20,8 +20,10 @@ import importlib.machinery
 import importlib.util
 import os
 
+from .quantities import ComputeError
 
-class ExtensionNotFoundError(RuntimeError):
+
+class ExtensionNotFoundError(ComputeError):
     """The installed scipy has no extension file where levkit looks for it."""
 
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration error or missing file, 3 runtime,
-numerical, other I/O or out-of-memory error.
+numerical, other I/O or out-of-memory error.  The code follows the error's
+base class: a ``DomainError`` (``ConfigError`` and ``GeometryError`` among
+them) or ``DimensionError`` gives 2, a ``ComputeError`` gives 3.
 All file outputs go through ``levkit.writer`` (temp file + rename) and carry
 the provenance of ``_provenance``: code version, command, thread budget and,
 for config-driven outputs, the normalized config.  Rerunning an identical
@@ -17,18 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import LEVKIT_THREADS, __version__
-from ._scipy import ExtensionNotFoundError
-from .quantities import DomainError, DimensionError, K_B, Quantity, Dimension
+from .quantities import (ComputeError, DomainError, DimensionError, K_B, Quantity,
+                         Dimension)
 from .sensor import acceleration_asd_ng
-from .dynamics import (
-    IntegrationError,
-    Run,
-    RunningVariance,
-    ThresholdEstimateError,
-    Welch,
-    total_damping,
-)
-from .newforces import GeometryError, QuadratureError
+from .dynamics import Run, RunningVariance, Welch, total_damping
 from .limits import (
     axion_gw_line,
     coulomb_projection,
@@ -44,10 +38,6 @@ from .writer import dump_json, write_csv, write_json, write_series
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_CONFIG_ERRORS = (ConfigError, DomainError, DimensionError, GeometryError)
-_RUNTIME_ERRORS = (IntegrationError, ThresholdEstimateError, QuadratureError,
-                   ExtensionNotFoundError, OSError, MemoryError)
 
 _TRAJECTORY_COLUMNS = ("time_s", "displacement_m")
 
@@ -323,10 +313,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _CONFIG_ERRORS as exc:
+    except (DomainError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _RUNTIME_ERRORS as exc:
+    except (ComputeError, OSError, MemoryError) as exc:
         print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 

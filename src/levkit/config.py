@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
-from .quantities import Dimension
+from .quantities import Dimension, DomainError
 from .sensor import NoiseModel, Sphere, TrapState, sql_force_asd, thermal_force_asd
 from .dynamics import ImpulseEvent, SimulationConfig
 from .newforces import FingerArray, FluidCapillary, PlaneSlab
@@ -28,7 +28,7 @@ from .limits import Capacitor, HaloModel, SearchPlan
 CONFIG_SCHEMA = "levkit-config/1"
 
 
-class ConfigError(ValueError):
+class ConfigError(DomainError):
     """Config parse/validation failure; message carries the full key path."""
 
 

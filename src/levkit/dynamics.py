@@ -68,15 +68,15 @@ import numpy as np
 # loaded from its file, with no scipy package imported (see ``_linear_filter``).
 
 from . import _scipy
-from .quantities import Dimension, DomainError, K_B, Quantity
+from .quantities import ComputeError, Dimension, DomainError, K_B, Quantity
 from .sensor import Sphere, TrapState
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ComputeError):
     """Integrator produced an unstable or runaway trajectory."""
 
 
-class ThresholdEstimateError(RuntimeError):
+class ThresholdEstimateError(ComputeError):
     """Matched-filter noise distribution is not converged."""
 
 

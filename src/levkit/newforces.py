@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _scipy
 from .quantities import (
+    ComputeError,
     Dimension,
     DomainError,
     G_NEWTON,
@@ -41,11 +42,11 @@ DENSITY_POLYTUNGSTATE = 3000.0
 DENSITY_MINERAL_OIL = 800.0
 
 
-class GeometryError(ValueError):
+class GeometryError(DomainError):
     """Overlapping or otherwise impossible source geometry."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ComputeError):
     """Quadrature failed to converge; carries the error estimate."""
 
     def __init__(self, message: str, error_estimate: float):

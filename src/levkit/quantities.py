@@ -22,6 +22,10 @@ class DomainError(ValueError):
     """Physically invalid argument (non-positive mass, zero gap, ...)."""
 
 
+class ComputeError(RuntimeError):
+    """A computation that could not finish (exit 3)."""
+
+
 class Dimension(enum.Enum):
     MASS = "mass"
     LENGTH = "length"

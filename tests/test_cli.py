@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import levkit
-from levkit import _scipy, config
+from levkit import _scipy, cli, config
 from levkit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _config_dir, main
 
 
@@ -724,6 +726,54 @@ def test_missing_scipy_extension_is_runtime_exit(tmp_path, capsys, monkeypatch):
         "runtime error: scipy extension special._no_such_extension not found in ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def levkit_error_classes():
+    """Every exception class that a ``levkit`` module defines, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(levkit.__path__):
+        module = importlib.import_module(f"levkit.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__.partition(".")[0] == "levkit"):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+LEVKIT_ERRORS = levkit_error_classes()
+# The levkit.quantities base classes whose subclasses ``main`` maps to an exit code.
+EXIT_BASES = {"DomainError": EXIT_CONFIG, "DimensionError": EXIT_CONFIG,
+              "ComputeError": EXIT_RUNTIME}
+
+
+def exit_base(cls):
+    """The name of the exit base class ``cls`` derives from, or None."""
+    return next((base.__name__ for base in cls.__mro__
+                 if base.__module__ == "levkit.quantities" and base.__name__ in EXIT_BASES),
+                None)
+
+
+def test_every_levkit_error_derives_from_an_exit_base():
+    """A new error class reaches the user as a one-line exit 2 or 3, not a
+    traceback, with no edit to ``cli.main``."""
+    assert [name for name, cls in LEVKIT_ERRORS.items() if exit_base(cls) is None] == []
+
+
+@pytest.mark.parametrize("name", sorted(LEVKIT_ERRORS))
+def test_levkit_error_exit_follows_its_base(name, capsys, monkeypatch):
+    """A command raising the class exits 2 or 3 as its base says, with one
+    stderr line and no traceback."""
+    cls = LEVKIT_ERRORS[name]
+    args = ("boom", 1e-3) if cls.__name__ == "QuadratureError" else ("boom",)
+
+    def fail(_args):
+        raise cls(*args)
+
+    monkeypatch.setattr(cli, "cmd_axion", fail)
+    code = EXIT_BASES[exit_base(cls)]
+    assert main(["axion", "1e16"]) == code
+    prefix = "config error" if code == EXIT_CONFIG else "runtime error"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def impulse_doc(outdir, decimation=1, duration="20 s"):
