@@ -1,11 +1,11 @@
 """scipy's compiled extension modules, loaded from their files.
 
-levkit needs two compiled kernels of scipy: ``k0`` of
-``scipy.special._special_ufuncs`` and ``_linear_filter`` of
+levkit needs compiled kernels of two scipy extensions: ``k0`` and ``k1``
+of ``scipy.special._special_ufuncs`` and ``_linear_filter`` of
 ``scipy.signal._sigtools``.  Importing them through their packages runs
 ``scipy/__init__`` and the subpackage's ``__init__``, which load tens
-(``scipy.special``) to hundreds (``scipy.signal``) of modules for one
-function each.  ``extension`` instead finds the ``scipy`` directory without
+(``scipy.special``) to hundreds (``scipy.signal``) of modules for one or
+two functions each.  ``extension`` instead finds the ``scipy`` directory without
 importing it and executes the one extension file: with scipy 1.17 on a
 2-core x86-64 VM both extensions load in about 3 ms and 1.2 MB, against
 0.26-0.30 s for ``from scipy.special import k0``, and no ``scipy*`` module

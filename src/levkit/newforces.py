@@ -6,6 +6,17 @@ external source equals the point-mass interaction evaluated at the sphere
 center multiplied by the form factor Phi(R/lambda).  The brute-force
 volume-quadrature oracles in :mod:`levkit.oracles` validate that chain.
 
+A finger array's or a capillary's point force is a sum over its dense
+strips, cut where the Yukawa suppression passes e^-45.  Where that window,
+widened by the largest drive shift, lies inside the finite pattern, the
+finite and the infinite pattern differ only beyond the cut, and the force
+is the infinite pattern's Fourier series in closed form: each kernel solves
+the modified Helmholtz equation, so its transform along the pattern is
+elementary (finger) or one K1 (capillary).  Its error estimate is the last
+term's share of the amplitude.  Elsewhere the lateral integral is a strip
+quadrature, 16 Gauss-Legendre nodes per panel, whose error estimate is the
+difference from the rule embedded in those nodes.
+
 Sign convention: all forces are returned as magnitudes of the new-force
 (Yukawa-only) component, linear in the coupling strength.
 """
@@ -18,8 +29,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-# k0 is scipy's compiled kernel, loaded from its file by ``_scipy.extension``
-# on first use: ``scipy.special`` (66 scipy modules) is never imported.
+# k0 and k1 are scipy's compiled kernels, loaded from their file by
+# ``_scipy.extension`` on first use: ``scipy.special`` (66 scipy modules) is
+# never imported.
 
 from . import _scipy
 from .quantities import (
@@ -276,20 +288,25 @@ def source_reach(distance: float, lam: float) -> float:
     return reach
 
 
+def _lateral_cut(distance: float, lam: float, shifts: np.ndarray) -> float:
+    """x_cut: the lateral reach past which the e^-45 window drops the pattern,
+    where a point ``distance`` away is ``source_reach`` from the sphere
+    center, widened by the largest pattern shift."""
+    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
+    reach = source_reach(distance, lam)
+    return math.sqrt(reach ** 2 - distance**2) + s_max
+
+
 def _strip_nodes(width: float, n_pairs: int, distance: float, lam: float, shifts: np.ndarray):
     """Lateral nodes, Gauss weights and embedded weights (``_legendre_rule``),
     in strip, panel and node order.
 
     The dense strips are [2 k w, (2 k + 1) w] for -n_pairs <= k < n_pairs.
-    Each is cut to the lateral reach at which the distance from a point
-    ``distance`` away exceeds the e^-45 suppression radius, widened by the
-    largest pattern shift, and split into panels no wider than 5 lambda, all
-    at once by ``np.linspace``'s own arithmetic (edge j is j step + lo, the
-    last is hi).
+    Each is cut to [-x_cut, x_cut] (``_lateral_cut``) and split into panels
+    no wider than 5 lambda, all at once by ``np.linspace``'s own arithmetic
+    (edge j is j step + lo, the last is hi).
     """
-    s_max = float(np.max(np.abs(shifts))) if shifts.size else 0.0
-    reach = source_reach(distance, lam)
-    x_cut = math.sqrt(reach ** 2 - distance**2) + s_max
+    x_cut = _lateral_cut(distance, lam, shifts)
     x0 = 2.0 * np.arange(-n_pairs, n_pairs) * width
     lo, hi = np.maximum(x0, -x_cut), np.minimum(x0 + width, x_cut)
     lo, hi = lo[lo < hi], hi[lo < hi]
@@ -373,6 +390,79 @@ def _capillary_point_force(geom: FluidCapillary, lam: float, shifts: np.ndarray)
     return kern @ x_weights, kern @ embedded
 
 
+# The series stops at the first odd order whose transform is down by e^-90 on
+# the zeroth: d (kappa_n - 1/lambda) >= 90, twice the quadrature's window.
+_SERIES_CUTOFF = 2.0 * _RANGE_CUTOFF
+# Past this many odd orders (a pattern much wider than its distance) the
+# strip quadrature, whose cost follows the e^-45 window, is the cheaper path.
+_SERIES_MAX_ORDERS = 4096
+
+
+def _finger_transform(geom: FingerArray, lam: float, kappa: np.ndarray) -> np.ndarray:
+    """The cosine transform in x of ``_finger_point_force``'s kernel
+    2 [K0(sqrt(x^2 + d^2)/lambda) - K0(sqrt(x^2 + z_top^2)/lambda)]:
+    2 pi (e^(-d kappa) - e^(-z_top kappa)) / kappa.  K0(rho/lambda)/(2 pi) is
+    the 2-D Green's function of the modified Helmholtz equation, so the
+    transform of K0(sqrt(x^2 + z^2)/lambda) is pi e^(-z kappa) / kappa."""
+    depth = min(geom.finger_depth, _RANGE_CUTOFF * lam)
+    return 2.0 * math.pi * np.exp(-geom.distance * kappa) * -np.expm1(-depth * kappa) / kappa
+
+
+def _capillary_transform(geom: FluidCapillary, lam: float, kappa: np.ndarray) -> np.ndarray:
+    """The cosine transform in x of ``_capillary_point_force``'s kernel,
+    cross_section 2 kappa K1(d kappa): the kernel is -cross_section d/dd of
+    e^(-r/lambda)/r, 4 pi times the 3-D Green's function, whose transform is
+    2 K0(d kappa), and K0' = -K1."""
+    k1 = _scipy.extension("special", "_special_ufuncs").k1
+    return geom.cross_section * 2.0 * kappa * k1(geom.distance * kappa)
+
+
+def _series_orders(width: float, distance: float, lam: float):
+    """The odd orders 1, 3, ..., n of the series, up to the first with
+    d (kappa_n - 1/lambda) >= 90 at k_n = pi n / width, or None if that
+    takes more than ``_SERIES_MAX_ORDERS``.  The cut is where
+    k^2 = c^2 + 2 c / lambda with c = 90 / d."""
+    c = _SERIES_CUTOFF / distance
+    top = width / math.pi * c * math.sqrt(1.0 + 2.0 / (c * lam))   # k_max width / pi
+    if not top <= 2.0 * _SERIES_MAX_ORDERS - 1.0:
+        return None
+    return 2.0 * np.arange(max(0, math.ceil(0.5 * (top - 1.0))) + 1) + 1.0
+
+
+def _series_point_force(geom: ModulatedGeometry, lam: float, shifts: np.ndarray):
+    """The point force of the infinite pattern at each shift, and the same
+    series without its last term; None where the finite pattern is not
+    effectively infinite or the series takes more than ``_SERIES_MAX_ORDERS``.
+
+    The dense strips [2 j w, (2 j + 1) w] of the infinite pattern are
+    1/2 + sum over odd n of (2/(pi n)) sin(k_n x), k_n = pi n / w, so a kernel
+    with cosine transform G(k) (``_finger_transform``,
+    ``_capillary_transform``; kappa = sqrt(k^2 + lambda^-2)) gives
+
+        F(s) = G(0)/2 - sum over odd n of (2/(pi n)) G(k_n) sin(k_n s).
+
+    That is the quadrature's force where its e^-45 window lies inside the
+    finite pattern, x_cut <= (2 n_pairs - 1) w, the pattern's nearer end:
+    there the two patterns differ only beyond the cut the quadrature drops.
+    """
+    if isinstance(geom, FingerArray):
+        width, n_pairs, transform = geom.finger_width, geom.n_finger_pairs, _finger_transform
+    else:
+        width, n_pairs = geom.droplet_length, geom.n_droplet_pairs
+        transform = _capillary_transform
+    if _lateral_cut(geom.distance, lam, shifts) > (2 * n_pairs - 1) * width:
+        return None
+    orders = _series_orders(width, geom.distance, lam)
+    if orders is None:
+        return None
+    k = (math.pi / width) * orders
+    g = transform(geom, lam, np.hypot(np.concatenate(([0.0], k)), 1.0 / lam))
+    coeff = (2.0 / math.pi) * g[1:] / orders
+    sines = np.sin(np.multiply.outer(shifts, k))
+    partial = sines[:, :-1] @ coeff[:-1]
+    return 0.5 * g[0] - (partial + sines[:, -1] * coeff[-1]), 0.5 * g[0] - partial
+
+
 def _point_kernel(sphere: Sphere, geom, n_phase: int):
     """The point-force kernel of a modulated geometry, its distinct pattern
     shifts, and the index that expands them to the n_phase drive phases.
@@ -407,10 +497,8 @@ def _prefactor(sphere: Sphere, coupling: YukawaCoupling, geom: ModulatedGeometry
 
 
 def _harmonic_amplitude(samples: np.ndarray, harmonic: int) -> float:
-    spec = np.fft.rfft(samples)
-    if harmonic >= spec.size:
-        raise DomainError("harmonic beyond the phase-sampling Nyquist limit")
-    return 2.0 * abs(spec[harmonic]) / samples.size
+    """2 |X_h| / N: the amplitude of harmonic 0 < h < N/2 of N samples."""
+    return 2.0 * abs(np.fft.rfft(samples)[harmonic]) / samples.size
 
 
 def yukawa_force_modulated(
@@ -423,21 +511,34 @@ def yukawa_force_modulated(
     """Fourier amplitude of the Yukawa force at a harmonic of the drive.
 
     The force waveform over one drive period is evaluated at n_phase >= 64
-    phase samples by 16 Gauss nodes per panel; a relative error estimate above
-    1e-3 from the rule embedded in them raises QuadratureError.  A finger
-    array with even n_phase evaluates the kernel once per pair of phases
-    with equal shifts, k and (n/2 - k) mod n (``_point_kernel``).
+    phase samples, and 1 <= harmonic < n_phase / 2.  A finger array with even
+    n_phase evaluates the point force once per pair of phases with equal
+    shifts, k and (n/2 - k) mod n (``_point_kernel``).
+
+    Where the quadrature's e^-45 window, widened by the largest shift, lies
+    inside the finite pattern, the point force is the infinite pattern's
+    Fourier series (``_series_point_force``), and the error estimate is its
+    last term's share of the amplitude.  Elsewhere it is the strip quadrature
+    of 16 Gauss nodes per panel, and the estimate is the difference from the
+    rule embedded in them.  Either estimate above 1e-3 relative raises
+    QuadratureError.
     """
     _require_kind(coupling, CouplingKind.ISL_ALPHA)
     if harmonic < 1:
         raise DomainError("harmonic index must be >= 1")
+    if 2 * harmonic >= n_phase:
+        raise DomainError(f"harmonic {harmonic} at {n_phase} phase samples: "
+                          f"it must be below the Nyquist limit n_phase / 2 = {n_phase / 2:.15g}")
     if n_phase < 64:
         raise DomainError("need at least 64 phase samples")
     lam = coupling.range_m
     # First, for its form-factor limit: past it the kernel's panels are too many.
     prefactor = _prefactor(sphere, coupling, geom)
     kernel, shifts, index = _point_kernel(sphere, geom, n_phase)
-    fine, embedded = (values[index] for values in kernel(geom, lam, shifts))
+    values = _series_point_force(geom, lam, shifts)
+    if values is None:
+        values = kernel(geom, lam, shifts)
+    fine, embedded = (v[index] for v in values)
 
     amp_fine = prefactor * _harmonic_amplitude(fine, harmonic)
     amp_embedded = prefactor * _harmonic_amplitude(embedded, harmonic)

@@ -26,8 +26,11 @@ from levkit.sensor import (
     thermal_force_asd,
 )
 from levkit.dynamics import SimulationConfig, estimate_psd, fit_lorentzian, simulate
+from levkit import newforces
 from levkit.newforces import (
     CouplingKind,
+    FingerArray,
+    FluidCapillary,
     YukawaCoupling,
     capacitor_leakage_field,
     sphere_form_factor,
@@ -178,17 +181,38 @@ def test_criterion_06_langevin():
     assert report("06 langevin", ok, "; ".join(details) + f"; {runtime:.1f} s")
 
 
-def test_criterion_07_geometry_oracles():
+def test_criterion_07_geometry_oracles(monkeypatch):
     t0 = time.time()
     slab_cases, modulated_cases = geometry_regression_grid()
+    # The grid's first capillary again at lambda = 5 um, inside the window
+    # rule, so that a capillary's Fourier-series force meets its oracle too.
+    sphere, _, capillary = next(case for case in modulated_cases
+                                if isinstance(case[2], FluidCapillary))
+    modulated_cases = modulated_cases + [
+        (sphere, YukawaCoupling(CouplingKind.ISL_ALPHA, 1.0, 5e-6), capillary)]
     worst_slab = 0.0
     for sphere, coupling, slab in slab_cases:
         closed = yukawa_force_plane(sphere, coupling, slab).value
         oracle = slab_force_oracle(sphere, coupling, slab)
         worst_slab = max(worst_slab, abs(closed - oracle) / abs(oracle))
+    # Which path gave each modulated force: a quadrature kernel call or none.
+    quadrature_calls = []
+
+    def counted(kernel):
+        def spy(*args):
+            quadrature_calls.append(kernel.__name__)
+            return kernel(*args)
+        return spy
+
+    for name in ("_finger_point_force", "_capillary_point_force"):
+        monkeypatch.setattr(newforces, name, counted(getattr(newforces, name)))
+    paths = {"finger": [0, 0], "capillary": [0, 0]}     # [series, quadrature]
     worst_mod = 0.0
     for sphere, coupling, geom in modulated_cases:
+        calls = len(quadrature_calls)
         closed = yukawa_force_modulated(sphere, coupling, geom, harmonic=1).value
+        kind = "finger" if isinstance(geom, FingerArray) else "capillary"
+        paths[kind][len(quadrature_calls) - calls] += 1
         oracle = modulated_force_oracle(sphere, coupling, geom, harmonic=1)
         worst_mod = max(worst_mod, abs(closed - oracle) / abs(oracle))
     worst_ff = max(
@@ -198,11 +222,14 @@ def test_criterion_07_geometry_oracles():
     runtime = time.time() - t0
     n_points = len(slab_cases) + len(modulated_cases)
     ok = (worst_slab < 1e-4 and worst_mod < 1e-3 and worst_ff < 1e-6
-          and n_points >= 20 and runtime < 300.0)
+          and n_points >= 20 and runtime < 300.0
+          and all(series >= 1 and quad >= 1 for series, quad in paths.values()))
+    path_text = ", ".join(f"{kind} {series} series / {quad} quadrature"
+                          for kind, (series, quad) in paths.items())
     assert report("07 geometry oracles", ok,
                   f"{n_points} grid points: slab worst {worst_slab:.2e} (<1e-4), "
-                  f"modulated worst {worst_mod:.2e} (<1e-3), form factor worst "
-                  f"{worst_ff:.2e} (<1e-6); {runtime:.1f} s")
+                  f"modulated worst {worst_mod:.2e} (<1e-3; {path_text}), form factor "
+                  f"worst {worst_ff:.2e} (<1e-6); {runtime:.1f} s")
 
 
 @pytest.mark.xfail(

@@ -615,8 +615,26 @@ def test_regen_figures_leaves_scipy_unloaded(regen_figures):
 
 
 # float.hex of every alpha_min of the shipped finger ISL curve, as
-# numpy 2.4.6 and scipy 1.17.1 compute it.
+# numpy 2.4.6 and scipy 1.17.1 compute it: the Fourier series of the infinite
+# pattern at the 25 ranges up to 15.85 um, the strip quadrature above.
 FINGER_ISL_ALPHA_HEX = [
+    "0x1.cab71f26fa51bp+24", "0x1.a47f3c001b755p+23", "0x1.9e2f8e2edb69cp+22",
+    "0x1.b419a8f9f0042p+21", "0x1.e89dbff0e7033p+20", "0x1.221db6375f32ep+20",
+    "0x1.6bd3aef33016dp+19", "0x1.e03eb06e446c1p+18", "0x1.4c8eb03f6635ap+18",
+    "0x1.e1baf1596047dp+17", "0x1.6bc5e96ae46b5p+17", "0x1.1d761109a4817p+17",
+    "0x1.cffbf61779e1ap+16", "0x1.852742558ee28p+16", "0x1.4fa94543e3f1fp+16",
+    "0x1.28b75eb49a393p+16", "0x1.0beaf6cf03d99p+16", "0x1.ecaee9162509dp+15",
+    "0x1.cbff6b1ef6b74p+15", "0x1.b303f4704b299p+15", "0x1.9fc74d2076836p+15",
+    "0x1.90e01e104cb06p+15", "0x1.8545d5ab772cdp+15", "0x1.7c341790ea99fp+15",
+    "0x1.75176ed7ab232p+15", "0x1.6f8002f36a183p+15", "0x1.6b1845f743526p+15",
+    "0x1.679e4fdde23e2p+15", "0x1.64df0f49499d6p+15", "0x1.62b2c18ba7bdcp+15",
+    "0x1.60fa529b67452p+15", "0x1.5f9d63eac68cdp+15", "0x1.5e88cd18f1c76p+15",
+    "0x1.5dad76f88d832p+15", "0x1.5cff7b2c3954ap+15", "0x1.5c757abfcd1c9p+15",
+    "0x1.5c0825e2c6395p+15", "0x1.5bb1f50ce9b4fp+15", "0x1.5b6f13f494cc7p+15",
+    "0x1.5b3d7431e41a1p+15", "0x1.5b1cea09598e1p+15",
+]
+# The same curve with the strip quadrature at every range.
+FINGER_ISL_ALPHA_HEX_QUADRATURE = [
     "0x1.cab71f26fa527p+24", "0x1.a47f3c001b760p+23", "0x1.9e2f8e2edb6a5p+22",
     "0x1.b419a8f9f004fp+21", "0x1.e89dbff0e703ep+20", "0x1.221db6375f32cp+20",
     "0x1.6bd3aef33016ap+19", "0x1.e03eb06e446c3p+18", "0x1.4c8eb03f66358p+18",
@@ -633,9 +651,9 @@ FINGER_ISL_ALPHA_HEX = [
     "0x1.5b3d7431e41a1p+15", "0x1.5b1cea09598e1p+15",
 ]
 
-# The same curve with the finger kernel evaluated at all 64 drive phases
-# rather than once per mirrored pair k, (32 - k) mod 64, whose shifts differ
-# only by the rounding of sin.
+# The quadrature curve with the finger kernel evaluated at all 64 drive
+# phases rather than once per mirrored pair k, (32 - k) mod 64, whose shifts
+# differ only by the rounding of sin.
 FINGER_ISL_ALPHA_HEX_ALL_PHASES = [
     "0x1.cab71f26fa529p+24", "0x1.a47f3c001b762p+23", "0x1.9e2f8e2edb6a5p+22",
     "0x1.b419a8f9f0050p+21", "0x1.e89dbff0e703ep+20", "0x1.221db6375f32cp+20",
@@ -661,6 +679,20 @@ def test_regen_figures_finger_isl_curve_golden(regen_figures):
     assert [float(alpha).hex() for _, alpha in rows] == FINGER_ISL_ALPHA_HEX
 
 
+def test_regen_figures_finger_isl_curve_series_is_the_quadrature(regen_figures):
+    """The Fourier series moves the curve's 25 ranges inside the window rule,
+    up to 15.85 um (the rule's edge is at 17.0 um), by at most 1e-13 relative
+    from the strip quadrature, and no bit of the other 16."""
+    text = (regen_figures[0] / "isl_finger_20um" / "exclusion_isl.csv").read_text()
+    rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()
+                     if not line.startswith("#")])
+    quadrature = np.array([float.fromhex(h) for h in FINGER_ISL_ALPHA_HEX_QUADRATURE])
+    series = rows[:, 0] < 17e-6
+    assert series.sum() == 25
+    np.testing.assert_allclose(rows[series, 1], quadrature[series], rtol=1e-13, atol=0.0)
+    assert [v.hex() for v in rows[~series, 1]] == FINGER_ISL_ALPHA_HEX_QUADRATURE[25:]
+
+
 def test_regen_figures_finger_isl_curve_matches_all_phase_kernel(regen_figures):
     """Evaluating one shift per mirrored phase pair moves no alpha by more
     than the rounding of the drive shift: 1e-13 relative."""
@@ -684,7 +716,7 @@ FIGURES_SHA256 = {
     "axion_lines.csv":
         "75045ac7b5b2ba7b392691a45e10896a67a205567838d2651c91685c3d1b7b7e",
     "isl_finger_20um/exclusion_isl.json":
-        "364e4174043a3341ccec43d993b26733aa7b1ce17f52d762315521eb30a7c519",
+        "4c6dfbd53316475d4ef8a903939571c62064d86b39d4a6a2bee1a76ebe0fae9c",
     "coulomb_charged_20um/exclusion_coulomb.json":
         "6431d8fcfb3f555ae48b5389f1658537aafefda5ce9f800a2b2be6e473e2056e",
     "millicharge_10um/exclusion_millicharge.json":

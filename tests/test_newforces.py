@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import k1
 
 from levkit import _scipy, newforces, oracles
-from levkit.cli import EXIT_RUNTIME, _config_dir, main
+from levkit.cli import EXIT_CONFIG, EXIT_RUNTIME, _config_dir, main
 from levkit.config import load_config, parse_config
 from levkit.limits import log_grid
 from levkit.quantities import DomainError, HBAR_C
@@ -201,13 +201,37 @@ def test_modulated_waveform_parseval():
     assert total == pytest.approx(ac_power, rel=0.02)
 
 
+def _pattern(geom):
+    """A modulated geometry's strip width and pair count."""
+    if isinstance(geom, FingerArray):
+        return geom.finger_width, geom.n_finger_pairs
+    return geom.droplet_length, geom.n_droplet_pairs
+
+
+def _window_leaves_pattern(geom, lam, shifts):
+    """The series rule, written out again: the quadrature's e^-45 window,
+    widened by the largest shift, reaches past the pattern's nearer end."""
+    width, n_pairs = _pattern(geom)
+    d = geom.distance
+    x_cut = math.sqrt((d + 45.0 * lam) ** 2 - d**2) + float(np.max(np.abs(shifts)))
+    return x_cut > (2 * n_pairs - 1) * width
+
+
+# Ranges at which the e^-45 window leaves each test pattern, so that the
+# strip quadrature runs: 15 um for FINGERS (the series holds to about 12 um),
+# 20 um for CAPILLARY (to about 18 um).
+QUADRATURE_LAM = {"fingers": 15e-6, "capillary": 20e-6}
+
+
 @pytest.mark.parametrize("geom, n_phase, n_shifts", [
     (FINGERS, 64, 33), (FINGERS, 256, 129), (FINGERS, 65, 65), (CAPILLARY, 64, 64)])
 def test_kernel_evaluated_once_per_distinct_shift(monkeypatch, geom, n_phase, n_shifts):
     """A finger's mirrored phases k and (n/2 - k) mod n share one kernel
     evaluation at even n; an odd n and a capillary evaluate every phase."""
-    name = ("_finger_point_force" if isinstance(geom, FingerArray)
-            else "_capillary_point_force")
+    if isinstance(geom, FingerArray):
+        name, lam = "_finger_point_force", QUADRATURE_LAM["fingers"]
+    else:
+        name, lam = "_capillary_point_force", QUADRATURE_LAM["capillary"]
     kernel = getattr(newforces, name)
     calls = []
 
@@ -216,8 +240,10 @@ def test_kernel_evaluated_once_per_distinct_shift(monkeypatch, geom, n_phase, n_
         return kernel(geom, lam, shifts)
 
     monkeypatch.setattr(newforces, name, spy)
-    yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), geom, n_phase=n_phase)
+    yukawa_force_modulated(Sphere(radius=2.5e-6), isl(lam), geom, n_phase=n_phase)
     assert calls == [n_shifts]
+    assert _window_leaves_pattern(geom, lam, newforces._point_kernel(
+        Sphere(radius=2.5e-6), geom, n_phase)[1])
 
 
 @pytest.mark.parametrize("n_phase", [64, 256, 65])
@@ -226,8 +252,9 @@ def test_paired_shifts_match_all_phase_amplitude(n_phase, harmonic):
     """Each phase reuses a shift equal to its own up to the rounding of sin,
     and the harmonic amplitude from the distinct shifts equals the one from
     the kernel evaluated at every drive phase."""
-    sphere, lam = Sphere(radius=2.5e-6), 10e-6
+    sphere, lam = Sphere(radius=2.5e-6), QUADRATURE_LAM["fingers"]
     shifts = FINGERS.drive_amplitude * np.sin(2.0 * math.pi * (np.arange(n_phase) / n_phase))
+    assert _window_leaves_pattern(FINGERS, lam, shifts)
     _, distinct, index = newforces._point_kernel(sphere, FINGERS, n_phase)
     np.testing.assert_allclose(distinct[index], shifts, rtol=0.0,
                                atol=4.0 * np.finfo(float).eps * FINGERS.drive_amplitude)
@@ -237,6 +264,134 @@ def test_paired_shifts_match_all_phase_amplitude(n_phase, harmonic):
     paired = yukawa_force_modulated(sphere, isl(lam), FINGERS, harmonic=harmonic,
                                     n_phase=n_phase).value
     assert paired == pytest.approx(reference, rel=1e-12)
+
+
+def _benchmark_capillary():
+    """The benchmark's capillary config: 40 um droplets at 12 um, 40 pairs."""
+    return parse_config({
+        "schema": "levkit-config/1",
+        "sphere": {"radius": "7.5 um", "density": "1850 kg/m^3"},
+        "geometry": {"type": "fluid_capillary", "inner_diameter": "10 um",
+                     "droplet_length": "40 um", "density_a": "3000 kg/m^3",
+                     "density_b": "800 kg/m^3", "distance": "12 um",
+                     "modulation_frequency": "50 Hz", "n_droplet_pairs": 40},
+        "plan": {"integration_time": "1 s", "lambda_min": "1 um", "lambda_max": "10 mm",
+                 "points_per_decade": 20}})
+
+
+def _shipped_finger():
+    return load_config(_config_dir() / "isl_finger_20um.json")
+
+
+@pytest.mark.parametrize("config, kernel, grid_step", [
+    (_shipped_finger, "_finger_point_force", 24), (_benchmark_capillary,
+                                                   "_capillary_point_force", 36)])
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_series_inside_the_window_and_quadrature_outside(monkeypatch, config, kernel,
+                                                         grid_step, inside):
+    """Just inside the window rule the point force is the Fourier series,
+    within 1e-12 of the quadrature, and the quadrature does not run; just
+    outside it the quadrature runs once and gives the force.  The rule's edge
+    lies between the curve's last series point and its next grid point."""
+    cfg = config()
+    sphere, geom = cfg.sphere, cfg.geometry
+    width, n_pairs = _pattern(geom)
+    _, shifts, index = newforces._point_kernel(sphere, geom, 64)
+    d = geom.distance
+    edge = (math.sqrt(((2 * n_pairs - 1) * width - np.max(np.abs(shifts))) ** 2 + d**2)
+            - d) / 45.0
+    step = 10.0 ** (1.0 / cfg.plan_section["points_per_decade"])
+    assert step**grid_step * 1e-6 < edge < step ** (grid_step + 1) * 1e-6
+    lam = edge * (1.0 - 1e-6 if inside else 1.0 + 1e-6)
+    assert _window_leaves_pattern(geom, lam, shifts) is not inside
+    quadrature = (newforces._prefactor(sphere, isl(lam), geom) * newforces._harmonic_amplitude(
+        getattr(newforces, kernel)(geom, lam, shifts)[0][index], 1))
+    spied, calls = getattr(newforces, kernel), []
+
+    def spy(*args):
+        calls.append(args)
+        return spied(*args)
+
+    monkeypatch.setattr(newforces, kernel, spy)
+    force = yukawa_force_modulated(sphere, isl(lam), geom).value
+    if inside:
+        assert calls == []
+        assert abs(force - quadrature) <= 1e-12 * abs(quadrature)
+    else:
+        assert len(calls) == 1
+        assert force == quadrature
+
+
+def test_series_stops_at_an_e90_transform():
+    """The series' last order is the first whose d (kappa - 1/lambda) reaches
+    90, and a pattern that would need more than the cap of orders keeps the
+    quadrature."""
+    for width, d, lam in ((10e-6, 15e-6, 1e-6), (40e-6, 12e-6, 68e-6), (25e-6, 4e-6, 5e-6),
+                          (10e-6, 15e-6, 1e-9)):
+        orders = newforces._series_orders(width, d, lam)
+        exponent = d * (np.hypot(math.pi / width * orders, 1.0 / lam) - 1.0 / lam)
+        assert np.all(orders == 2 * np.arange(orders.size) + 1)
+        assert exponent[-1] >= 90.0 and np.all(exponent[:-1] < 90.0), (width, d, lam)
+    wide = FingerArray(finger_width=1.0, finger_depth=10e-6, density_a=19300.0,
+                       density_b=2330.0, distance=1e-6, drive_amplitude=1e-6,
+                       drive_frequency=10.0)
+    assert newforces._series_orders(wide.finger_width, wide.distance, 1e-6) is None
+    _, shifts, _ = newforces._point_kernel(Sphere(radius=0.5e-6), wide, 64)
+    assert not _window_leaves_pattern(wide, 1e-6, shifts)
+    assert newforces._series_point_force(wide, 1e-6, shifts) is None
+
+
+def test_series_error_estimate_is_its_last_term(monkeypatch):
+    """The series' second array leaves out the last order's term, so with the
+    series cut short the two differ by that term at every shift, and a cut
+    too short for 1e-3 raises QuadratureError."""
+    geom, lam = CAPILLARY, 5e-6
+    shifts = np.linspace(0.0, 2.0 * geom.droplet_length, 64, endpoint=False)
+    monkeypatch.setattr(newforces, "_SERIES_CUTOFF", 5.0)
+    full, partial = newforces._series_point_force(geom, lam, shifts)
+    orders = newforces._series_orders(geom.droplet_length, geom.distance, lam)
+    k = math.pi / geom.droplet_length * orders[-1]
+    kappa = math.hypot(k, 1.0 / lam)
+    last = (2.0 / (math.pi * orders[-1]) * geom.cross_section * 2.0 * kappa
+            * float(_scipy.extension("special", "_special_ufuncs").k1(geom.distance * kappa)))
+    np.testing.assert_allclose(partial - full, last * np.sin(k * shifts),
+                               rtol=0.0, atol=1e-12 * float(np.max(np.abs(full))))
+    assert abs(last) > 1e-6 * float(np.max(np.abs(full)))
+    # A finger's drive puts every order into harmonic 1; a capillary's only
+    # orders 1, 63, 65, ... at 64 phases.
+    monkeypatch.setattr(newforces, "_SERIES_CUTOFF", 0.5)
+    with pytest.raises(QuadratureError) as info:
+        yukawa_force_modulated(Sphere(radius=2.5e-6), isl(10e-6), FINGERS)
+    assert info.value.error_estimate > 1e-3
+
+
+def test_nyquist_harmonic_is_a_domain_error(monkeypatch, tmp_path, capsys):
+    """harmonic = n_phase / 2 and above is refused before any kernel runs,
+    with a message naming the limit, and exits 2 from the command line."""
+    sphere = Sphere(radius=2.5e-6)
+    assert yukawa_force_modulated(sphere, isl(10e-6), FINGERS, harmonic=31).value > 0.0
+    assert yukawa_force_modulated(sphere, isl(10e-6), FINGERS, harmonic=32,
+                                  n_phase=65).value > 0.0
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("_finger_point_force", "_series_point_force"):
+        monkeypatch.setattr(newforces, name, no_kernel)
+    for harmonic, n_phase in ((32, 64), (33, 64), (33, 65)):
+        message = (f"harmonic {harmonic} at {n_phase} phase samples: it must be below the "
+                   f"Nyquist limit n_phase / 2 = {n_phase / 2:.15g}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            yukawa_force_modulated(sphere, isl(10e-6), FINGERS, harmonic=harmonic,
+                                   n_phase=n_phase)
+    monkeypatch.setattr(yukawa_force_modulated, "__defaults__", (32, 64))
+    out = tmp_path / "out"
+    assert main(["exclusion", "isl", str(_config_dir() / "isl_finger_20um.json"),
+                 "-o", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: harmonic 32 at 64 phase samples: it must be below the "
+        "Nyquist limit n_phase / 2 = 32\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", [0.2e-6, 10e-6, 1e-3])
@@ -388,16 +543,7 @@ def _gate_cases():
     """(sphere, coupling, geometry): criterion 07's modulated grid, the shipped
     finger curve and the benchmark's capillary curve, at every lambda."""
     yield from oracles.geometry_regression_grid()[1]
-    finger = load_config(_config_dir() / "isl_finger_20um.json")
-    capillary = parse_config({
-        "schema": "levkit-config/1",
-        "sphere": {"radius": "7.5 um", "density": "1850 kg/m^3"},
-        "geometry": {"type": "fluid_capillary", "inner_diameter": "10 um",
-                     "droplet_length": "40 um", "density_a": "3000 kg/m^3",
-                     "density_b": "800 kg/m^3", "distance": "12 um",
-                     "modulation_frequency": "50 Hz", "n_droplet_pairs": 40},
-        "plan": {"integration_time": "1 s", "lambda_min": "1 um", "lambda_max": "10 mm",
-                 "points_per_decade": 20}})
+    finger, capillary = _shipped_finger(), _benchmark_capillary()
     for cfg, n_lam in ((finger, 41), (capillary, 81)):
         plan = cfg.plan_section
         lams = log_grid(plan["lambda_min"], plan["lambda_max"], plan["points_per_decade"])
@@ -434,16 +580,17 @@ def _skew_embedded_rule(monkeypatch):
 
 def test_unconverged_quadrature_raises_with_estimate(monkeypatch):
     _skew_embedded_rule(monkeypatch)
-    sphere = Sphere(radius=2.5e-6)
+    sphere, lam = Sphere(radius=2.5e-6), QUADRATURE_LAM["fingers"]
     with pytest.raises(QuadratureError) as info:
-        yukawa_force_modulated(sphere, isl(10e-6), FINGERS)
+        yukawa_force_modulated(sphere, isl(lam), FINGERS)
     err = info.value.error_estimate
     assert err > 1e-3
     assert f"relative error estimate {err:.2e}" in str(info.value)
     # The estimate the gate test above recomputes is the one raised.
     kernel, shifts, index = newforces._point_kernel(sphere, FINGERS, 64)
-    fine, skewed = (values[index] for values in kernel(FINGERS, 10e-6, shifts))
-    assert err == _relative_error_estimate(sphere, isl(10e-6), FINGERS, fine, skewed)
+    assert _window_leaves_pattern(FINGERS, lam, shifts)
+    fine, skewed = (values[index] for values in kernel(FINGERS, lam, shifts))
+    assert err == _relative_error_estimate(sphere, isl(lam), FINGERS, fine, skewed)
 
 
 def test_unconverged_quadrature_is_runtime_exit(monkeypatch, tmp_path, capsys):
@@ -540,6 +687,14 @@ def test_file_loaded_k0_is_scipy_special_k0_bit_for_bit():
 
     z = np.geomspace(1e-3, 700.0, 100_000)
     assert np.array_equal(_scipy.extension("special", "_special_ufuncs").k0(z), k0(z))
+
+
+def test_file_loaded_k1_is_scipy_special_k1_bit_for_bit():
+    """The capillary series' k1, loaded from its extension file, is scipy.special's."""
+    from scipy.special import k1
+
+    z = np.geomspace(1e-3, 700.0, 100_000)
+    assert np.array_equal(_scipy.extension("special", "_special_ufuncs").k1(z), k1(z))
 
 
 def test_missing_extension_names_it_the_directory_and_scipy_version():
